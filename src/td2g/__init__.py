@@ -15,7 +15,6 @@ from .intlinalg import (
     Phase,
     RatVec,
     diag_vec,
-    mat_mul,
     phase_bilinear,
     strict_lower_split,
     unimodular_inverse,

@@ -266,6 +266,12 @@ def cmd_verify(args) -> int:
         if trials is None:
             print("error: --trials is required for this suite", file=sys.stderr)
             return EXIT_INPUT
+        if n < 1:
+            print("error: --n must be at least 1", file=sys.stderr)
+            return EXIT_INPUT
+        if trials < 0:
+            print("error: --trials must not be negative", file=sys.stderr)
+            return EXIT_INPUT
     start = time.monotonic()
     try:
         failures = _SUITE_BODIES[suite](n, trials, seed)

@@ -9,6 +9,7 @@ and A^{-1} = iso(A) * I A^T I, which gives inversion without an adjugate.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .intlinalg import IntMat, unimodular_inverse
@@ -38,15 +39,17 @@ class MembershipError(ValueError):
     """Raised when a matrix does not lie in O+-(n,n,Z)."""
 
 
+@lru_cache(maxsize=None)
 def pairing_matrix(n: int) -> IntMat:
-    """The split form I = [[0, E_n], [E_n, 0]]."""
+    """The split form I = [[0, E_n], [E_n, 0]], built once per n."""
     e = IntMat.identity(n)
     z = IntMat.zeros(n)
     return IntMat.from_blocks(z, e, e, z)
 
 
+@lru_cache(maxsize=None)
 def j_matrix(n: int) -> IntMat:
-    """The half-pairing J = [[0, 0], [E_n, 0]]; I = J + J^T."""
+    """The half-pairing J = [[0, 0], [E_n, 0]]; I = J + J^T; built once per n."""
     e = IntMat.identity(n)
     z = IntMat.zeros(n)
     return IntMat.from_blocks(z, z, e, z)
@@ -72,9 +75,14 @@ def _scalar_multiple_of(m: IntMat, ref: IntMat) -> int | None:
 
 
 class PseudoOrthogonal:
-    """An element of O+-(n,n,Z) with its cached sign iso(A)."""
+    """An element of O+-(n,n,Z) with its cached sign iso(A).
 
-    __slots__ = ("n", "mat", "iso")
+    `_b_split` holds (B_A, (B_A)_low) once `twogroup.b_split` has computed
+    them for this element, and None before; it takes no part in equality,
+    hashing or repr.
+    """
+
+    __slots__ = ("n", "mat", "iso", "_b_split")
 
     def __init__(self, mat: IntMat, *, _iso: int | None = None):
         if not mat.is_square or mat.rows % 2 != 0:
@@ -85,6 +93,7 @@ class PseudoOrthogonal:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "iso", _iso)
+        object.__setattr__(self, "_b_split", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonal is immutable")

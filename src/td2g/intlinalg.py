@@ -9,6 +9,7 @@ additively.  Floats are deliberately unsupported.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -17,7 +18,6 @@ __all__ = [
     "IntMat",
     "RatVec",
     "Phase",
-    "mat_mul",
     "unimodular_inverse",
     "strict_lower_split",
     "diag_vec",
@@ -31,6 +31,12 @@ def _as_int(x) -> int:
     return x
 
 
+def _as_dim(k) -> int:
+    if _as_int(k) < 1:
+        raise ValueError("matrix must have at least one row and column")
+    return k
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("float entries are not allowed; use Fraction")
@@ -38,7 +44,11 @@ def _as_fraction(x) -> Fraction:
 
 
 class IntMat:
-    """Immutable integer matrix with exact arithmetic."""
+    """Immutable integer matrix with exact arithmetic.
+
+    The public constructor validates its input.  Everything computed from
+    existing IntMat data goes through `_new`, which trusts it.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -53,6 +63,15 @@ class IntMat:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", rows)
 
+    @staticmethod
+    def _new(rows: tuple[tuple[int, ...], ...]) -> "IntMat":
+        """Unchecked constructor; `rows` must be a non-empty rectangular tuple of int tuples."""
+        m = _alloc(IntMat)
+        _set_rows(m, len(rows))
+        _set_cols(m, len(rows[0]))
+        _set_data(m, rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMat is immutable")
 
@@ -60,28 +79,30 @@ class IntMat:
 
     @classmethod
     def identity(cls, k: int) -> "IntMat":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        _as_dim(k)
+        return cls._new(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
     @classmethod
     def zeros(cls, r: int, c: int | None = None) -> "IntMat":
         c = r if c is None else c
-        return cls([[0] * c for _ in range(r)])
+        row = (0,) * _as_dim(c)
+        return cls._new((row,) * _as_dim(r))
 
     @classmethod
     def from_blocks(cls, a: "IntMat", b: "IntMat", c: "IntMat", d: "IntMat") -> "IntMat":
         """Assemble [[a, b], [c, d]]."""
         if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
             raise ValueError("incompatible block shapes")
-        top = [ra + rb for ra, rb in zip(a.data, b.data)]
-        bot = [rc + rd for rc, rd in zip(c.data, d.data)]
-        return cls(top + bot)
+        top = tuple(ra + rb for ra, rb in zip(a.data, b.data))
+        bot = tuple(rc + rd for rc, rd in zip(c.data, d.data))
+        return cls._new(top + bot)
 
     @classmethod
     def basis(cls, k: int, i: int, j: int) -> "IntMat":
         """k-by-k matrix with a single 1 in (1-indexed) position (i, j)."""
-        m = [[0] * k for _ in range(k)]
+        m = [[0] * k for _ in range(_as_dim(k))]
         m[i - 1][j - 1] = 1
-        return cls(m)
+        return cls._new(tuple(map(tuple, m)))
 
     # -- basics ------------------------------------------------------
 
@@ -103,7 +124,7 @@ class IntMat:
         return self.rows == self.cols
 
     def transpose(self) -> "IntMat":
-        return IntMat(tuple(zip(*self.data)))
+        return IntMat._new(tuple(zip(*self.data)))
 
     @property
     def T(self) -> "IntMat":
@@ -113,21 +134,23 @@ class IntMat:
 
     def __add__(self, other: "IntMat") -> "IntMat":
         self._same_shape(other)
-        return IntMat(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)]
+        return IntMat._new(
+            tuple([tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self.data, other.data)])
         )
 
     def __sub__(self, other: "IntMat") -> "IntMat":
         self._same_shape(other)
-        return IntMat(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)]
+        return IntMat._new(
+            tuple([tuple([x - y for x, y in zip(r, s)]) for r, s in zip(self.data, other.data)])
         )
 
     def __neg__(self) -> "IntMat":
-        return IntMat([[-x for x in r] for r in self.data])
+        return IntMat._new(tuple([tuple([-x for x in r]) for r in self.data]))
 
     def scale(self, k: int) -> "IntMat":
-        return IntMat([[k * x for x in r] for r in self.data])
+        if not isinstance(k, int):
+            raise TypeError(f"integer scalar required, got {k!r}")
+        return IntMat._new(tuple([tuple([k * x for x in r]) for r in self.data]))
 
     def __mul__(self, other: "IntMat") -> "IntMat":
         if not isinstance(other, IntMat):
@@ -137,14 +160,14 @@ class IntMat:
                 f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
             )
         bt = tuple(zip(*other.data))
-        return IntMat(
-            [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.data]
+        return IntMat._new(
+            tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in self.data])
         )
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.data)
+        return tuple([sum(map(mul, row, v)) for row in self.data])
 
     def mul_ratvec(self, v: "RatVec") -> "RatVec":
         if v.dim != self.cols:
@@ -182,30 +205,17 @@ class IntMat:
             prev = pivot
         return sign * m[n - 1][n - 1]
 
-    def _minor(self, i: int, j: int) -> "IntMat":
-        return IntMat(
-            [
-                [x for jj, x in enumerate(row) if jj != j]
-                for ii, row in enumerate(self.data)
-                if ii != i
-            ]
-        )
-
-    def adjugate(self) -> "IntMat":
-        if not self.is_square:
-            raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return IntMat([[1]])
-        cof = [
-            [(-1) ** (i + j) * self._minor(i, j).det() for j in range(n)]
-            for i in range(n)
-        ]
-        return IntMat(cof).transpose()
-
     def _same_shape(self, other: "IntMat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+# IntMat._new writes the slots through their descriptors, which is cheaper
+# than the attribute lookup of object.__setattr__ on every product.
+_alloc = object.__new__
+_set_rows = IntMat.rows.__set__
+_set_cols = IntMat.cols.__set__
+_set_data = IntMat.data.__set__
 
 
 class RatVec:
@@ -332,20 +342,33 @@ class Phase:
 # -- module-level operations ------------------------------------------
 
 
-def mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    """Exact matrix product."""
-    return a * b
-
-
 def unimodular_inverse(a: IntMat) -> IntMat:
-    """Exact integer inverse of a matrix with determinant +-1, via the adjugate."""
+    """Exact integer inverse of a matrix with determinant +-1.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [A | E]: every
+    division is exact, and the elimination ends at [p E | p A^{-1}] with
+    p = +-det(A) = +-1, so A^{-1} = p times the right block.
+    """
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
     d = a.det()
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {d})")
-    # det in {1,-1} makes adj/det = det*adj an integer matrix
-    return a.adjugate().scale(d)
+    k = a.rows
+    m = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(a.data)]
+    prev = 1
+    for c in range(k):
+        if m[c][c] == 0:
+            swap = next(r for r in range(c + 1, k) if m[r][c] != 0)
+            m[c], m[swap] = m[swap], m[c]
+        row_c = m[c]
+        pivot = row_c[c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(x * pivot - f * y) // prev for x, y in zip(m[r], row_c)]
+        prev = pivot
+    return IntMat._new(tuple([tuple([prev * x for x in row[k:]]) for row in m]))
 
 
 def strict_lower_split(b: IntMat) -> IntMat:
@@ -354,8 +377,10 @@ def strict_lower_split(b: IntMat) -> IntMat:
         raise ValueError("split of a non-square matrix")
     if b != -b.transpose():
         raise ValueError("split requires a skew-symmetric matrix")
-    return IntMat(
-        [[x if i > j else 0 for j, x in enumerate(row)] for i, row in enumerate(b.data)]
+    return IntMat._new(
+        tuple(
+            [tuple([x if i > j else 0 for j, x in enumerate(row)]) for i, row in enumerate(b.data)]
+        )
     )
 
 

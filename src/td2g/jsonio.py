@@ -74,6 +74,7 @@ def mat_from_json(obj) -> IntMat:
         _expect(key in obj, f"matrix missing {key!r}")
     rows = _expect_int(obj["rows"], "rows")
     cols = _expect_int(obj["cols"], "cols")
+    _expect(rows >= 1 and cols >= 1, "matrix must have at least one row and column")
     data = obj["data"]
     _expect(isinstance(data, list) and len(data) == rows, "matrix data has wrong row count")
     for r in data:

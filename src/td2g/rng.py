@@ -62,10 +62,6 @@ class XorShift64Star:
         den = self.int_in(1, max_den)
         return Fraction(num, den)
 
-    def spawn(self, index: int) -> "XorShift64Star":
-        """Sub-stream `index`, derived by reseeding with state xor mix64(index)."""
-        return XorShift64Star(self.state ^ _mix64(index & _MASK))
-
 
 def substream_seeds(seed: int, count: int) -> list[int]:
     """The first `count` outputs of the stream for `seed`, used as per-trial seeds.

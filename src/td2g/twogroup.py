@@ -29,14 +29,13 @@ from .groups import PseudoOrthogonal, j_matrix
 
 __all__ = [
     "b_matrix",
+    "b_split",
     "Obj",
     "Mor",
-    "SectionData",
     "obj_product",
     "obj_inverse",
     "obj_unit",
     "section",
-    "section_data",
     "x_matrix",
     "h_matrix",
     "beta_multiplicator",
@@ -57,6 +56,16 @@ def b_matrix(a: PseudoOrthogonal) -> IntMat:
     return j.scale(a.iso) - a.mat.transpose() * j * a.mat
 
 
+def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:
+    """(B_A, (B_A)_low), computed on first use and kept on the element."""
+    split = a._b_split
+    if split is None:
+        b = b_matrix(a)
+        split = (b, strict_lower_split(b))
+        object.__setattr__(a, "_b_split", split)
+    return split
+
+
 class Obj:
     """Object (A, X) with bilinear phase matrix X satisfying X - X^T == B_A."""
 
@@ -65,7 +74,7 @@ class Obj:
     def __init__(self, g: PseudoOrthogonal, x: IntMat):
         if x.rows != 2 * g.n or x.cols != 2 * g.n:
             raise ValueError("phase matrix has wrong shape")
-        if x - x.transpose() != b_matrix(g):
+        if x - x.transpose() != b_split(g)[0]:
             raise ValueError("phase matrix violates X - X^T == B_A")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "x", x)
@@ -111,43 +120,22 @@ def obj_inverse(o: Obj) -> Obj:
     return Obj(ginv, x)
 
 
-class SectionData:
-    """The skew matrix B_A and its strictly-lower split, cached for a group element."""
-
-    __slots__ = ("a", "b_a", "b_low")
-
-    def __init__(self, a: PseudoOrthogonal):
-        b_a = b_matrix(a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b_a", b_a)
-        object.__setattr__(self, "b_low", strict_lower_split(b_a))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SectionData is immutable")
-
-
-def section_data(a: PseudoOrthogonal) -> SectionData:
-    return SectionData(a)
-
-
 def section(a: PseudoOrthogonal) -> Obj:
     """The canonical section A |-> (A, (B_A)_low) of the projection to O+-(n,n,Z)."""
-    return Obj(a, strict_lower_split(b_matrix(a)))
+    return Obj(a, b_split(a)[1])
 
 
 def x_matrix(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntMat:
     """Phase matrix of section(a) * section(b): B^T (B_A)_low B + iso(A) (B_B)_low."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    bl_a = strict_lower_split(b_matrix(a))
-    bl_b = strict_lower_split(b_matrix(b))
     bm = b.mat
-    return bm.transpose() * bl_a * bm + bl_b.scale(a.iso)
+    return bm.transpose() * b_split(a)[1] * bm + b_split(b)[1].scale(a.iso)
 
 
 def h_matrix(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntMat:
     """H_{A,B} = X_{A,B} - (B_{AB})_low; symmetric by construction."""
-    return x_matrix(a, b) - strict_lower_split(b_matrix(a * b))
+    return x_matrix(a, b) - b_split(a * b)[1]
 
 
 class Mor:

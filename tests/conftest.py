@@ -22,7 +22,7 @@ def words(n: int, count: int, seed: int, length: int = 6):
 
 
 def fraction_inverse(m: IntMat) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over Fractions; independent of the adjugate path."""
+    """Gauss-Jordan inverse over Fractions; independent of the integer (Bareiss) path."""
     k = m.rows
     aug = [
         [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(k)]

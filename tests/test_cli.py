@@ -34,8 +34,14 @@ class TestJsonIO:
             jsonio.mat_from_json({"rows": 2, "cols": 2, "data": [[1, 2], [3]]})
 
     def test_matrix_rejects_floats(self):
-        with pytest.raises(jsonio.FormatError):
-            jsonio.mat_from_json({"rows": 1, "cols": 1, "data": [[1.5]]})
+        for entry in (1.5, True, "1", None):
+            with pytest.raises(jsonio.FormatError):
+                jsonio.mat_from_json({"rows": 1, "cols": 1, "data": [[entry]]})
+
+    def test_matrix_rejects_empty(self):
+        for rows, cols, data in ((0, 0, []), (1, 0, [[]]), (0, 2, [])):
+            with pytest.raises(jsonio.FormatError):
+                jsonio.mat_from_json({"rows": rows, "cols": cols, "data": data})
 
     def test_phase_bounds(self):
         from fractions import Fraction
@@ -172,14 +178,34 @@ class TestKinvCommand:
 
 class TestVerifyCommand:
     def test_n1_exhaustive(self, capsys):
-        code, report = run_main(capsys, ["verify", "--suite", "n1-exhaustive"])
+        # the exhaustive suite ignores --n and --trials, even out-of-range ones
+        code, report = run_main(
+            capsys, ["verify", "--suite", "n1-exhaustive", "--n", "0", "--trials", "-5"]
+        )
         assert code == 0
         assert report["suite"] == "n1-exhaustive" and report["failures"] == []
+        assert report["n"] == 1 and report["trials"] == 0
 
     def test_seed_required(self, capsys):
         code = main(["verify", "--suite", "torsion", "--n", "2", "--trials", "3"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "suite, n, trials",
+        [
+            ("cocycle", "0", "3"),
+            ("torsion", "-2", "3"),
+            ("tdcorr", "0", "1"),
+            ("cocycle", "1", "-5"),
+            ("subgroups", "2", "-1"),
+        ],
+    )
+    def test_rejects_out_of_range_n_and_trials(self, capsys, suite, n, trials):
+        code = main(["verify", "--suite", suite, "--n", n, "--trials", trials, "--seed", "1"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == "" and out.err.startswith("error:")
 
     def test_torsion(self, capsys):
         code, report = run_main(

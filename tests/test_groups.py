@@ -181,7 +181,7 @@ class TestGroupLaws:
         for w in words(2, 10, 11):
             assert check_membership(w.mat.transpose()).iso == w.iso
 
-    def test_inverse_shortcut_matches_adjugate(self):
+    def test_inverse_shortcut_matches_unimodular_inverse(self):
         for w in words(2, 10, 13):
             assert w.inverse().mat == unimodular_inverse(w.mat)
             assert w * w.inverse() == PseudoOrthogonal.identity(2)

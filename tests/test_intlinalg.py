@@ -8,7 +8,6 @@ from td2g.intlinalg import (
     Phase,
     RatVec,
     diag_vec,
-    mat_mul,
     phase_bilinear,
     strict_lower_split,
     unimodular_inverse,
@@ -35,20 +34,20 @@ class TestMatMul:
     def test_pairing_is_involution(self):
         for n in (1, 2, 3):
             i = pairing_matrix(n)
-            assert mat_mul(i, i) == IntMat.identity(2 * n)
+            assert i * i == IntMat.identity(2 * n)
 
     def test_j_squares_to_zero(self):
         for n in (1, 2, 3):
             j = j_matrix(n)
-            assert mat_mul(j, j) == IntMat.zeros(2 * n)
+            assert j * j == IntMat.zeros(2 * n)
 
     def test_ij_product_n1(self):
         # hand multiplication: [[0,1],[1,0]] * [[0,0],[1,0]]
-        assert mat_mul(pairing_matrix(1), j_matrix(1)) == IntMat([[1, 0], [0, 0]])
+        assert pairing_matrix(1) * j_matrix(1) == IntMat([[1, 0], [0, 0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(IntMat.identity(2), IntMat.identity(3))
+            IntMat.identity(2) * IntMat.identity(3)
 
 
 class TestUnimodularInverse:
@@ -213,8 +212,46 @@ class TestPhase:
 
 class TestIntMat:
     def test_entries_must_be_int(self):
+        for data in ([[1.5, 0], [0, 1]], [[True, 0], [0, 1]], [[1, Fraction(1)], [0, 1]]):
+            with pytest.raises(TypeError):
+                IntMat(data)
+
+    def test_rejects_ragged_and_empty(self):
+        for data in ([[1, 2], [3]], [], [[]], [[], []]):
+            with pytest.raises(ValueError):
+                IntMat(data)
+
+    def test_derived_constructors_check_their_arguments(self):
+        for make in (
+            lambda: IntMat.identity(0),
+            lambda: IntMat.zeros(2, 0),
+            lambda: IntMat.basis(0, 1, 1),
+        ):
+            with pytest.raises(ValueError):
+                make()
         with pytest.raises(TypeError):
-            IntMat([[1.5, 0], [0, 1]])
+            IntMat.identity(2).scale(Fraction(1, 2))
+
+    @given(
+        st.lists(small_ints, min_size=6, max_size=6),
+        st.lists(small_ints, min_size=6, max_size=6),
+    )
+    def test_results_equal_checked_construction(self, p, q):
+        # every matrix built by the unchecked constructor equals, hashes and
+        # prints as the checked constructor's matrix of the same entries
+        a = IntMat([p[:3], p[3:]])
+        b = IntMat([q[:2], q[2:4], q[4:]])
+        c = IntMat([q[:3], q[3:]])
+        ab = a * b
+        results = (
+            ab, b * a, a + c, a - c, -a, a.scale(-3), a.transpose(),
+            strict_lower_split(ab - ab.transpose()), IntMat.from_blocks(ab, ab, ab, ab),
+        )
+        for m in results:
+            checked = IntMat(m.data)
+            assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked)
+            assert (m.rows, m.cols) == (checked.rows, checked.cols)
+            assert all(type(x) is int for row in m.data for x in row)
 
     def test_immutable(self):
         m = IntMat.identity(2)

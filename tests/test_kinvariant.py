@@ -42,7 +42,7 @@ NONZERO_K_VALUE = (1, 0, 0, 0)
 
 # Frozen by two independent computations: the closed form with the
 # product transposed-then-inverted, and the factored A^{-T} B^{-T} path
-# through adjugate inverses.
+# through unimodular_inverse.
 GAMMA_PAIR = (
     IntMat([[0, 1, -1, 0], [1, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]]),
     IntMat([[0, 0, 1, -1], [0, 0, 0, 1], [1, 0, 0, 0], [1, 1, 0, 0]]),
@@ -180,7 +180,7 @@ class TestGamma:
         p = check_membership(GAMMA_PAIR[0])
         q = check_membership(GAMMA_PAIR[1])
         assert gamma(p, q) == GAMMA_VALUE
-        # independent recomputation through adjugate inverses of each factor
+        # independent recomputation through unimodular_inverse of each factor
         w = diag_vec(q.mat.transpose() * strict_lower_split(b_matrix(p)) * q.mat)
         indep = unimodular_inverse(p.mat.transpose()).mul_vec(
             unimodular_inverse(q.mat.transpose()).mul_vec(w)

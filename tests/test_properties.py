@@ -1,5 +1,8 @@
 """Seeded property tests for the algebraic laws of the 2-group layers."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from td2g.groups import random_word, standard_generators
@@ -86,3 +89,20 @@ def test_k_eval_is_a_character(seed):
     assert k_eval(a, b, c, x + y) == k_eval(a, b, c, x) + k_eval(a, b, c, y)
     m = RatVec.from_ints(k_cocycle(a, b, c))
     assert k_eval(a, b, c, x) == Phase(m.dot(x))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_k_cocycle_matches_k_eval_at_larger_rank(n):
+    # The closed form against the multiplicator path, on words up to length 12;
+    # at a point with prime denominator 1009, a wrong integer vector agrees
+    # mod 1 only if its error is divisible by 1009.
+    gens = standard_generators(n)
+    rng = XorShift64Star(0x7D2C0 + n)
+    for _ in range(20):
+        a, b, c = (random_word(gens, rng.int_in(1, 12), rng) for _ in range(3))
+        m = RatVec.from_ints(k_cocycle(a, b, c))
+        for x in (
+            RatVec([Fraction(rng.int_in(-504, 504), 1009) for _ in range(2 * n)]),
+            RatVec([rng.fraction() for _ in range(2 * n)]),
+        ):
+            assert k_eval(a, b, c, x) == Phase(m.dot(x))

@@ -20,6 +20,7 @@ from td2g.twogroup import (
     automorphism_from_int,
     automorphism_to_int,
     b_matrix,
+    b_split,
     beta_multiplicator,
     eval_mor,
     h_matrix,
@@ -31,7 +32,6 @@ from td2g.twogroup import (
     obj_product,
     obj_unit,
     section,
-    section_data,
     x_matrix,
 )
 from conftest import rand_intvec, rand_ratvec, words
@@ -66,9 +66,22 @@ class TestSection:
             assert section(w).g == w
 
     def test_section_data(self):
-        sd = section_data(flip_element(2))
-        assert sd.b_a == sd.b_low - sd.b_low.transpose()
-        assert sd.b_low == j_matrix(2)
+        b_a, b_low = b_split(flip_element(2))
+        assert b_a == b_low - b_low.transpose()
+        assert b_low == j_matrix(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_cached_split_matches_fresh(self, n):
+        for w in words(n, 4, 100 + n, length=8):
+            before = (hash(w), repr(w))
+            b_a, b_low = b_split(w)
+            assert b_split(w)[0] is b_a and b_split(w)[1] is b_low
+            assert b_a == b_matrix(w)
+            assert b_low == strict_lower_split(b_matrix(w))
+            # the cache is invisible to equality, hashing and repr
+            uncached = PseudoOrthogonal(w.mat, _iso=w.iso)
+            assert w == uncached and uncached == w
+            assert (hash(w), repr(w)) == before == (hash(uncached), repr(uncached))
 
 
 class TestObj:
