@@ -3,9 +3,9 @@ verification suites, and cocycle transformation.
 
 Exit codes: 0 pass, 1 mathematical failure or counterexample, 2 input
 error, 3 internal assertion failure.  Randomized suites require an
-explicit --seed; reports embed the seed and canonicalize failure order,
-and trial seeds are pre-split from the master seed, so results do not
-depend on execution order.  TD2G_THREADS caps suite parallelism.
+explicit --seed; reports embed the seed and list failures in trial
+order.  Trials run one after another on seeds pre-split from the master
+seed, so trial i depends only on the seed and i.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from . import crossedmod, jsonio, kinvariant, tdcorr
 from .groups import (
@@ -53,24 +52,10 @@ def _load_json(path: str):
         raise jsonio.FormatError(f"{path}: {exc}") from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TD2G_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_trials(trials: int, seed: int, worker) -> list[dict]:
-    """Run `worker(index, trial_seed)` for pre-split seeds; collect failures in order."""
-    seeds = substream_seeds(seed, trials)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda iv: worker(*iv), enumerate(seeds)))
-    else:
-        results = [worker(i, s) for i, s in enumerate(seeds)]
-    return sorted((f for f in results if f), key=lambda f: f["trial"])
+    """Run `worker(index, trial_seed)` on the pre-split seeds; keep its failures in trial order."""
+    results = (worker(i, s) for i, s in enumerate(substream_seeds(seed, trials)))
+    return [f for f in results if f]
 
 
 # -- suite bodies --------------------------------------------------------
@@ -100,35 +85,23 @@ def _word(gens, rng: XorShift64Star):
     return random_word(gens, 4 + rng.below(5), rng)
 
 
-def _suite_cocycle(n, trials, seed) -> list[dict]:
+def _suite_words(words: int, checker: str, check: str, n, trials, seed) -> list[dict]:
+    """Test `words` random words per trial with `kinvariant.<checker>`.
+
+    The checker is looked up on the module at call time, so patching
+    `kinvariant` (in tests, or by a tracer) reaches it.
+    """
     gens = standard_generators(n)
 
     def worker(i, s):
         rng = XorShift64Star(s)
-        quad = [_word(gens, rng) for _ in range(4)]
-        if kinvariant.check_cocycle_identity(*quad):
+        elems = [_word(gens, rng) for _ in range(words)]
+        if getattr(kinvariant, checker)(*elems):
             return None
         return {
             "trial": i,
-            "check": "cocycle-identity",
-            "elements": [jsonio.mat_to_json(g.mat) for g in quad],
-        }
-
-    return _run_trials(trials, seed, worker)
-
-
-def _suite_torsion(n, trials, seed) -> list[dict]:
-    gens = standard_generators(n)
-
-    def worker(i, s):
-        rng = XorShift64Star(s)
-        triple = [_word(gens, rng) for _ in range(3)]
-        if kinvariant.check_two_torsion(*triple):
-            return None
-        return {
-            "trial": i,
-            "check": "two-torsion",
-            "elements": [jsonio.mat_to_json(g.mat) for g in triple],
+            "check": check,
+            "elements": [jsonio.mat_to_json(g.mat) for g in elems],
         }
 
     return _run_trials(trials, seed, worker)
@@ -169,6 +142,8 @@ def _suite_ci_axioms(n, trials, seed) -> list[dict]:
 
 def _suite_tdcorr(n, trials, seed) -> list[dict]:
     gens = standard_generators(n)
+    gls = gl_generators(n)
+    shifts = so_basis(n)
     nerve = tdcorr.default_nerve()
 
     def worker(i, s):
@@ -182,12 +157,11 @@ def _suite_tdcorr(n, trials, seed) -> list[dict]:
         checks.append(("corr-delta", tdcorr.check_corr_delta(c, samples=10, seed=s)))
         checks.append(("poincare", tdcorr.check_poincare(c, samples=4, seed=s)))
         checks.append(("flip", tdcorr.check_flip_identities(c, samples=10, seed=s)))
-        gls = gl_generators(n)
         checks.append(("gl", tdcorr.check_gl_identities(c, gls[rng.below(len(gls))], samples=10, seed=s)))
         if n == 1:
             checks.append(("rotation", tdcorr.check_rotation_identities(c, samples=10, seed=s)))
         else:
-            b = so_basis(n)[rng.below(len(so_basis(n)))]
+            b = shifts[rng.below(len(shifts))]
             checks.append(("so-shift-data", tdcorr.check_so_shift_data(c, b)))
             checks.append(("so-shift-gerbes", tdcorr.check_so_shift_gerbes(c, b, samples=10, seed=s)))
             checks.append(("eps-cech", tdcorr.check_eps_cech(c, b)))
@@ -201,14 +175,12 @@ def _suite_tdcorr(n, trials, seed) -> list[dict]:
 
 _SUITE_BODIES = {
     "n1-exhaustive": _suite_n1_exhaustive,
-    "cocycle": _suite_cocycle,
-    "torsion": _suite_torsion,
+    "cocycle": partial(_suite_words, 4, "check_cocycle_identity", "cocycle-identity"),
+    "torsion": partial(_suite_words, 3, "check_two_torsion", "two-torsion"),
     "subgroups": _suite_subgroups,
     "ci-axioms": _suite_ci_axioms,
     "tdcorr": _suite_tdcorr,
 }
-
-_RANDOMIZED = {"cocycle", "torsion", "ci-axioms", "tdcorr", "subgroups"}
 
 
 # -- commands ------------------------------------------------------------

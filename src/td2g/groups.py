@@ -110,8 +110,7 @@ class PseudoOrthogonal:
         return PseudoOrthogonal(self.mat * other.mat, _iso=self.iso * other.iso)
 
     def inverse(self) -> "PseudoOrthogonal":
-        i = pairing_matrix(self.n)
-        inv = (i * self.mat.transpose() * i).scale(self.iso)
+        inv = _conj_pairing(self.mat.transpose()).scale(self.iso)
         return PseudoOrthogonal(inv, _iso=self.iso)
 
     def transpose(self) -> "PseudoOrthogonal":
@@ -119,8 +118,7 @@ class PseudoOrthogonal:
 
     def inv_transpose_mat(self) -> IntMat:
         """(A^T)^{-1} = iso(A) * I A I, as a plain matrix."""
-        i = pairing_matrix(self.n)
-        return (i * self.mat * i).scale(self.iso)
+        return _conj_pairing(self.mat).scale(self.iso)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PseudoOrthogonal) and self.mat == other.mat
@@ -130,6 +128,13 @@ class PseudoOrthogonal:
 
     def __repr__(self) -> str:
         return f"PseudoOrthogonal(n={self.n}, iso={self.iso}, {self.mat!r})"
+
+
+def _conj_pairing(m: IntMat) -> IntMat:
+    """I M I for a 2n x 2n matrix M: I swaps the halves, so swap M's row and column halves."""
+    n = m.rows // 2
+    d = m.data
+    return IntMat._new(tuple(r[n:] + r[:n] for r in d[n:] + d[:n]))
 
 
 def _compute_iso(mat: IntMat, n: int) -> int:

@@ -126,10 +126,6 @@ class IntMat:
     def transpose(self) -> "IntMat":
         return IntMat._new(tuple(zip(*self.data)))
 
-    @property
-    def T(self) -> "IntMat":
-        return self.transpose()
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "IntMat") -> "IntMat":

@@ -8,7 +8,9 @@ Formats:
   morphism  {"H": <matrix>, "lin": [int, ...], "src": <object>, "dst": <object>}
   cocycle   {"n", "points", "cover", "a", "ahat", "m", "mhat", "t"}
             with map keys "p|i|j", "i|j|k", "p|i|j|k"; an optional "meta"
-            member is ignored on load.
+            member is ignored on load.  On load, a point key must name a
+            point and indices of its cover, an "i|j|k" key indices of the
+            nerve, and m and mhat must share their keys.
 
 All loads validate shape and integrality; `canonical_dumps` produces a
 byte-stable serialization (sorted keys, no whitespace).
@@ -209,6 +211,18 @@ def _split_key(key: str, arity: int, with_point: bool):
         raise FormatError(f"non-integer index in key {key!r}") from exc
 
 
+def _map_from_json(obj, name: str, arity: int, with_point: bool, on_nerve, parse) -> dict:
+    """Parse the map member `name`; every parsed key must satisfy `on_nerve`."""
+    table = obj[name]
+    _expect(isinstance(table, dict), f"{name!r} must be an object")
+    out = {}
+    for k, v in table.items():
+        key = _split_key(k, arity, with_point)
+        _expect(on_nerve(key), f"{name} key {k!r} lies outside the nerve")
+        out[key] = parse(v)
+    return out
+
+
 def cocycle_from_json(obj) -> TDCocycle:
     _expect(isinstance(obj, dict), "cocycle must be an object")
     for key in ("n", "points", "cover", "a", "ahat", "m", "mhat", "t"):
@@ -230,21 +244,24 @@ def cocycle_from_json(obj) -> TDCocycle:
         _expect(isinstance(idx, list) and idx, f"cover of {p!r} must be non-empty")
         cover[p] = tuple(_expect_int(i, "cover index") for i in idx)
     nerve = NerveModel(tuple(points), cover)
-    a = {
-        _split_key(k, 3, True): ratvec_from_json(v, n) for k, v in obj["a"].items()
-    }
-    ahat = {
-        _split_key(k, 3, True): ratvec_from_json(v, n) for k, v in obj["ahat"].items()
-    }
-    m = {
-        _split_key(k, 3, False): _intvec_from_json(v, n, "m entry")
-        for k, v in obj["m"].items()
-    }
-    mhat = {
-        _split_key(k, 3, False): _intvec_from_json(v, n, "mhat entry")
-        for k, v in obj["mhat"].items()
-    }
-    t = {_split_key(k, 4, True): phase_from_json(v) for k, v in obj["t"].items()}
+    indices = set(nerve.indices())
+
+    def covered(key) -> bool:
+        return key[0] in cover and all(i in cover[key[0]] for i in key[1:])
+
+    def in_nerve(key) -> bool:
+        return all(i in indices for i in key)
+
+    a = _map_from_json(obj, "a", 3, True, covered, lambda v: ratvec_from_json(v, n))
+    ahat = _map_from_json(obj, "ahat", 3, True, covered, lambda v: ratvec_from_json(v, n))
+    m = _map_from_json(
+        obj, "m", 3, False, in_nerve, lambda v: _intvec_from_json(v, n, "m entry")
+    )
+    mhat = _map_from_json(
+        obj, "mhat", 3, False, in_nerve, lambda v: _intvec_from_json(v, n, "mhat entry")
+    )
+    _expect(m.keys() == mhat.keys(), "m and mhat must have the same keys")
+    t = _map_from_json(obj, "t", 4, True, covered, phase_from_json)
     try:
         return TDCocycle(nerve, n, a, ahat, m, mhat, t)
     except ValueError as exc:

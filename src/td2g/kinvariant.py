@@ -33,7 +33,6 @@ from .groups import (
     embed_so,
     flip_element,
     gl_generators,
-    pairing_matrix,
     perm_v,
     random_word,
     so_basis,
@@ -103,9 +102,14 @@ def k_eval(
 
 
 def twisted_action(a: PseudoOrthogonal, v: Sequence[int]) -> IntVec:
-    """The action of A on the character lattice: v |-> I A I v."""
-    i = pairing_matrix(a.n)
-    return (i * a.mat * i).mul_vec(tuple(v))
+    """The action of A on the character lattice: v |-> I A I v.
+
+    I swaps the two halves of a vector, so this is swap(A swap(v)).
+    """
+    n = a.n
+    v = tuple(v)
+    w = a.mat.mul_vec(v[n:] + v[:n])
+    return w[n:] + w[:n]
 
 
 def _vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVec:

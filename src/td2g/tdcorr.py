@@ -601,10 +601,10 @@ def _check_so_skew(c: TDCocycle, b: IntMat) -> IntMat:
     return strict_lower_split(b)
 
 
-def check_so_shift_data(c: TDCocycle, b: IntMat, transformed: TDCocycle | None = None) -> bool:
+def check_so_shift_data(c: TDCocycle, b: IntMat) -> bool:
     """Transformed data: a and m fixed, ahat and mhat shifted by B, t corrected."""
     b_low = _check_so_skew(c, b)
-    c2 = act(section(embed_so(b)), c) if transformed is None else transformed
+    c2 = act(section(embed_so(b)), c)
     for key, av in c.a.items():
         if c2.a[key] != av or c2.ahat[key] != b.mul_ratvec(av) + c.ahat[key]:
             return False

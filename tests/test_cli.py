@@ -1,15 +1,24 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from td2g import jsonio
+from td2g import crossedmod, jsonio, kinvariant
 from td2g.cli import main
-from td2g.groups import embed_so, flip_element, pairing_matrix, rotation_n1
+from td2g.groups import (
+    embed_so,
+    flip_element,
+    pairing_matrix,
+    random_word,
+    rotation_n1,
+    standard_generators,
+)
 from td2g.intlinalg import IntMat, Phase
 from td2g.kinvariant import k_cocycle
-from td2g.tdcorr import act, default_nerve, random_cocycle, validate
+from td2g.rng import XorShift64Star, substream_seeds
+from td2g.tdcorr import NerveModel, act, default_nerve, random_cocycle, validate
 from td2g.twogroup import beta_multiplicator, obj_unit, section
 from conftest import words
 
@@ -22,6 +31,53 @@ def run_main(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def _set_entry(member, key, value):
+    def edit(payload):
+        payload[member][key] = value
+
+    return edit
+
+
+def _set_m_and_mhat(key, value):
+    def edit(payload):
+        payload["m"][key] = value
+        payload["mhat"][key] = value
+
+    return edit
+
+
+def _delete_entry(member, key):
+    def edit(payload):
+        del payload[member][key]
+
+    return edit
+
+
+# No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
+# entry, though random_cocycle writes one to each.
+SPLIT_NERVE = NerveModel(("p1", "p2", "p3"), {"p1": (0, 1, 2), "p2": (1, 2, 3), "p3": (2,)})
+
+# Edits that each make a valid rank-2 cocycle payload on SPLIT_NERVE malformed.
+MALFORMED_COCYCLES = {
+    "a-not-an-object": lambda payload: payload.update(a=[]),
+    "t-not-an-object": lambda payload: payload.update(t="x"),
+    "t-unknown-point": _set_entry("t", "zz|7|8|9", [0, 1]),
+    "a-index-outside-cover": _set_entry("a", "p3|0|2", [[0, 1], [0, 1]]),
+    "ahat-unknown-point": _set_entry("ahat", "zz|2|2", [[0, 1], [0, 1]]),
+    "t-index-outside-cover": _set_entry("t", "p3|2|2|1", [0, 1]),
+    "m-off-nerve-key-missing-from-mhat": _set_entry("m", "9|9|9", [0, 0]),
+    "m-and-mhat-off-nerve-key": _set_m_and_mhat("9|9|9", [0, 0]),
+    "mhat-lacks-uncovered-key": _delete_entry("mhat", "0|1|3"),
+    "m-lacks-uncovered-key": _delete_entry("m", "0|1|3"),
+}
+
+
+def malformed_cocycle(case):
+    payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+    MALFORMED_COCYCLES[case](payload)
+    return payload
 
 
 class TestJsonIO:
@@ -79,10 +135,12 @@ class TestJsonIO:
                 jsonio.mor_from_json(payload)
 
     def test_cocycle_roundtrip_and_meta_ignored(self):
-        c = random_cocycle(default_nerve(), 2, 311)
-        payload = jsonio.cocycle_to_json(c, meta={"note": "x"})
-        back = jsonio.cocycle_from_json(payload)
-        assert back == c
+        # SPLIT_NERVE also carries m and mhat entries on triples no point covers
+        for nerve in (default_nerve(), SPLIT_NERVE):
+            c = random_cocycle(nerve, 2, 311)
+            payload = jsonio.cocycle_to_json(c, meta={"note": "x"})
+            back = jsonio.cocycle_from_json(payload)
+            assert back == c
 
     def test_cocycle_schema_errors(self):
         c = random_cocycle(default_nerve(), 1, 313)
@@ -94,6 +152,11 @@ class TestJsonIO:
         payload2["points"] = ["has|pipe"]
         with pytest.raises(jsonio.FormatError):
             jsonio.cocycle_from_json(payload2)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COCYCLES))
+    def test_cocycle_rejects_data_off_the_nerve(self, case):
+        with pytest.raises(jsonio.FormatError):
+            jsonio.cocycle_from_json(malformed_cocycle(case))
 
     def test_canonical_dumps_sorted(self):
         s = jsonio.canonical_dumps({"b": 1, "a": [1, 2]})
@@ -264,6 +327,75 @@ class TestVerifyCommand:
         assert rep1 == rep2
 
 
+class TestSuiteFailureRecords:
+    """Injected checker failures reach the report with their trial and inputs."""
+
+    @staticmethod
+    def _fail_on_calls(failing):
+        # trials run in order, one checker call each, so call k is trial k
+        calls = itertools.count()
+        return lambda *elements: next(calls) not in failing
+
+    @staticmethod
+    def _trial_words(n, trials, seed, trial, count):
+        gens = standard_generators(n)
+        rng = XorShift64Star(substream_seeds(seed, trials)[trial])
+        return [
+            jsonio.mat_to_json(random_word(gens, 4 + rng.below(5), rng).mat)
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize(
+        "suite, checker, check, count",
+        [
+            ("cocycle", "check_cocycle_identity", "cocycle-identity", 4),
+            ("torsion", "check_two_torsion", "two-torsion", 3),
+        ],
+    )
+    def test_word_suites(self, capsys, monkeypatch, suite, checker, check, count):
+        monkeypatch.setattr(kinvariant, checker, self._fail_on_calls({4, 1, 5}))
+        code, report = run_main(
+            capsys, ["verify", "--suite", suite, "--n", "2", "--trials", "7", "--seed", "21"]
+        )
+        assert code == 1
+        assert [f["trial"] for f in report["failures"]] == [1, 4, 5]
+        for f in report["failures"]:
+            assert set(f) == {"trial", "check", "elements"}
+            assert f["check"] == check
+            assert f["elements"] == self._trial_words(2, 7, 21, f["trial"], count)
+
+    def test_ci_axioms(self, capsys, monkeypatch):
+        trial_of = {s: i for i, s in enumerate(substream_seeds(31, 6))}
+        ci_failing, ct_failing = {3}, {0, 3, 4}
+
+        def ci(obj, samples, seed):
+            return trial_of[seed] not in ci_failing
+
+        def ct(mor, samples, seed):
+            return trial_of[seed] not in ct_failing
+
+        monkeypatch.setattr(crossedmod, "check_ci_axioms", ci)
+        monkeypatch.setattr(crossedmod, "check_ct_axioms", ct)
+        code, report = run_main(
+            capsys, ["verify", "--suite", "ci-axioms", "--n", "2", "--trials", "6", "--seed", "31"]
+        )
+        assert code == 1
+        # a trial whose ci check fails skips its ct check
+        assert [(f["trial"], f["check"]) for f in report["failures"]] == [
+            (0, "ct-axioms"),
+            (3, "ci-axioms"),
+            (4, "ct-axioms"),
+        ]
+        for f in report["failures"]:
+            words2 = self._trial_words(2, 6, 31, f["trial"], 2)
+            if f["check"] == "ci-axioms":
+                assert set(f) == {"trial", "check", "element"}
+                assert f["element"] == words2[0]
+            else:
+                assert set(f) == {"trial", "check", "elements"}
+                assert f["elements"] == words2
+
+
 class TestActCommand:
     def _write_inputs(self, tmp_path, obj, coc):
         auto = tmp_path / "auto.json"
@@ -319,6 +451,20 @@ class TestActCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COCYCLES))
+    def test_malformed_cocycle_exits_2(self, tmp_path, capsys, case):
+        auto = tmp_path / "auto.json"
+        write_json(auto, jsonio.obj_to_json(obj_unit(2)))
+        cfile = tmp_path / "c.json"
+        write_json(cfile, malformed_cocycle(case))
+        out = tmp_path / "out.json"
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(
@@ -328,3 +474,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["failures"] == []
+
+    def test_cli_import_skips_thread_pool_modules(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, td2g.cli; print('concurrent.futures' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

@@ -190,6 +190,15 @@ class TestGroupLaws:
         for w in words(2, 8, 17):
             assert w.inv_transpose_mat() == unimodular_inverse(w.mat.transpose())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_block_swap_matches_pairing_products(self, n):
+        # inverse and inv_transpose_mat conjugate by I with a block swap
+        i = pairing_matrix(n)
+        for w in words(n, 6, 500 + n, length=8):
+            assert w.inv_transpose_mat() == (i * w.mat * i).scale(w.iso)
+            assert w.inverse().mat == (i * w.mat.transpose() * i).scale(w.iso)
+            assert w.inverse().mat == unimodular_inverse(w.mat)
+
     def test_distinguished_elements(self):
         assert flip_element(2).iso == 1
         assert minus_identity(2).iso == 1

@@ -144,6 +144,13 @@ class TestTwistedAction:
         i = flip_element(2)
         assert twisted_action(i, (1, 2, 3, 4)) == pairing_matrix(2).mul_vec((1, 2, 3, 4))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_pairing_product(self, rng, n):
+        i = pairing_matrix(n)
+        for w in words(n, 6, 600 + n, length=8):
+            v = rand_intvec(rng, 2 * n)
+            assert twisted_action(w, v) == (i * w.mat * i).mul_vec(v)
+
     def test_multiplicative(self, rng):
         ws = words(2, 8, 109)
         for a, b in zip(ws[::2], ws[1::2]):
