@@ -281,7 +281,11 @@ def cmd_act(args) -> int:
         return EXIT_INPUT
     result = tdcorr.act(obj, coc)
     if not tdcorr.validate(result):
-        print("internal error: transformed cocycle failed validation", file=sys.stderr)
+        violation = jsonio.canonical_dumps(tdcorr.first_violation(result))
+        print(
+            f"internal error: transformed cocycle failed validation: {violation}",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
     meta = {
         "auto_sha256": _sha256_file(args.auto),

@@ -4,11 +4,17 @@ Everything here is exact: matrix entries are arbitrary-precision Python
 ints, vector entries are fractions.Fraction, and a phase is a reduced
 rational in [0,1) representing an element of U(1) = R/Z written
 additively.  Floats are deliberately unsupported.
+
+Rational hot paths put their inputs over one common denominator
+(`common_denominator`), accumulate integers and build one Fraction per
+output entry; the trusted constructors `RatVec._new` and `Phase._new`
+wrap those results without re-checking them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -21,6 +27,7 @@ __all__ = [
     "unimodular_inverse",
     "strict_lower_split",
     "diag_vec",
+    "common_denominator",
     "phase_bilinear",
 ]
 
@@ -38,8 +45,8 @@ def _as_dim(k) -> int:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("float entries are not allowed; use Fraction")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"int or Fraction entry required, got {x!r}")
     return Fraction(x)
 
 
@@ -168,9 +175,8 @@ class IntMat:
     def mul_ratvec(self, v: "RatVec") -> "RatVec":
         if v.dim != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return RatVec(
-            tuple(sum((x * y for x, y in zip(row, v.entries)), Fraction(0)) for row in self.data)
-        )
+        d, (nums,) = common_denominator((v.entries,))
+        return RatVec._new(tuple([Fraction(x, d) for x in self.mul_vec(nums)]))
 
     # -- determinant (Bareiss fraction-free elimination) --------------
 
@@ -206,16 +212,12 @@ class IntMat:
             raise ValueError("shape mismatch")
 
 
-# IntMat._new writes the slots through their descriptors, which is cheaper
-# than the attribute lookup of object.__setattr__ on every product.
-_alloc = object.__new__
-_set_rows = IntMat.rows.__set__
-_set_cols = IntMat.cols.__set__
-_set_data = IntMat.data.__set__
-
-
 class RatVec:
-    """Immutable vector of exact rationals."""
+    """Immutable vector of exact rationals.
+
+    The public constructor validates its input.  Results computed from
+    existing RatVec data go through `_new`, which trusts it.
+    """
 
     __slots__ = ("entries",)
 
@@ -225,6 +227,13 @@ class RatVec:
         )
         if not self.entries:
             raise ValueError("empty vector")
+
+    @staticmethod
+    def _new(entries: tuple[Fraction, ...]) -> "RatVec":
+        """Unchecked constructor; `entries` must be a non-empty tuple of Fractions."""
+        v = _alloc(RatVec)
+        _set_entries(v, entries)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("RatVec is immutable")
@@ -245,19 +254,19 @@ class RatVec:
     def __add__(self, other: "RatVec") -> "RatVec":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return RatVec(tuple(x + y for x, y in zip(self.entries, other.entries)))
+        return RatVec._new(tuple([x + y for x, y in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "RatVec") -> "RatVec":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return RatVec(tuple(x - y for x, y in zip(self.entries, other.entries)))
+        return RatVec._new(tuple([x - y for x, y in zip(self.entries, other.entries)]))
 
     def __neg__(self) -> "RatVec":
-        return RatVec(tuple(-x for x in self.entries))
+        return RatVec._new(tuple([-x for x in self.entries]))
 
     def scale(self, k: Rational) -> "RatVec":
         k = _as_fraction(k)
-        return RatVec(tuple(k * x for x in self.entries))
+        return RatVec._new(tuple([k * x for x in self.entries]))
 
     def dot(self, other: "RatVec | Sequence[Rational]") -> Fraction:
         entries = other.entries if isinstance(other, RatVec) else other
@@ -266,10 +275,13 @@ class RatVec:
         return sum((x * _as_fraction(y) for x, y in zip(self.entries, entries)), Fraction(0))
 
     def concat(self, other: "RatVec") -> "RatVec":
-        return RatVec(self.entries + other.entries)
+        return RatVec._new(self.entries + other.entries)
 
     def split(self, k: int) -> tuple["RatVec", "RatVec"]:
-        return RatVec(self.entries[:k]), RatVec(self.entries[k:])
+        head, tail = self.entries[:k], self.entries[k:]
+        if not head or not tail:
+            raise ValueError("empty vector")
+        return RatVec._new(head), RatVec._new(tail)
 
     @classmethod
     def zero(cls, dim: int) -> "RatVec":
@@ -292,6 +304,13 @@ class Phase:
     def __init__(self, value: Rational = 0):
         f = _as_fraction(value)
         object.__setattr__(self, "frac", f % 1)
+
+    @staticmethod
+    def _new(frac: Fraction) -> "Phase":
+        """Unchecked constructor; `frac` must be a Fraction in [0,1)."""
+        p = _alloc(Phase)
+        _set_frac(p, frac)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
@@ -322,17 +341,28 @@ class Phase:
 
     def __add__(self, other: "Phase | Rational") -> "Phase":
         other_f = other.frac if isinstance(other, Phase) else _as_fraction(other)
-        return Phase(self.frac + other_f)
+        return Phase._new((self.frac + other_f) % 1)
 
     def __sub__(self, other: "Phase | Rational") -> "Phase":
         other_f = other.frac if isinstance(other, Phase) else _as_fraction(other)
-        return Phase(self.frac - other_f)
+        return Phase._new((self.frac - other_f) % 1)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.frac)
+        return Phase._new(-self.frac % 1)
 
     def scale(self, k: int) -> "Phase":
-        return Phase(self.frac * k)
+        return Phase._new(self.frac * _as_int(k) % 1)
+
+
+# The trusted constructors (`_new`) write the slots through their
+# descriptors, which is cheaper than the attribute lookup of
+# object.__setattr__ on every result.
+_alloc = object.__new__
+_set_rows = IntMat.rows.__set__
+_set_cols = IntMat.cols.__set__
+_set_data = IntMat.data.__set__
+_set_entries = RatVec.entries.__set__
+_set_frac = Phase.frac.__set__
 
 
 # -- module-level operations ------------------------------------------
@@ -387,13 +417,20 @@ def diag_vec(a: IntMat) -> tuple[int, ...]:
     return tuple(a.data[i][i] for i in range(a.rows))
 
 
+def common_denominator(
+    rows: Iterable[Sequence[Rational]],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, nums) with d the lcm of every entry's denominator and each row == nums[r] / d."""
+    rows = list(rows)
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, [tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows]
+
+
 def phase_bilinear(x: IntMat, a: RatVec, b: RatVec) -> Phase:
     """The phase a^T x b mod 1, evaluated exactly."""
     if a.dim != x.rows or b.dim != x.cols:
         raise ValueError("dimension mismatch in bilinear pairing")
-    total = Fraction(0)
-    for ai, row in zip(a.entries, x.data):
-        if ai == 0:
-            continue
-        total += ai * sum((c * bj for c, bj in zip(row, b.entries)), Fraction(0))
-    return Phase(total)
+    da, (na,) = common_denominator((a.entries,))
+    db, (nb,) = common_denominator((b.entries,))
+    d = da * db
+    return Phase._new(Fraction(sum(map(mul, na, x.mul_vec(nb))) % d, d))

@@ -8,9 +8,11 @@ Formats:
   morphism  {"H": <matrix>, "lin": [int, ...], "src": <object>, "dst": <object>}
   cocycle   {"n", "points", "cover", "a", "ahat", "m", "mhat", "t"}
             with map keys "p|i|j", "i|j|k", "p|i|j|k"; an optional "meta"
-            member is ignored on load.  On load, a point key must name a
-            point and indices of its cover, an "i|j|k" key indices of the
-            nerve, and m and mhat must share their keys.
+            member is ignored on load.  On load, point ids must be
+            distinct, every index in a key must be written canonically
+            (as str(int) writes it), a point key must name a point and
+            indices of its cover, an "i|j|k" key indices of the nerve, and
+            m and mhat must share their keys.
 
 All loads validate shape and integrality; `canonical_dumps` produces a
 byte-stable serialization (sorted keys, no whitespace).
@@ -107,7 +109,7 @@ def phase_to_json(p: Phase) -> list[int]:
 def phase_from_json(obj) -> Phase:
     f = frac_from_json(obj)
     _expect(0 <= f < 1, "phase must be reduced into [0,1)")
-    return Phase(f)
+    return Phase._new(f)
 
 
 def ratvec_to_json(v: RatVec) -> list[list[int]]:
@@ -118,7 +120,7 @@ def ratvec_from_json(obj, dim: int | None = None) -> RatVec:
     _expect(isinstance(obj, list) and obj, "vector must be a non-empty array")
     if dim is not None:
         _expect(len(obj) == dim, f"vector must have length {dim}")
-    return RatVec([frac_from_json(e) for e in obj])
+    return RatVec._new(tuple([frac_from_json(e) for e in obj]))
 
 
 def _intvec_from_json(obj, dim: int, what: str) -> tuple[int, ...]:
@@ -196,19 +198,22 @@ def cocycle_to_json(c: TDCocycle, meta: dict | None = None) -> dict:
     return payload
 
 
+def _index(part: str, key: str) -> int:
+    """An index written as `str(i)` writes it; "01", " 1", "+1" and "1_0" are refused."""
+    try:
+        i = int(part)
+    except ValueError:
+        i = None
+    _expect(i is not None and str(i) == part, f"non-canonical index in key {key!r}")
+    return i
+
+
 def _split_key(key: str, arity: int, with_point: bool):
     parts = key.split("|")
     _expect(len(parts) == arity, f"map key {key!r} must have {arity} parts")
     if with_point:
-        point, rest = parts[0], parts[1:]
-        try:
-            return (point, *(int(x) for x in rest))
-        except ValueError as exc:
-            raise FormatError(f"non-integer index in key {key!r}") from exc
-    try:
-        return tuple(int(x) for x in parts)
-    except ValueError as exc:
-        raise FormatError(f"non-integer index in key {key!r}") from exc
+        return (parts[0], *(_index(x, key) for x in parts[1:]))
+    return tuple(_index(x, key) for x in parts)
 
 
 def _map_from_json(obj, name: str, arity: int, with_point: bool, on_nerve, parse) -> dict:
@@ -235,6 +240,7 @@ def cocycle_from_json(obj) -> TDCocycle:
         "points must be an array of strings",
     )
     _expect(all("|" not in p for p in points), "point ids must not contain '|'")
+    _expect(len(set(points)) == len(points), "point ids must be distinct")
     cover_raw = obj["cover"]
     _expect(isinstance(cover_raw, dict), "cover must be an object")
     cover = {}

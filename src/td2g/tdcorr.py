@@ -24,21 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product
+from math import lcm
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
-from .groups import (
-    embed_gl,
-    embed_so,
-    flip_element,
-    rotation_n1,
-)
+from .groups import embed_gl, embed_so, flip_element, rotation_n1
 from .intlinalg import (
-    IntMat,
-    Phase,
-    RatVec,
-    phase_bilinear,
-    strict_lower_split,
-    unimodular_inverse,
+    IntMat, Phase, RatVec, common_denominator, strict_lower_split, unimodular_inverse
 )
 from .rng import XorShift64Star
 from .twogroup import Obj, section
@@ -149,41 +142,57 @@ class TDCocycle:
     __hash__ = None
 
 
-def _vec_int(v: IntVec) -> RatVec:
-    return RatVec.from_ints(v)
+def _pair_numerators(
+    c: TDCocycle, keys: Iterable[PairKey]
+) -> tuple[dict[str, int], dict[PairKey, IntVec]]:
+    """Per point p, the lcm D_p of the a and ahat denominators at `keys`, and
+    each key's concatenated (a, ahat) numerators over D_p."""
+    by_point: dict[str, list[PairKey]] = {}
+    for key in keys:
+        by_point.setdefault(key[0], []).append(key)
+    den: dict[str, int] = {}
+    nums: dict[PairKey, IntVec] = {}
+    for p, pkeys in by_point.items():
+        den[p], rows = common_denominator(c.a[k].entries + c.ahat[k].entries for k in pkeys)
+        nums.update(zip(pkeys, rows))
+    return den, nums
 
 
 def first_violation(c: TDCocycle) -> dict | None:
-    """The first failing cocycle condition with its location, or None."""
+    """The first failing cocycle condition with its location, or None.
+
+    Per point in nerve order: conditions 1 and 2 at every index triple,
+    then 3, 4 and 5 at every quadruple.  Conditions 3 and 4 do not depend
+    on the point, so each quadruple is checked for them once.  1 and 2 are
+    compared on the (a, ahat) numerators over D_p, and 5 modulo the lcm of
+    D_p and the t denominators at p.
+    """
+    n, m, mhat, t = c.n, c.m, c.mhat, c.t
+    integer_ok: set[tuple[int, int, int, int]] = set()
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    if c.a[(p, i, k)] != _vec_int(c.m[(i, j, k)]) + c.a[(p, j, k)] + c.a[(p, i, j)]:
-                        return {"condition": 1, "point": p, "indices": (i, j, k)}
-                    if c.ahat[(p, i, k)] != _vec_int(c.mhat[(i, j, k)]) + c.ahat[(p, j, k)] + c.ahat[(p, i, j)]:
-                        return {"condition": 2, "point": p, "indices": (i, j, k)}
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    for l in idx:
-                        m = c.m
-                        if tuple(
-                            x + y for x, y in zip(m[(i, k, l)], m[(i, j, k)])
-                        ) != tuple(x + y for x, y in zip(m[(i, j, l)], m[(j, k, l)])):
-                            return {"condition": 3, "point": p, "indices": (i, j, k, l)}
-                        mh = c.mhat
-                        if tuple(
-                            x + y for x, y in zip(mh[(i, k, l)], mh[(i, j, k)])
-                        ) != tuple(x + y for x, y in zip(mh[(i, j, l)], mh[(j, k, l)])):
-                            return {"condition": 4, "point": p, "indices": (i, j, k, l)}
-                        lhs = c.t[(p, i, k, l)] + c.t[(p, i, j, k)] - _vec_int(
-                            c.m[(i, j, k)]
-                        ).dot(c.ahat[(p, k, l)])
-                        rhs = c.t[(p, i, j, l)] + c.t[(p, j, k, l)]
-                        if lhs != rhs:
-                            return {"condition": 5, "point": p, "indices": (i, j, k, l)}
+        den, nums = _pair_numerators(c, [(p, i, j) for i, j in product(idx, repeat=2)])
+        d = den[p]
+        for i, j, k in product(idx, repeat=3):
+            lhs = nums[(p, i, k)]
+            mm = m[(i, j, k)] + mhat[(i, j, k)]
+            rhs = tuple([d * x + y + z for x, y, z in zip(mm, nums[(p, j, k)], nums[(p, i, j)])])
+            if lhs != rhs:
+                cond = 1 if lhs[:n] != rhs[:n] else 2
+                return {"condition": cond, "point": p, "indices": (i, j, k)}
+        fracs = {ijk: t[(p, *ijk)].frac for ijk in product(idx, repeat=3)}
+        big = lcm(d, *[f.denominator for f in fracs.values()])
+        tn = {ijk: f.numerator * (big // f.denominator) for ijk, f in fracs.items()}
+        for i, j, k, l in product(idx, repeat=4):
+            if (i, j, k, l) not in integer_ok:
+                for cond, mm in ((3, m), (4, mhat)):
+                    lhs = tuple(map(add, mm[(i, k, l)], mm[(i, j, k)]))
+                    if lhs != tuple(map(add, mm[(i, j, l)], mm[(j, k, l)])):
+                        return {"condition": cond, "point": p, "indices": (i, j, k, l)}
+                integer_ok.add((i, j, k, l))
+            twist = big // d * sum(map(mul, m[(i, j, k)], nums[(p, k, l)][n:]))
+            if (tn[(i, k, l)] + tn[(i, j, k)] - twist - tn[(i, j, l)] - tn[(j, k, l)]) % big:
+                return {"condition": 5, "point": p, "indices": (i, j, k, l)}
     return None
 
 
@@ -242,28 +251,23 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
             x - y - z for x, y, z in zip(table[(i, k)], table[(j, k)], table[(i, j)])
         )
 
-    m = {(i, j, k): m_of(i, j, k, off) for i in indices for j in indices for k in indices}
-    mhat = {
-        (i, j, k): m_of(i, j, k, off_hat) for i in indices for j in indices for k in indices
-    }
+    m = {ijk: m_of(*ijk, off) for ijk in product(indices, repeat=3)}
+    mhat = {ijk: m_of(*ijk, off_hat) for ijk in product(indices, repeat=3)}
 
     a: dict[PairKey, RatVec] = {}
     ahat: dict[PairKey, RatVec] = {}
     t: dict[TKey, Phase] = {}
     for p in nerve.points:
         idx = nerve.cover[p]
-        for i in idx:
-            for j in idx:
-                a[(p, i, j)] = lift[(p, j)] - lift[(p, i)] + _vec_int(off[(i, j)])
-                ahat[(p, i, j)] = (
-                    lift_hat[(p, j)] - lift_hat[(p, i)] + _vec_int(off_hat[(i, j)])
-                )
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    coboundary = s[(p, j, k)] - s[(p, i, k)] + s[(p, i, j)]
-                    twist = _vec_int(m[(i, j, k)]).dot(lift_hat[(p, k)])
-                    t[(p, i, j, k)] = Phase(coboundary - twist)
+        for i, j in product(idx, repeat=2):
+            a[(p, i, j)] = lift[(p, j)] - lift[(p, i)] + RatVec.from_ints(off[(i, j)])
+            ahat[(p, i, j)] = (
+                lift_hat[(p, j)] - lift_hat[(p, i)] + RatVec.from_ints(off_hat[(i, j)])
+            )
+        for i, j, k in product(idx, repeat=3):
+            coboundary = s[(p, j, k)] - s[(p, i, k)] + s[(p, i, j)]
+            twist = RatVec.from_ints(m[(i, j, k)]).dot(lift_hat[(p, k)])
+            t[(p, i, j, k)] = Phase(coboundary - twist)
     return TDCocycle(nerve, n, a, ahat, m, mhat, t)
 
 
@@ -281,31 +285,35 @@ def act(o: Obj, c: TDCocycle) -> TDCocycle:
     with u the concatenated (a_jk + a_ij, ahat_jk + ahat_ij) and v_pq the
     concatenated transition vectors.  Acting by the unit object is the
     identity, and act(o1 * o2, c) == act(o1, act(o2, c)) exactly.
+
+    The v_pq at a point p are taken as integer numerators over one
+    denominator D_p, with A v_pq and X v_pq computed once per pair, so the
+    correction times D_p^2 is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.
     """
     if o.n != c.n:
         raise ValueError("rank mismatch")
-    amat = o.g.mat
-    n = c.n
+    amat, n = o.g.mat, c.n
+    den, nums = _pair_numerators(c, c.a)
     new_a: dict[PairKey, RatVec] = {}
     new_ahat: dict[PairKey, RatVec] = {}
-    for key, av in c.a.items():
-        both = amat.mul_ratvec(av.concat(c.ahat[key]))
-        new_a[key], new_ahat[key] = both.split(n)
+    for key in c.a:
+        both = [Fraction(y, den[key[0]]) for y in amat.mul_vec(nums[key])]
+        new_a[key], new_ahat[key] = RatVec._new(tuple(both[:n])), RatVec._new(tuple(both[n:]))
     new_m: dict[TripleKey, IntVec] = {}
     new_mhat: dict[TripleKey, IntVec] = {}
     for key, mv in c.m.items():
         both_i = amat.mul_vec(mv + c.mhat[key])
         new_m[key], new_mhat[key] = both_i[:n], both_i[n:]
+    xv = {key: o.x.mul_vec(v) for key, v in nums.items()}
     new_t: dict[TKey, Phase] = {}
     for (p, i, j, k), tv in c.t.items():
-        mvec = _vec_int(c.m[(i, j, k)] + c.mhat[(i, j, k)])
-        u = (c.a[(p, j, k)] + c.a[(p, i, j)]).concat(
-            c.ahat[(p, j, k)] + c.ahat[(p, i, j)]
+        d, xv_ij, mm = den[p], xv[(p, i, j)], c.m[(i, j, k)] + c.mhat[(i, j, k)]
+        corr = d * sum(map(mul, mm, map(add, xv[(p, j, k)], xv_ij)))
+        corr += sum(map(mul, nums[(p, j, k)], xv_ij))
+        num, tden = tv.frac.numerator * d * d, tv.frac.denominator * d * d
+        new_t[(p, i, j, k)] = Phase._new(
+            Fraction((o.g.iso * num - tv.frac.denominator * corr) % tden, tden)
         )
-        v_jk = c.a[(p, j, k)].concat(c.ahat[(p, j, k)])
-        v_ij = c.a[(p, i, j)].concat(c.ahat[(p, i, j)])
-        corr = phase_bilinear(o.x, mvec, u) + phase_bilinear(o.x, v_jk, v_ij)
-        new_t[(p, i, j, k)] = tv.scale(o.g.iso) - corr
     return TDCocycle(c.nerve, n, new_a, new_ahat, new_m, new_mhat, new_t)
 
 
@@ -328,7 +336,7 @@ def gerbe_left(c: TDCocycle, point: str, ijk: TripleKey, a: RatVec) -> Phase:
         raise ValueError("fiber coordinate has wrong dimension")
     val = (
         -c.t[(point, i, j, k)].frac
-        - a.dot(_vec_int(c.mhat[(i, j, k)]))
+        - a.dot(RatVec.from_ints(c.mhat[(i, j, k)]))
         + c.a[(point, i, j)].dot(c.ahat[(point, j, k)])
     )
     return Phase(val)
@@ -340,7 +348,7 @@ def gerbe_right(c: TDCocycle, point: str, ijk: TripleKey, ahat: RatVec) -> Phase
     _require_cover(c, point, ijk)
     if ahat.dim != c.n:
         raise ValueError("fiber coordinate has wrong dimension")
-    val = -c.t[(point, i, j, k)].frac - _vec_int(c.m[(i, j, k)]).dot(
+    val = -c.t[(point, i, j, k)].frac - RatVec.from_ints(c.m[(i, j, k)]).dot(
         c.ahat[(point, i, k)] + ahat
     )
     return Phase(val)
@@ -365,7 +373,7 @@ def corr_cochain(
     if a.dim != c.n or ahat.dim != c.n or len(m2) != c.n or len(mhat2) != c.n:
         raise ValueError("dimension mismatch")
     aij_hat = c.ahat[(point, i, j)]
-    val = -ahat.dot(_vec_int(m2)) - aij_hat.dot(_vec_int(m2)) - aij_hat.dot(a)
+    val = -ahat.dot(RatVec.from_ints(m2)) - aij_hat.dot(RatVec.from_ints(m2)) - aij_hat.dot(a)
     return Phase(val)
 
 
@@ -426,8 +434,8 @@ def check_corr_delta(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
         m2, mh2 = _rand_ints(rng, c.n), _rand_ints(rng, c.n)
         m3, mh3 = _rand_ints(rng, c.n), _rand_ints(rng, c.n)
         lhs = gerbe_right(c, p, (i, j, k), ahat) - gerbe_left(c, p, (i, j, k), a)
-        a_mid = a + c.a[(p, i, j)] + _vec_int(m2)
-        ahat_mid = ahat + c.ahat[(p, i, j)] + _vec_int(mh2)
+        a_mid = a + c.a[(p, i, j)] + RatVec.from_ints(m2)
+        ahat_mid = ahat + c.ahat[(p, i, j)] + RatVec.from_ints(mh2)
         m_mid = tuple(x - y + z for x, y, z in zip(m3, m2, c.m[(i, j, k)]))
         mh_mid = tuple(x - y + z for x, y, z in zip(mh3, mh2, c.mhat[(i, j, k)]))
         rhs = (
@@ -462,7 +470,7 @@ def check_poincare(c: TDCocycle, samples: int = 20, seed: int = 0) -> bool:
                 a, ahat = _rand_fiber(rng, c.n), _rand_fiber(rng, c.n)
                 m2, mh2 = _rand_ints(rng, c.n), _rand_ints(rng, c.n)
                 got = corr_cochain(c, p, (i, i), a, ahat, m2, mh2)
-                if got != Phase(-ahat.dot(_vec_int(m2))):
+                if got != Phase(-ahat.dot(RatVec.from_ints(m2))):
                     return False
     return True
 
@@ -487,7 +495,7 @@ def check_flip_identities(
     for (p, i, j, k), tv in c.t.items():
         expected = Phase(
             tv.frac
-            - _vec_int(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
+            - RatVec.from_ints(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
             - c.ahat[(p, j, k)].dot(c.a[(p, i, j)])
         )
         if c2.t[(p, i, j, k)] != expected:
@@ -553,7 +561,7 @@ def check_rotation_identities(c: TDCocycle, samples: int = 50, seed: int = 0) ->
     for (p, i, j, k), tv in c.t.items():
         expected = Phase(
             -tv.frac
-            + _vec_int(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
+            + RatVec.from_ints(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
             + c.ahat[(p, j, k)].dot(c.a[(p, i, j)])
         )
         if c2.t[(p, i, j, k)] != expected:
@@ -576,20 +584,14 @@ def check_rotation_identities(c: TDCocycle, samples: int = 50, seed: int = 0) ->
 
 
 def _low_bracket(b_low: IntMat, u: RatVec, v: RatVec) -> Fraction:
-    return sum(
-        (
-            ue * be * ve
-            for ue, row in zip(u.entries, b_low.data)
-            for be, ve in zip(row, v.entries)
-            if be
-        ),
-        Fraction(0),
-    )
+    du, (nu,) = common_denominator((u.entries,))
+    dv, (nv,) = common_denominator((v.entries,))
+    return Fraction(sum(map(mul, nu, b_low.mul_vec(nv))), du * dv)
 
 
 def _so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> Fraction:
     """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk>, lower-split brackets."""
-    m_ijk = _vec_int(c.m[(i, j, k)])
+    m_ijk = RatVec.from_ints(c.m[(i, j, k)])
     return _low_bracket(b_low, c.a[(p, i, k)], m_ijk) + _low_bracket(
         b_low, c.a[(p, i, j)], c.a[(p, j, k)]
     )
@@ -614,7 +616,7 @@ def check_so_shift_data(c: TDCocycle, b: IntMat) -> bool:
         ):
             return False
     for (p, i, j, k), tv in c.t.items():
-        m_ijk = _vec_int(c.m[(i, j, k)])
+        m_ijk = RatVec.from_ints(c.m[(i, j, k)])
         expected = Phase(
             tv.frac
             - _low_bracket(b_low, m_ijk, c.a[(p, i, k)])
@@ -636,7 +638,7 @@ def check_so_shift_gerbes(
     rng = XorShift64Star(seed)
     for _ in range(samples):
         p, (i, j, k) = _rand_site(rng, c, 3)
-        m_ijk = _vec_int(c.m[(i, j, k)])
+        m_ijk = RatVec.from_ints(c.m[(i, j, k)])
         a = _rand_fiber(rng, c.n)
         lhs = gerbe_left(c2, p, (i, j, k), a)
         rhs = gerbe_left(c, p, (i, j, k), a) + Phase(
@@ -680,18 +682,15 @@ def check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
     b_low = _check_so_skew(c, b)
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    for l in idx:
-                        d = (
-                            _so_eps(c, b_low, p, j, k, l)
-                            - _so_eps(c, b_low, p, i, k, l)
-                            + _so_eps(c, b_low, p, i, j, l)
-                            - _so_eps(c, b_low, p, i, j, k)
-                        )
-                        if d != 0:
-                            return False
+        for i, j, k, l in product(idx, repeat=4):
+            d = (
+                _so_eps(c, b_low, p, j, k, l)
+                - _so_eps(c, b_low, p, i, k, l)
+                + _so_eps(c, b_low, p, i, j, l)
+                - _so_eps(c, b_low, p, i, j, k)
+            )
+            if d != 0:
+                return False
     return True
 
 
@@ -725,7 +724,7 @@ def eps_cech_defect(
         return sum(ue * me * ve for ue, row in zip(u, mat.data) for me, ve in zip(row, v))
 
     closed = (
-        c.a[(point, k, l)].dot(_vec_int(b.mul_vec(p_)))
+        c.a[(point, k, l)].dot(RatVec.from_ints(b.mul_vec(p_)))
         + ibrak(q_, b, p_)
         + ibrak(r_, b_low, r_)
         - ibrak(r_, b_low, q_)

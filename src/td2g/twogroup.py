@@ -22,9 +22,18 @@ vanishes on the lattice, i.e. an integer vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .intlinalg import IntMat, Phase, RatVec, diag_vec, phase_bilinear, strict_lower_split
+from .intlinalg import (
+    IntMat,
+    Phase,
+    RatVec,
+    common_denominator,
+    diag_vec,
+    phase_bilinear,
+    strict_lower_split,
+)
 from .groups import PseudoOrthogonal, j_matrix
 
 __all__ = [
@@ -252,17 +261,14 @@ def quadratic_phase(h: IntMat, lin: Sequence[int | Fraction], x: RatVec) -> Phas
     """
     if x.dim != h.rows:
         raise ValueError("dimension mismatch")
-    half = Fraction(1, 2)
-    quad = Fraction(0)
-    for xi, row in zip(x.entries, h.data):
-        if xi == 0:
-            continue
-        quad += xi * sum((c * xj for c, xj in zip(row, x.entries)), Fraction(0))
-    linear = sum(
-        ((Fraction(l) - half * d) * xi for l, d, xi in zip(lin, diag_vec(h), x.entries)),
-        Fraction(0),
-    )
-    return Phase(half * quad + linear)
+    # over x = nx / d and lin = nl / e, the value is
+    # (e nx^T h nx - d e h^diag . nx + 2 d nl . nx) / (2 d^2 e)
+    d, (nx,) = common_denominator((x.entries,))
+    e, (nl,) = common_denominator((lin,))
+    num = e * (sum(map(mul, nx, h.mul_vec(nx))) - d * sum(map(mul, diag_vec(h), nx)))
+    num += 2 * d * sum(map(mul, nl, nx))
+    den = 2 * d * d * e
+    return Phase._new(Fraction(num % den, den))
 
 
 def eval_mor(m: Mor, x: RatVec) -> Phase:

@@ -2,9 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from td2g.intlinalg import IntMat, RatVec
+from td2g.intlinalg import IntMat, Phase, RatVec
 from td2g.groups import random_word, standard_generators
 from td2g.rng import XorShift64Star
+from td2g.tdcorr import NerveModel, TDCocycle
+
+# No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
+# entry, though random_cocycle writes one to each.
+SPLIT_NERVE = NerveModel(("p1", "p2", "p3"), {"p1": (0, 1, 2), "p2": (1, 2, 3), "p3": (2,)})
+
+# The nerve of the benchmark's act-io files: 12 points over 6 indices,
+# q0..q5 in 4 charts and q6..q11 in 3.
+WIDE_NERVE = NerveModel(
+    tuple(f"q{k}" for k in range(12)),
+    {f"q{k}": tuple(sorted({(k + d) % 6 for d in range(4 if k < 6 else 3)})) for k in range(12)},
+)
 
 
 def rand_ratvec(rng: XorShift64Star, dim: int, max_num: int = 5, max_den: int = 7) -> RatVec:
@@ -38,6 +50,86 @@ def fraction_inverse(m: IntMat) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[k:] for row in aug]
+
+
+# -- Fraction references for the integer kernels ---------------------------
+# Every sum and product below is a Fraction, as in the original
+# implementations; the kernels in td2g must agree with them exactly.
+
+
+def _fraction_mat_vec(mat: IntMat, v) -> tuple[Fraction, ...]:
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in mat.data)
+
+
+def reference_phase_bilinear(x: IntMat, a: RatVec, b: RatVec) -> Phase:
+    """a^T x b mod 1 summed over Fractions."""
+    total = Fraction(0)
+    for ai, row in zip(a.entries, x.data):
+        total += ai * sum((c * bj for c, bj in zip(row, b.entries)), Fraction(0))
+    return Phase(total)
+
+
+def reference_quadratic_phase(h: IntMat, lin, x: RatVec) -> Phase:
+    """1/2 x^T h x - 1/2 h^diag . x + lin . x mod 1 summed over Fractions."""
+    half = Fraction(1, 2)
+    quad = sum((xi * yi for xi, yi in zip(x.entries, _fraction_mat_vec(h, x.entries))), Fraction(0))
+    linear = sum(
+        ((Fraction(l) - half * h.data[i][i]) * xi for i, (l, xi) in enumerate(zip(lin, x.entries))),
+        Fraction(0),
+    )
+    return Phase(half * quad + linear)
+
+
+def reference_act(o, c: TDCocycle) -> TDCocycle:
+    """t' = iso(A) t - eta(m + mhat, u) - eta(v_jk, v_ij), one Fraction per operation."""
+    amat, n = o.g.mat, c.n
+    a, ahat, m, mhat, t = {}, {}, {}, {}, {}
+    for key, av in c.a.items():
+        both = _fraction_mat_vec(amat, av.entries + c.ahat[key].entries)
+        a[key], ahat[key] = RatVec(both[:n]), RatVec(both[n:])
+    for key, mv in c.m.items():
+        both_i = amat.mul_vec(mv + c.mhat[key])
+        m[key], mhat[key] = both_i[:n], both_i[n:]
+    for (p, i, j, k), tv in c.t.items():
+        v_jk = c.a[(p, j, k)].entries + c.ahat[(p, j, k)].entries
+        v_ij = c.a[(p, i, j)].entries + c.ahat[(p, i, j)].entries
+        u = RatVec([x + y for x, y in zip(v_jk, v_ij)])
+        mvec = RatVec(c.m[(i, j, k)] + c.mhat[(i, j, k)])
+        corr = reference_phase_bilinear(o.x, mvec, u).frac + reference_phase_bilinear(
+            o.x, RatVec(v_jk), RatVec(v_ij)
+        ).frac
+        t[(p, i, j, k)] = Phase(o.g.iso * tv.frac - corr)
+    return TDCocycle(c.nerve, n, a, ahat, m, mhat, t)
+
+
+def reference_first_violation(c: TDCocycle) -> dict | None:
+    """The five conditions at every point and ordered index tuple, over Fractions."""
+    for p in c.nerve.points:
+        idx = c.nerve.cover[p]
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    if c.a[(p, i, k)] != RatVec(c.m[(i, j, k)]) + c.a[(p, j, k)] + c.a[(p, i, j)]:
+                        return {"condition": 1, "point": p, "indices": (i, j, k)}
+                    rhs = RatVec(c.mhat[(i, j, k)]) + c.ahat[(p, j, k)] + c.ahat[(p, i, j)]
+                    if c.ahat[(p, i, k)] != rhs:
+                        return {"condition": 2, "point": p, "indices": (i, j, k)}
+        for i in idx:
+            for j in idx:
+                for k in idx:
+                    for l in idx:
+                        for cond, mm in ((3, c.m), (4, c.mhat)):
+                            lhs = tuple(x + y for x, y in zip(mm[(i, k, l)], mm[(i, j, k)]))
+                            if lhs != tuple(x + y for x, y in zip(mm[(i, j, l)], mm[(j, k, l)])):
+                                return {"condition": cond, "point": p, "indices": (i, j, k, l)}
+                        lhs = (
+                            c.t[(p, i, k, l)].frac
+                            + c.t[(p, i, j, k)].frac
+                            - RatVec(c.m[(i, j, k)]).dot(c.ahat[(p, k, l)])
+                        )
+                        if Phase(lhs) != Phase(c.t[(p, i, j, l)].frac + c.t[(p, j, k, l)].frac):
+                            return {"condition": 5, "point": p, "indices": (i, j, k, l)}
+    return None
 
 
 @pytest.fixture

@@ -2,10 +2,11 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from td2g import crossedmod, jsonio, kinvariant
+from td2g import crossedmod, jsonio, kinvariant, tdcorr
 from td2g.cli import main
 from td2g.groups import (
     embed_so,
@@ -18,9 +19,9 @@ from td2g.groups import (
 from td2g.intlinalg import IntMat, Phase
 from td2g.kinvariant import k_cocycle
 from td2g.rng import XorShift64Star, substream_seeds
-from td2g.tdcorr import NerveModel, act, default_nerve, random_cocycle, validate
+from td2g.tdcorr import TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
 from td2g.twogroup import beta_multiplicator, obj_unit, section
-from conftest import words
+from conftest import SPLIT_NERVE, words
 
 
 def write_json(path, payload):
@@ -55,9 +56,15 @@ def _delete_entry(member, key):
     return edit
 
 
-# No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
-# entry, though random_cocycle writes one to each.
-SPLIT_NERVE = NerveModel(("p1", "p2", "p3"), {"p1": (0, 1, 2), "p2": (1, 2, 3), "p3": (2,)})
+def _rename_key(member, key, spelling, keep=False):
+    """Write the entry `key` under a non-canonical `spelling` of its indices."""
+
+    def edit(payload):
+        value = payload[member][key] if keep else payload[member].pop(key)
+        payload[member][spelling] = value
+
+    return edit
+
 
 # Edits that each make a valid rank-2 cocycle payload on SPLIT_NERVE malformed.
 MALFORMED_COCYCLES = {
@@ -71,6 +78,12 @@ MALFORMED_COCYCLES = {
     "m-and-mhat-off-nerve-key": _set_m_and_mhat("9|9|9", [0, 0]),
     "mhat-lacks-uncovered-key": _delete_entry("mhat", "0|1|3"),
     "m-lacks-uncovered-key": _delete_entry("m", "0|1|3"),
+    "duplicate-point": lambda payload: payload["points"].append("p1"),
+    "a-index-with-space": _rename_key("a", "p1|0|1", "p1| 0|1"),
+    "ahat-index-with-plus": _rename_key("ahat", "p1|0|1", "p1|+0|1"),
+    "t-index-with-leading-zero": _rename_key("t", "p1|0|1|2", "p1|00|1|2"),
+    "m-index-with-underscore": _rename_key("m", "0|1|2", "0_0|1|2"),
+    "t-non-canonical-beside-canonical": _rename_key("t", "p1|0|1|2", "p1|0|01|2", keep=True),
 }
 
 
@@ -450,6 +463,22 @@ class TestActCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_validation_failure_names_the_violation(self, tmp_path, capsys, monkeypatch):
+        c = random_cocycle(default_nerve(), 2, 359)
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(2), c)
+        bad_t = dict(c.t)
+        bad_t[("p1", 0, 1, 2)] = bad_t[("p1", 0, 1, 2)] + Phase(Fraction(1, 3))
+        broken = TDCocycle(c.nerve, c.n, c.a, c.ahat, c.m, c.mhat, bad_t)
+        monkeypatch.setattr(tdcorr, "act", lambda o, coc: broken)
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert not out.exists()
+        prefix = "internal error: transformed cocycle failed validation: "
+        assert err.startswith(prefix)
+        record = json.loads(err[len(prefix):])
+        assert record == {"condition": 5, "point": "p1", "indices": [0, 1, 0, 2]}
+        assert record == json.loads(jsonio.canonical_dumps(first_violation(broken)))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_COCYCLES))
     def test_malformed_cocycle_exits_2(self, tmp_path, capsys, case):

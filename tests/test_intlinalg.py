@@ -1,19 +1,39 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from td2g import jsonio
 from td2g.intlinalg import (
     IntMat,
     Phase,
     RatVec,
+    common_denominator,
     diag_vec,
     phase_bilinear,
     strict_lower_split,
     unimodular_inverse,
 )
 from td2g.groups import j_matrix, pairing_matrix, perm_v, embed_gl
-from conftest import fraction_inverse
+from td2g.twogroup import quadratic_phase
+from conftest import fraction_inverse, reference_phase_bilinear, reference_quadratic_phase
+
+# Entries the rational kernels must handle: zero, negative, integral and
+# large-denominator values.
+EDGE_FRACTIONS = (
+    Fraction(0),
+    Fraction(-7, 3),
+    Fraction(4),
+    Fraction(5, 10**12 + 39),
+    Fraction(-(10**15), 999_999_937),
+)
+
+
+def edge_ratvec(rng, dim: int) -> RatVec:
+    return RatVec(
+        [EDGE_FRACTIONS[rng.below(5)] if rng.below(2) else rng.fraction(9, 13) for _ in range(dim)]
+    )
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -176,6 +196,51 @@ class TestPhaseBilinear:
         with pytest.raises(ValueError):
             phase_bilinear(j_matrix(1), RatVec([1, 2, 3]), RatVec([1, 2]))
 
+    def test_matches_reference_on_edge_entries(self, rng):
+        for k in (1, 2, 4, 6):
+            zero = RatVec.zero(k)
+            for _ in range(15):
+                x = IntMat([[rng.int_in(-9, 9) for _ in range(k)] for _ in range(k)])
+                a, b = edge_ratvec(rng, k), edge_ratvec(rng, k)
+                assert phase_bilinear(x, a, b) == reference_phase_bilinear(x, a, b)
+                assert phase_bilinear(x, zero, b).is_zero()
+                assert phase_bilinear(x, a, zero).is_zero()
+
+
+class TestQuadraticPhase:
+    def test_matches_reference_on_edge_entries(self, rng):
+        for k in (2, 4, 6):
+            for _ in range(15):
+                x = IntMat([[rng.int_in(-9, 9) for _ in range(k)] for _ in range(k)])
+                h = x + x.transpose()
+                v = edge_ratvec(rng, k)
+                int_lin = tuple(rng.int_in(-5, 5) for _ in range(k))
+                # rational characters appear only in negative controls, but
+                # the kernel must still be exact on them
+                rat_lin = tuple(EDGE_FRACTIONS[rng.below(5)] + rng.fraction(3, 8) for _ in range(k))
+                for lin in ((0,) * k, int_lin, rat_lin):
+                    assert quadratic_phase(h, lin, v) == reference_quadratic_phase(h, lin, v)
+                assert quadratic_phase(h, rat_lin, RatVec.zero(k)).is_zero()
+
+    def test_vanishes_on_the_lattice(self, rng):
+        h = IntMat([[3, 1], [1, -5]])
+        for _ in range(10):
+            v = RatVec.from_ints((rng.int_in(-20, 20), rng.int_in(-20, 20)))
+            assert quadratic_phase(h, (2, -7), v).is_zero()
+
+
+class TestCommonDenominator:
+    def test_numerators_over_lcm(self):
+        rows = [(Fraction(1, 6), Fraction(-3, 4)), (Fraction(0), 2), (Fraction(5, 9),)]
+        d, nums = common_denominator(rows)
+        assert d == 36
+        assert nums == [(6, -27), (0, 72), (20,)]
+        assert all(type(x) is int for row in nums for x in row)
+
+    def test_empty_and_integral(self):
+        assert common_denominator([]) == (1, [])
+        assert common_denominator([(3, -4)]) == (1, [(3, -4)])
+
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=60)
 
@@ -204,6 +269,57 @@ class TestPhase:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Phase(0.5)
+
+    def test_rational_constructors_take_only_int_and_fraction(self):
+        for bad in ("1/3", "0.75", True, 0.5, Decimal("0.1"), None, 1j):
+            with pytest.raises(TypeError):
+                RatVec([Fraction(1, 3), bad])
+            with pytest.raises(TypeError):
+                Phase(bad)
+            with pytest.raises(TypeError):
+                RatVec([1, 2]).scale(bad)
+            with pytest.raises(TypeError):
+                Phase(Fraction(1, 3)) + bad
+        with pytest.raises(TypeError):
+            Phase(Fraction(1, 3)).scale(Fraction(1, 2))
+        assert RatVec([1, Fraction(2, 4)]).entries == (Fraction(1), Fraction(1, 2))
+        assert Phase(-3) == Phase(0) and Phase(Fraction(7, 3)).frac == Fraction(1, 3)
+
+    @given(
+        st.lists(fracs, min_size=4, max_size=4),
+        st.lists(fracs, min_size=4, max_size=4),
+        st.integers(min_value=-9, max_value=9),
+    )
+    def test_trusted_results_equal_checked_construction(self, p, q, k):
+        # every vector and phase built by a trusted constructor equals,
+        # hashes and prints as the checked constructor's of the same value
+        u, v = RatVec(p), RatVec(q)
+        x = IntMat([[2, -1, 0, 3], [0, 1, 1, 0], [5, 0, -2, 1], [0, 0, 7, 1]])
+        h = x + x.transpose()
+        vectors = (
+            u + v, u - v, -u, u.scale(Fraction(k, 7)), u.scale(k), u.concat(v),
+            *u.split(1), x.mul_ratvec(u), jsonio.ratvec_from_json(jsonio.ratvec_to_json(u)),
+        )
+        for w in vectors:
+            checked = RatVec(w.entries)
+            assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
+            assert all(type(e) is Fraction for e in w.entries)
+        phases = (
+            Phase(p[0]) + Phase(q[0]), Phase(p[1]) - q[1], Phase(p[2]) + k, -Phase(p[3]),
+            Phase(q[2]).scale(k), phase_bilinear(x, u, v), quadratic_phase(h, (k, 1, 0, -2), u),
+            jsonio.phase_from_json(jsonio.phase_to_json(Phase(q[3]))),
+        )
+        for ph in phases:
+            checked = Phase(ph.frac)
+            assert ph == checked and hash(ph) == hash(checked) and repr(ph) == repr(checked)
+            assert type(ph.frac) is Fraction and 0 <= ph.frac < 1
+
+    def test_split_keeps_both_parts_non_empty(self):
+        v = RatVec([1, 2, 3])
+        assert v.split(2) == v.split(-1) == (RatVec([1, 2]), RatVec([3]))
+        for k in (0, 3, 5, -3):
+            with pytest.raises(ValueError):
+                v.split(k)
 
     def test_scale(self):
         assert Phase(Fraction(1, 3)).scale(2) == Phase(Fraction(2, 3))
