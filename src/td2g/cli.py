@@ -44,11 +44,21 @@ def _print_json(payload) -> None:
     print(jsonio.canonical_dumps(payload))
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise jsonio.FormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
+    """Decode a JSON file; every failure, repeated object keys included, is a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
         raise jsonio.FormatError(f"{path}: {exc}") from exc
 
 
@@ -270,6 +280,14 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _report_violation(c, message: str) -> bool:
+    """Whether `c` is invalid; if so, print `message` and its first failing condition as JSON."""
+    if tdcorr.validate(c):
+        return False
+    print(f"{message}: {jsonio.canonical_dumps(tdcorr.first_violation(c))}", file=sys.stderr)
+    return True
+
+
 def cmd_act(args) -> int:
     try:
         obj = jsonio.obj_from_json(_load_json(args.auto))
@@ -279,13 +297,10 @@ def cmd_act(args) -> int:
     except (jsonio.FormatError, MembershipError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if _report_violation(coc, "error: cocycle fails validation"):
+        return EXIT_INPUT
     result = tdcorr.act(obj, coc)
-    if not tdcorr.validate(result):
-        violation = jsonio.canonical_dumps(tdcorr.first_violation(result))
-        print(
-            f"internal error: transformed cocycle failed validation: {violation}",
-            file=sys.stderr,
-        )
+    if _report_violation(result, "internal error: transformed cocycle failed validation"):
         return EXIT_INTERNAL
     meta = {
         "auto_sha256": _sha256_file(args.auto),

@@ -9,10 +9,11 @@ Formats:
   cocycle   {"n", "points", "cover", "a", "ahat", "m", "mhat", "t"}
             with map keys "p|i|j", "i|j|k", "p|i|j|k"; an optional "meta"
             member is ignored on load.  On load, point ids must be
-            distinct, every index in a key must be written canonically
-            (as str(int) writes it), a point key must name a point and
-            indices of its cover, an "i|j|k" key indices of the nerve, and
-            m and mhat must share their keys.
+            distinct and m and mhat must share their keys.  Each key is
+            split once at "|" and each part looked up: a point key must
+            name a point and then indices of its cover, an "i|j|k" key
+            indices of the nerve, every index written as str() writes it
+            ("01", " 1", "+1" and "1_0" name no index).
 
 All loads validate shape and integrality; `canonical_dumps` produces a
 byte-stable serialization (sorted keys, no whitespace).
@@ -198,32 +199,21 @@ def cocycle_to_json(c: TDCocycle, meta: dict | None = None) -> dict:
     return payload
 
 
-def _index(part: str, key: str) -> int:
-    """An index written as `str(i)` writes it; "01", " 1", "+1" and "1_0" are refused."""
-    try:
-        i = int(part)
-    except ValueError:
-        i = None
-    _expect(i is not None and str(i) == part, f"non-canonical index in key {key!r}")
-    return i
+def _map_from_json(obj, name: str, arity: int, heads: dict, parse) -> dict:
+    """Parse the map member `name`, whose keys join `arity` parts with "|".
 
-
-def _split_key(key: str, arity: int, with_point: bool):
-    parts = key.split("|")
-    _expect(len(parts) == arity, f"map key {key!r} must have {arity} parts")
-    if with_point:
-        return (parts[0], *(_index(x, key) for x in parts[1:]))
-    return tuple(_index(x, key) for x in parts)
-
-
-def _map_from_json(obj, name: str, arity: int, with_point: bool, on_nerve, parse) -> dict:
-    """Parse the map member `name`; every parsed key must satisfy `on_nerve`."""
+    `heads` maps each allowed first part to the first key element and the
+    names of the indices allowed after it.  Each key is split once and
+    every part looked up; a part that is not a name is refused.
+    """
     table = obj[name]
     _expect(isinstance(table, dict), f"{name!r} must be an object")
     out = {}
     for k, v in table.items():
-        key = _split_key(k, arity, with_point)
-        _expect(on_nerve(key), f"{name} key {k!r} lies outside the nerve")
+        first, *rest = k.split("|")
+        head, names = heads.get(first, (None, {}))
+        key = (head, *[names.get(x) for x in rest])
+        _expect(len(key) == arity and None not in key, f"{name} key {k!r} names no site of the nerve")
         out[key] = parse(v)
     return out
 
@@ -250,24 +240,17 @@ def cocycle_from_json(obj) -> TDCocycle:
         _expect(isinstance(idx, list) and idx, f"cover of {p!r} must be non-empty")
         cover[p] = tuple(_expect_int(i, "cover index") for i in idx)
     nerve = NerveModel(tuple(points), cover)
-    indices = set(nerve.indices())
-
-    def covered(key) -> bool:
-        return key[0] in cover and all(i in cover[key[0]] for i in key[1:])
-
-    def in_nerve(key) -> bool:
-        return all(i in indices for i in key)
-
-    a = _map_from_json(obj, "a", 3, True, covered, lambda v: ratvec_from_json(v, n))
-    ahat = _map_from_json(obj, "ahat", 3, True, covered, lambda v: ratvec_from_json(v, n))
-    m = _map_from_json(
-        obj, "m", 3, False, in_nerve, lambda v: _intvec_from_json(v, n, "m entry")
-    )
-    mhat = _map_from_json(
-        obj, "mhat", 3, False, in_nerve, lambda v: _intvec_from_json(v, n, "mhat entry")
-    )
+    # Index names as str() writes them: one table per point's cover and
+    # one for the nerve, so "01", " 1", "+1" and "1_0" name no index.
+    point_heads = {p: (p, {str(i): i for i in cover[p]}) for p in points}
+    nerve_names = {str(i): i for i in nerve.indices()}
+    index_heads = {x: (i, nerve_names) for x, i in nerve_names.items()}
+    a = _map_from_json(obj, "a", 3, point_heads, lambda v: ratvec_from_json(v, n))
+    ahat = _map_from_json(obj, "ahat", 3, point_heads, lambda v: ratvec_from_json(v, n))
+    m = _map_from_json(obj, "m", 3, index_heads, lambda v: _intvec_from_json(v, n, "m entry"))
+    mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _intvec_from_json(v, n, "mhat entry"))
     _expect(m.keys() == mhat.keys(), "m and mhat must have the same keys")
-    t = _map_from_json(obj, "t", 4, True, covered, phase_from_json)
+    t = _map_from_json(obj, "t", 4, point_heads, phase_from_json)
     try:
         return TDCocycle(nerve, n, a, ahat, m, mhat, t)
     except ValueError as exc:

@@ -162,13 +162,17 @@ def first_violation(c: TDCocycle) -> dict | None:
     """The first failing cocycle condition with its location, or None.
 
     Per point in nerve order: conditions 1 and 2 at every index triple,
-    then 3, 4 and 5 at every quadruple.  Conditions 3 and 4 do not depend
-    on the point, so each quadruple is checked for them once.  1 and 2 are
-    compared on the (a, ahat) numerators over D_p, and 5 modulo the lcm of
-    D_p and the t denominators at p.
+    then 5 at every quadruple.  1 and 2 are compared on the (a, ahat)
+    numerators over D_p, and 5 modulo the lcm of D_p and the t
+    denominators at p.
+
+    Conditions 3 and 4 are implied and not checked.  Where 1 and 2 hold
+    at p, m_ijk = a_ik - a_jk - a_ij, so m_ikl + m_ijk and m_ijl + m_jkl
+    both equal a_il - a_ij - a_jk - a_kl at every quadruple of p's cover;
+    mhat likewise with ahat.  1 and 2 are checked at all of p's triples
+    before any of its quadruples, so 3 or 4 is never the first violation.
     """
     n, m, mhat, t = c.n, c.m, c.mhat, c.t
-    integer_ok: set[tuple[int, int, int, int]] = set()
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
         den, nums = _pair_numerators(c, [(p, i, j) for i, j in product(idx, repeat=2)])
@@ -184,12 +188,6 @@ def first_violation(c: TDCocycle) -> dict | None:
         big = lcm(d, *[f.denominator for f in fracs.values()])
         tn = {ijk: f.numerator * (big // f.denominator) for ijk, f in fracs.items()}
         for i, j, k, l in product(idx, repeat=4):
-            if (i, j, k, l) not in integer_ok:
-                for cond, mm in ((3, m), (4, mhat)):
-                    lhs = tuple(map(add, mm[(i, k, l)], mm[(i, j, k)]))
-                    if lhs != tuple(map(add, mm[(i, j, l)], mm[(j, k, l)])):
-                        return {"condition": cond, "point": p, "indices": (i, j, k, l)}
-                integer_ok.add((i, j, k, l))
             twist = big // d * sum(map(mul, m[(i, j, k)], nums[(p, k, l)][n:]))
             if (tn[(i, k, l)] + tn[(i, j, k)] - twist - tn[(i, j, l)] - tn[(j, k, l)]) % big:
                 return {"condition": 5, "point": p, "indices": (i, j, k, l)}

@@ -132,6 +132,32 @@ def reference_first_violation(c: TDCocycle) -> dict | None:
     return None
 
 
+def reference_cocycle_key(key: str, arity: int, nerve: NerveModel, with_point: bool):
+    """The cocycle key rule of the earlier loader: the parsed key, or None if refused.
+
+    Each index part went through int() and had to read back as str()
+    writes it; then a point key had to name a point and indices of its
+    cover, and an "i|j|k" key indices of the nerve.
+    """
+    parts = key.split("|")
+    if len(parts) != arity:
+        return None
+    if with_point:
+        head, parts, allowed = (parts[0],), parts[1:], nerve.cover.get(parts[0], ())
+    else:
+        head, allowed = (), nerve.indices()
+    indices = []
+    for part in parts:
+        try:
+            i = int(part)
+        except ValueError:
+            return None
+        if str(i) != part or i not in allowed:
+            return None
+        indices.append(i)
+    return (*head, *indices)
+
+
 @pytest.fixture
 def rng():
     return XorShift64Star(0xC0FFEE)

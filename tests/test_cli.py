@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from td2g import crossedmod, jsonio, kinvariant, tdcorr
 from td2g.cli import main
@@ -19,9 +20,11 @@ from td2g.groups import (
 from td2g.intlinalg import IntMat, Phase
 from td2g.kinvariant import k_cocycle
 from td2g.rng import XorShift64Star, substream_seeds
-from td2g.tdcorr import TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
+from td2g.tdcorr import (
+    NerveModel, TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
+)
 from td2g.twogroup import beta_multiplicator, obj_unit, section
-from conftest import SPLIT_NERVE, words
+from conftest import SPLIT_NERVE, reference_cocycle_key, words
 
 
 def write_json(path, payload):
@@ -91,6 +94,47 @@ def malformed_cocycle(case):
     payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
     MALFORMED_COCYCLES[case](payload)
     return payload
+
+
+# A negative index and a two-digit one, so "-1" and "10" are names and
+# "-01", "+0", "010" and "1" are not.
+KEY_NERVE = NerveModel(("p1", "p2"), {"p1": (-1, 0, 10), "p2": (0, 10)})
+KEY_COCYCLE = random_cocycle(KEY_NERVE, 1, 383)
+KEY_PART = st.text("0123456789| +-_pq\u0663", max_size=4)
+
+
+@st.composite
+def cocycle_keys(draw):
+    """(member, key): a key of KEY_COCYCLE, as written or with text over
+    digits, "|", space, "+", "-", "_", letters and a non-ASCII digit put
+    into one part or in its place."""
+    member = draw(st.sampled_from(["a", "ahat", "m", "mhat", "t"]))
+    parts = draw(st.sampled_from(sorted(jsonio.cocycle_to_json(KEY_COCYCLE)[member]))).split("|")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(parts) - 1))
+        kept = parts[at] if draw(st.booleans()) else ""
+        cut = draw(st.integers(0, len(kept)))
+        parts[at] = kept[:cut] + draw(KEY_PART) + kept[cut:]
+    return member, "|".join(parts)
+
+
+# Files that each fail to decode as JSON objects without repeated keys.
+UNDECODABLE_MATRICES = {
+    "repeated-key": b'{"rows": 1, "rows": 1, "cols": 1, "data": [[1]]}',
+    "integer-over-4300-digits": b'{"rows": 1, "cols": 1, "data": [[' + b"9" * 5000 + b"]]}",
+    "not-utf-8": b"\xff\xfe{",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def assert_input_error(capsys, code, out=None):
+    """Exit 2 with an `error:` line, nothing on stdout and no output file."""
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert out is None or not out.exists()
 
 
 class TestJsonIO:
@@ -171,6 +215,34 @@ class TestJsonIO:
         with pytest.raises(jsonio.FormatError):
             jsonio.cocycle_from_json(malformed_cocycle(case))
 
+    @settings(max_examples=300, deadline=None)
+    @given(cocycle_keys())
+    @example(("t", "p1|-1|0|10"))
+    @example(("m", "10|-1|0"))
+    @example(("a", "p1|-01|10"))
+    @example(("a", "p2|-1|0"))
+    @example(("ahat", "p1|+0|10"))
+    @example(("m", "+0|-1|10"))
+    @example(("mhat", "0|-1|010"))
+    @example(("t", "p2|0| 10|0"))
+    @example(("t", "p1|0|1|10"))
+    @example(("mhat", "10|-1|\u0663"))
+    @example(("m", "p1|0|0"))
+    @example(("t", "p1|0|0"))
+    def test_key_rule_matches_reference(self, member_key):
+        member, key = member_key
+        payload = jsonio.cocycle_to_json(KEY_COCYCLE)
+        with_point = member in ("a", "ahat", "t")
+        expected = reference_cocycle_key(key, 4 if member == "t" else 3, KEY_NERVE, with_point)
+        value = next(iter(payload[member].values()))
+        for name in (member,) if with_point else ("m", "mhat"):
+            payload[name].setdefault(key, value)
+        if expected is None:
+            with pytest.raises(jsonio.FormatError):
+                jsonio.cocycle_from_json(payload)
+        else:
+            assert expected in getattr(jsonio.cocycle_from_json(payload), member)
+
     def test_canonical_dumps_sorted(self):
         s = jsonio.canonical_dumps({"b": 1, "a": [1, 2]})
         assert s == '{"a":[1,2],"b":1}'
@@ -202,6 +274,13 @@ class TestCheckCommand:
         f.write_text("{not json")
         code, _ = run_main(capsys, ["check", str(f)])
         assert code == 2
+
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE_MATRICES))
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, case):
+        f = tmp_path / "m.json"
+        f.write_bytes(UNDECODABLE_MATRICES[case])
+        assert_input_error(capsys, main(["check", str(f)]))
 
 
 class TestKinvCommand:
@@ -476,6 +555,31 @@ class TestActCommand:
         assert not out.exists()
         prefix = "internal error: transformed cocycle failed validation: "
         assert err.startswith(prefix)
+        record = json.loads(err[len(prefix):])
+        assert record == {"condition": 5, "point": "p1", "indices": [0, 1, 0, 2]}
+        assert record == json.loads(jsonio.canonical_dumps(first_violation(broken)))
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        c = random_cocycle(default_nerve(), 1, 367)
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(1), c)
+        text = cfile.read_text()
+        assert '"t":{"p0|0|0|0":' in text
+        cfile.write_text(text.replace('"t":{', '"t":{"p0|0|1|2":[1,7],', 1))
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        assert_input_error(capsys, code, out)
+
+    def test_invalid_input_cocycle_exits_2(self, tmp_path, capsys, monkeypatch):
+        c = random_cocycle(default_nerve(), 2, 373)
+        bad_t = dict(c.t)
+        bad_t[("p1", 0, 1, 2)] = bad_t[("p1", 0, 1, 2)] + Phase(Fraction(1, 3))
+        broken = TDCocycle(c.nerve, c.n, c.a, c.ahat, c.m, c.mhat, bad_t)
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(2), broken)
+        monkeypatch.setattr(tdcorr, "act", lambda o, coc: pytest.fail("acted on an invalid cocycle"))
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        err = capsys.readouterr().err
+        prefix = "error: cocycle fails validation: "
+        assert code == 2 and err.startswith(prefix)
+        assert not out.exists()
         record = json.loads(err[len(prefix):])
         assert record == {"condition": 5, "point": "p1", "indices": [0, 1, 0, 2]}
         assert record == json.loads(jsonio.canonical_dumps(first_violation(broken)))
