@@ -5,6 +5,11 @@ ints, vector entries are fractions.Fraction, and a phase is a reduced
 rational in [0,1) representing an element of U(1) = R/Z written
 additively.  Floats are deliberately unsupported.
 
+`IntMat.__mul__` is a sparse row kernel (Gustavson's method): it lists
+the nonzero entries of each row of the right factor once per product and
+forms only the products of two nonzero entries, since group words,
+generators and lower splits are mostly zeros.
+
 Rational hot paths put their inputs over one common denominator
 (`common_denominator`), accumulate integers and build one Fraction per
 output entry; the trusted constructors `RatVec._new` and `Phase._new`
@@ -162,10 +167,18 @@ class IntMat:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
             )
-        bt = tuple(zip(*other.data))
-        return IntMat._new(
-            tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in self.data])
-        )
+        # Gustavson's row kernel: only products of two nonzero entries are formed.
+        ncols = other.cols
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * ncols
+            for a, bk in zip(row, nonzeros):
+                if a:
+                    for j, b in bk:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMat._new(tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:

@@ -69,6 +69,14 @@ def _expect_int(x, what: str) -> int:
     return x
 
 
+def _build(cls, *args):
+    """cls(*args), with a ValueError from the constructor's own checks raised as FormatError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def mat_to_json(m: IntMat) -> dict:
     return {"rows": m.rows, "cols": m.cols, "data": [list(r) for r in m.data]}
 
@@ -86,7 +94,7 @@ def mat_from_json(obj) -> IntMat:
         _expect(isinstance(r, list) and len(r) == cols, "matrix data has wrong column count")
         for x in r:
             _expect_int(x, "matrix entry")
-    return IntMat(data)
+    return IntMat._new(tuple(map(tuple, data)))
 
 
 def frac_to_json(f: Fraction) -> list[int]:
@@ -239,7 +247,7 @@ def cocycle_from_json(obj) -> TDCocycle:
         idx = cover_raw[p]
         _expect(isinstance(idx, list) and idx, f"cover of {p!r} must be non-empty")
         cover[p] = tuple(_expect_int(i, "cover index") for i in idx)
-    nerve = NerveModel(tuple(points), cover)
+    nerve = _build(NerveModel, tuple(points), cover)
     # Index names as str() writes them: one table per point's cover and
     # one for the nerve, so "01", " 1", "+1" and "1_0" name no index.
     point_heads = {p: (p, {str(i): i for i in cover[p]}) for p in points}
@@ -251,7 +259,4 @@ def cocycle_from_json(obj) -> TDCocycle:
     mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _intvec_from_json(v, n, "mhat entry"))
     _expect(m.keys() == mhat.keys(), "m and mhat must have the same keys")
     t = _map_from_json(obj, "t", 4, point_heads, phase_from_json)
-    try:
-        return TDCocycle(nerve, n, a, ahat, m, mhat, t)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _build(TDCocycle, nerve, n, a, ahat, m, mhat, t)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -50,6 +51,12 @@ def fraction_inverse(m: IntMat) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[k:] for row in aug]
+
+
+def reference_matmul(a: IntMat, b: IntMat) -> IntMat:
+    """The earlier dense product: every entry is the full dot product of a row and a column."""
+    bt = tuple(zip(*b.data))
+    return IntMat(tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a.data))
 
 
 # -- Fraction references for the integer kernels ---------------------------

@@ -82,6 +82,8 @@ MALFORMED_COCYCLES = {
     "mhat-lacks-uncovered-key": _delete_entry("mhat", "0|1|3"),
     "m-lacks-uncovered-key": _delete_entry("m", "0|1|3"),
     "duplicate-point": lambda payload: payload["points"].append("p1"),
+    "no-points": lambda payload: payload.update(points=[]),
+    "cover-repeats-an-index": lambda payload: payload["cover"].update(p3=[2, 2]),
     "a-index-with-space": _rename_key("a", "p1|0|1", "p1| 0|1"),
     "ahat-index-with-plus": _rename_key("ahat", "p1|0|1", "p1|+0|1"),
     "t-index-with-leading-zero": _rename_key("t", "p1|0|1|2", "p1|00|1|2"),
@@ -140,7 +142,8 @@ def assert_input_error(capsys, code, out=None):
 class TestJsonIO:
     def test_matrix_roundtrip(self):
         m = IntMat([[1, -2], [3, 4]])
-        assert jsonio.mat_from_json(jsonio.mat_to_json(m)) == m
+        loaded = jsonio.mat_from_json(jsonio.mat_to_json(m))
+        assert loaded == m and hash(loaded) == hash(m) and repr(loaded) == repr(m)
 
     def test_matrix_rejects_ragged(self):
         with pytest.raises(jsonio.FormatError):

@@ -16,8 +16,14 @@ from td2g.intlinalg import (
     unimodular_inverse,
 )
 from td2g.groups import j_matrix, pairing_matrix, perm_v, embed_gl
-from td2g.twogroup import quadratic_phase
-from conftest import fraction_inverse, reference_phase_bilinear, reference_quadratic_phase
+from td2g.twogroup import b_split, quadratic_phase
+from conftest import (
+    fraction_inverse,
+    reference_matmul,
+    reference_phase_bilinear,
+    reference_quadratic_phase,
+    words,
+)
 
 # Entries the rational kernels must handle: zero, negative, integral and
 # large-denominator values.
@@ -37,6 +43,41 @@ def edge_ratvec(rng, dim: int) -> RatVec:
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
+
+# Matrix entries for the product kernel: mostly zeros, as in group words,
+# plus small and negative values and values far above 2**64.
+BIG = 2**64
+product_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    small_ints,
+    st.integers(min_value=-(BIG**3), max_value=BIG**3),
+)
+
+
+@st.composite
+def product_factors(draw):
+    """An r x k and a k x c matrix, each side between 1 and 6."""
+    r, k, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    a = draw(st.lists(st.lists(product_entries, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(product_entries, min_size=c, max_size=c), min_size=k, max_size=k))
+    return IntMat(a), IntMat(b)
+
+
+MIXED = IntMat([[BIG + 1, 0, -7], [0, 0, 0], [-3 * BIG, 2, 0]])
+PRODUCT_CASES = {
+    "row-times-column": (IntMat([[1, -2, 0, BIG]]), IntMat([[3], [0], [5], [-BIG]])),
+    "column-times-row": (IntMat([[2], [0], [-BIG]]), IntMat([[0, 4, -1]])),
+    "zero-times-zero": (IntMat.zeros(3), IntMat.zeros(3)),
+    "zero-times-dense": (IntMat.zeros(3), MIXED),
+    "dense-times-zero": (MIXED, IntMat.zeros(3, 2)),
+    "identity-left": (IntMat.identity(3), MIXED),
+    "identity-right": (MIXED, IntMat.identity(3)),
+    "zero-row-and-column": (MIXED, MIXED.transpose()),
+    "zero-row-of-right-factor": (IntMat([[1, 5, 2], [-1, 9, 0]]), MIXED),
+    "negative-entries": (-MIXED, IntMat([[-1, -2], [0, -3], [-4, 0]])),
+    "above-2-64": (IntMat([[BIG**2, -BIG], [BIG, 1]]), IntMat([[-BIG, 3], [BIG**2, -1]])),
+}
 
 
 def skew(entries, k):
@@ -66,8 +107,35 @@ class TestMatMul:
         assert pairing_matrix(1) * j_matrix(1) == IntMat([[1, 0], [0, 0]])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2x2\) \* \(3x3\)"):
             IntMat.identity(2) * IntMat.identity(3)
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(1x3\) \* \(1x3\)"):
+            IntMat([[1, 0, 2]]) * IntMat([[0, 0, 1]])
+
+    def test_non_matrix_operand(self):
+        m = IntMat.identity(2)
+        assert m.__mul__(3) is NotImplemented
+        for bad in (3, Fraction(1, 2), [[1, 0], [0, 1]]):
+            with pytest.raises(TypeError):
+                m * bad
+
+    @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+    def test_matches_dense_reference(self, case):
+        a, b = PRODUCT_CASES[case]
+        assert a * b == reference_matmul(a, b)
+
+    @given(product_factors())
+    def test_matches_dense_reference_on_random_factors(self, factors):
+        a, b = factors
+        assert a * b == reference_matmul(a, b)
+
+    def test_matches_dense_reference_on_group_words(self):
+        # short and long words in standard_generators(6) and three (B_A)_low splits
+        ws = words(6, 6, seed=71) + words(6, 3, seed=72, length=40)
+        mats = [w.mat for w in ws] + [b_split(w)[1] for w in ws[:3]]
+        for a in mats:
+            for b in mats:
+                assert a * b == reference_matmul(a, b)
 
 
 class TestUnimodularInverse:
