@@ -3,9 +3,9 @@ verification suites, and cocycle transformation.
 
 Exit codes: 0 pass, 1 mathematical failure or counterexample, 2 input
 error, 3 internal assertion failure.  Randomized suites require an
-explicit --seed; reports embed the seed and list failures in trial
-order.  Trials run one after another on seeds pre-split from the master
-seed, so trial i depends only on the seed and i.
+explicit --seed in [0, 2^64); reports embed the seed and list failures
+in trial order.  Trials run one after another on seeds pre-split from
+the master seed, so trial i depends only on the seed and i.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# Seeds are 64-bit: the generator would silently reduce a larger one.
+SEED_LIMIT = 1 << 64
 
 SUITES = ("n1-exhaustive", "cocycle", "torsion", "subgroups", "ci-axioms", "tdcorr")
 
@@ -234,6 +237,9 @@ def cmd_verify(args) -> int:
     n = args.n
     trials = args.trials
     seed = args.seed
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
+        print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
+        return EXIT_INPUT
     if suite == "n1-exhaustive":
         n = 1
         trials = 0

@@ -8,23 +8,34 @@ multiplicator phases:
             - beta_{A,B}(C y) - beta_{AB,C}(y),      y = (ABC)^{-1} x,
 
 which is a character xi(x) = m . x.  `k_cocycle` computes the integer
-vector m in closed form from the diagonals of the lower-split products,
+vector m in closed form from form diagonals.  Write
+F(Q, P) = (P^T (B_Q)_low P)^diag; then
 
-    m = 1/2 (ABC)^{-T} [  C^T (B^T (B_A)_low B)^diag
-                        + (C^T (B_{AB})_low C)^diag
-                        - iso(A) (C^T (B_B)_low C)^diag
-                        - (C^T B^T (B_A)_low B C)^diag ],
+    m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4),
+    w1 = C^T F(A, B),   w2 = F(AB, C),   w3 = F(B, C),   w4 = F(A, BC),
 
 and shares no intermediate formula with `k_eval`.  The half-integer
 prefactor divides evenly; this is asserted.  The coboundary of the
-2-cochain gamma_{A,B} = -(AB)^{-T} (B^T (B_A)_low B)^diag equals 2m under
-the twisted action (A, v) |-> I A I v, which exhibits the class as
-2-torsion and yields the mod-2 double cover group law.
+2-cochain gamma_{A,B} = -(AB)^{-T} F(A, B) equals 2m under the twisted
+action (A, v) |-> I A I v, which exhibits the class as 2-torsion and
+yields the mod-2 double cover group law.
+
+Every form above pairs two consecutive pieces of one word: Q and P are
+products a_i...a_{j-1} and a_j...a_{l-1}.  A private product chain over
+the word builds each such product once, left to right, so the lower
+split cached on a product serves every term that uses it, and memoises
+each diagonal F by its (i, j, l).  A diagonal costs one product: its
+entries are the column dots of P with (B_Q)_low P.  `k_cocycle` and
+`gamma` read one 3- or 2-chain; `check_cocycle_identity` reads its five
+m terms (10 distinct diagonals) from one 4-chain and
+`check_two_torsion` its four gamma terms from one 3-chain, while its
+right side 2m stays a separate `k_cocycle` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .groups import (
@@ -37,9 +48,9 @@ from .groups import (
     random_word,
     so_basis,
 )
-# Unused here since _low reads the per-element cache; the binding stays
-# because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import IntMat, Phase, RatVec, diag_vec, strict_lower_split  # noqa: F401
+# Unused here since the chain reads the per-element cache; the binding
+# stays because bench/tests/test_bench.py checks that the tracer rebinds it.
+from .intlinalg import IntMat, Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
 from .rng import XorShift64Star
 from .twogroup import b_split, beta_multiplicator, eval_mor
 
@@ -62,27 +73,62 @@ __all__ = [
 IntVec = tuple[int, ...]
 
 
-def _low(a: PseudoOrthogonal) -> IntMat:
-    return b_split(a)[1]
+class _Chain:
+    """Each product a_i...a_{j-1} of one word, built once, and the form diagonals over them.
+
+    `prod[i, j]` is a_i...a_{j-1} for 0 <= i < j <= len(word); a
+    one-letter product is the letter itself, so caches on the word's
+    elements are shared with every other caller.
+    """
+
+    __slots__ = ("prod", "_forms")
+
+    def __init__(self, word: Sequence[PseudoOrthogonal]):
+        n = word[0].n
+        if any(g.n != n for g in word):
+            raise ValueError("rank mismatch")
+        prod = {}
+        for i, acc in enumerate(word):
+            prod[i, i + 1] = acc
+            for j in range(i + 1, len(word)):
+                acc = acc * word[j]
+                prod[i, j + 1] = acc
+        self.prod = prod
+        self._forms: dict[tuple[int, int, int], IntVec] = {}
+
+    def form(self, i: int, j: int, l: int) -> IntVec:
+        """F(Q, P) = (P^T (B_Q)_low P)^diag for Q = prod[i, j] and P = prod[j, l]."""
+        key = (i, j, l)
+        f = self._forms.get(key)
+        if f is None:
+            p = self.prod[j, l].mat
+            lp = b_split(self.prod[i, j])[1] * p
+            f = tuple([sum(map(mul, u, v)) for u, v in zip(zip(*p.data), zip(*lp.data))])
+            self._forms[key] = f
+        return f
+
+    def k(self, i: int, j: int, l: int, m: int) -> IntVec:
+        """m_{A,B,C} for A = prod[i, j], B = prod[j, l], C = prod[l, m]."""
+        iso = self.prod[i, j].iso
+        w1 = self.prod[l, m].mat.transpose().mul_vec(self.form(i, j, l))
+        w2 = self.form(i, l, m)
+        w3 = self.form(j, l, m)
+        w4 = self.form(i, j, m)
+        w = [x1 + x2 - iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
+        m2 = self.prod[i, m].inv_transpose_mat().mul_vec(w)
+        if any(v % 2 for v in m2):
+            raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
+        return tuple(v // 2 for v in m2)
+
+    def gamma(self, i: int, j: int, l: int) -> IntVec:
+        """gamma_{A,B} for A = prod[i, j] and B = prod[j, l]."""
+        w = self.form(i, j, l)
+        return tuple(-v for v in self.prod[i, l].inv_transpose_mat().mul_vec(w))
 
 
 def k_cocycle(a: PseudoOrthogonal, b: PseudoOrthogonal, c: PseudoOrthogonal) -> IntVec:
     """The k-invariant cocycle m_{A,B,C} in Z^{2n}; integrality asserted."""
-    if not (a.n == b.n == c.n):
-        raise ValueError("rank mismatch")
-    bm, cm = b.mat, c.mat
-    ct = cm.transpose()
-    ab = a * b
-    p = bm.transpose() * _low(a) * bm
-    w1 = ct.mul_vec(diag_vec(p))
-    w2 = diag_vec(ct * _low(ab) * cm)
-    w3 = diag_vec(ct * _low(b) * cm)
-    w4 = diag_vec(ct * p * cm)
-    w = [x1 + x2 - a.iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
-    m2 = (ab * c).inv_transpose_mat().mul_vec(w)
-    if any(v % 2 for v in m2):
-        raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
-    return tuple(v // 2 for v in m2)
+    return _Chain((a, b, c)).k(0, 1, 2, 3)
 
 
 def k_eval(
@@ -126,32 +172,34 @@ def check_cocycle_identity(
     c: PseudoOrthogonal,
     d: PseudoOrthogonal,
 ) -> bool:
-    """delta m == 0 under the twisted action, exactly."""
-    total = twisted_action(a, k_cocycle(b, c, d))
-    total = _vec_sub(total, k_cocycle(a * b, c, d))
-    total = _vec_add(total, k_cocycle(a, b * c, d))
-    total = _vec_sub(total, k_cocycle(a, b, c * d))
-    total = _vec_add(total, k_cocycle(a, b, c))
+    """delta m == 0 under the twisted action, exactly; all five terms from one chain."""
+    ch = _Chain((a, b, c, d))
+    total = twisted_action(a, ch.k(1, 2, 3, 4))
+    total = _vec_sub(total, ch.k(0, 2, 3, 4))
+    total = _vec_add(total, ch.k(0, 1, 3, 4))
+    total = _vec_sub(total, ch.k(0, 1, 2, 4))
+    total = _vec_add(total, ch.k(0, 1, 2, 3))
     return all(v == 0 for v in total)
 
 
 def gamma(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntVec:
     """The 2-cochain gamma_{A,B} = -(AB)^{-T} (B^T (B_A)_low B)^diag."""
-    if a.n != b.n:
-        raise ValueError("rank mismatch")
-    bm = b.mat
-    w = diag_vec(bm.transpose() * _low(a) * bm)
-    return tuple(-v for v in (a * b).inv_transpose_mat().mul_vec(w))
+    return _Chain((a, b)).gamma(0, 1, 2)
 
 
 def check_two_torsion(
     a: PseudoOrthogonal, b: PseudoOrthogonal, c: PseudoOrthogonal
 ) -> bool:
-    """delta gamma == 2 m, exactly."""
-    lhs = twisted_action(a, gamma(b, c))
-    lhs = _vec_sub(lhs, gamma(a * b, c))
-    lhs = _vec_add(lhs, gamma(a, b * c))
-    lhs = _vec_sub(lhs, gamma(a, b))
+    """delta gamma == 2 m, exactly.
+
+    The four gamma terms come from one chain; m comes from a separate
+    `k_cocycle` call, so the two sides are evaluated independently.
+    """
+    ch = _Chain((a, b, c))
+    lhs = twisted_action(a, ch.gamma(1, 2, 3))
+    lhs = _vec_sub(lhs, ch.gamma(0, 2, 3))
+    lhs = _vec_add(lhs, ch.gamma(0, 1, 3))
+    lhs = _vec_sub(lhs, ch.gamma(0, 1, 2))
     rhs = tuple(2 * v for v in k_cocycle(a, b, c))
     return lhs == rhs
 
@@ -240,8 +288,10 @@ class DoubleCoverElement:
     a: PseudoOrthogonal
 
     def __post_init__(self):
-        if len(self.u) != 2 * self.a.n or any(v not in (0, 1) for v in self.u):
+        u = tuple(_as_int(v) for v in self.u)
+        if len(u) != 2 * self.a.n or any(v not in (0, 1) for v in u):
             raise ValueError("cover component must be a 0/1 vector of length 2n")
+        object.__setattr__(self, "u", u)
 
 
 def double_cover_identity(n: int) -> DoubleCoverElement:

@@ -3,10 +3,11 @@ from operator import mul
 
 import pytest
 
-from td2g.intlinalg import IntMat, Phase, RatVec
+from td2g.intlinalg import IntMat, Phase, RatVec, diag_vec
 from td2g.groups import random_word, standard_generators
 from td2g.rng import XorShift64Star
 from td2g.tdcorr import NerveModel, TDCocycle
+from td2g.twogroup import b_split
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
 # entry, though random_cocycle writes one to each.
@@ -57,6 +58,34 @@ def reference_matmul(a: IntMat, b: IntMat) -> IntMat:
     """The earlier dense product: every entry is the full dot product of a row and a column."""
     bt = tuple(zip(*b.data))
     return IntMat(tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a.data))
+
+
+def reference_k_cocycle(a, b, c) -> tuple[int, ...]:
+    """The earlier k_cocycle: its own products and four diagonals of full quadratic forms."""
+    if not (a.n == b.n == c.n):
+        raise ValueError("rank mismatch")
+    bm, cm = b.mat, c.mat
+    ct = cm.transpose()
+    ab = a * b
+    p = bm.transpose() * b_split(a)[1] * bm
+    w1 = ct.mul_vec(diag_vec(p))
+    w2 = diag_vec(ct * b_split(ab)[1] * cm)
+    w3 = diag_vec(ct * b_split(b)[1] * cm)
+    w4 = diag_vec(ct * p * cm)
+    w = [x1 + x2 - a.iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
+    m2 = (ab * c).inv_transpose_mat().mul_vec(w)
+    if any(v % 2 for v in m2):
+        raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
+    return tuple(v // 2 for v in m2)
+
+
+def reference_gamma(a, b) -> tuple[int, ...]:
+    """The earlier gamma: -(AB)^{-T} (B^T (B_A)_low B)^diag with the full form."""
+    if a.n != b.n:
+        raise ValueError("rank mismatch")
+    bm = b.mat
+    w = diag_vec(bm.transpose() * b_split(a)[1] * bm)
+    return tuple(-v for v in (a * b).inv_transpose_mat().mul_vec(w))
 
 
 # -- Fraction references for the integer kernels ---------------------------

@@ -365,6 +365,34 @@ class TestVerifyCommand:
         assert code == 2
         assert out.out == "" and out.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "suite, seed",
+        [("torsion", "-1"), ("torsion", str(2**64)), ("n1-exhaustive", "-1")],
+    )
+    def test_rejects_seed_outside_64_bits(self, capsys, suite, seed):
+        # the generator reduces seeds mod 2^64, so these would rerun another seed's trials
+        code = main(["verify", "--suite", suite, "--n", "1", "--trials", "1", "--seed", seed])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == "" and out.err.startswith("error:")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_seed_at_64_bit_ends(self, capsys, seed):
+        code, report = run_main(
+            capsys, ["verify", "--suite", "torsion", "--n", "1", "--trials", "1", "--seed", str(seed)]
+        )
+        assert code == 0 and report["seed"] == seed
+
+    def test_torsion_right_side_calls_k_cocycle(self, capsys, monkeypatch):
+        # 2m is a separate public k_cocycle call, so a wrong k_cocycle fails every trial
+        monkeypatch.setattr(kinvariant, "k_cocycle", lambda a, b, c: (1,) * (2 * a.n))
+        code, report = run_main(
+            capsys, ["verify", "--suite", "torsion", "--n", "2", "--trials", "3", "--seed", "1"]
+        )
+        assert code == 1
+        assert [f["trial"] for f in report["failures"]] == [0, 1, 2]
+        assert all(f["check"] == "two-torsion" for f in report["failures"])
+
     def test_torsion(self, capsys):
         code, report = run_main(
             capsys,

@@ -29,7 +29,8 @@ from td2g.kinvariant import (
 )
 from td2g.twogroup import b_matrix, strict_lower_split
 from td2g.intlinalg import diag_vec
-from conftest import rand_intvec, rand_ratvec, words
+from conftest import rand_intvec, rand_ratvec, reference_gamma, reference_k_cocycle, words
+from td2g import kinvariant
 
 # Frozen by the k_eval integer-recovery oracle (balanced residues at
 # x = e_i/N for N = 1009 and 1013, equal for both moduli).
@@ -99,12 +100,75 @@ class TestKCocycle:
         assert k_cocycle(a, b, c) == NONZERO_K_VALUE
 
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank mismatch"):
             k_cocycle(
                 PseudoOrthogonal.identity(1),
                 PseudoOrthogonal.identity(2),
                 PseudoOrthogonal.identity(2),
             )
+
+
+class TestAgainstReference:
+    """The shared product chain against the earlier per-call bodies, value for value."""
+
+    def test_n1_all_triples_and_pairs(self):
+        elems = enumerate_n1()
+        for a in elems:
+            for b in elems:
+                assert gamma(a, b) == reference_gamma(a, b)
+                for c in elems:
+                    assert k_cocycle(a, b, c) == reference_k_cocycle(a, b, c)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_seeded_words(self, n):
+        ws = words(n, 12, 211 + n, length=7)
+        for a, b, c in zip(ws, ws[1:], ws[2:]):
+            assert k_cocycle(a, b, c) == reference_k_cocycle(a, b, c)
+            assert gamma(a, b) == reference_gamma(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_check_terms(self, n):
+        # each term the two checks read from their chain is the reference value,
+        # and the reference sums satisfy both identities
+        ws = words(n, 8, 223 + n, length=7)
+        for a, b, c, d in zip(ws[::4], ws[1::4], ws[2::4], ws[3::4]):
+            ch = kinvariant._Chain((a, b, c, d))
+            terms = [ch.k(1, 2, 3, 4), ch.k(0, 2, 3, 4), ch.k(0, 1, 3, 4), ch.k(0, 1, 2, 4), ch.k(0, 1, 2, 3)]
+            ref = [
+                reference_k_cocycle(b, c, d),
+                reference_k_cocycle(a * b, c, d),
+                reference_k_cocycle(a, b * c, d),
+                reference_k_cocycle(a, b, c * d),
+                reference_k_cocycle(a, b, c),
+            ]
+            assert terms == ref
+            total = twisted_action(a, ref[0])
+            for sign, t in zip((-1, 1, -1, 1), ref[1:]):
+                total = tuple(x + sign * y for x, y in zip(total, t))
+            assert total == (0,) * (2 * n) and check_cocycle_identity(a, b, c, d)
+
+            ch = kinvariant._Chain((a, b, c))
+            terms = [ch.gamma(1, 2, 3), ch.gamma(0, 2, 3), ch.gamma(0, 1, 3), ch.gamma(0, 1, 2)]
+            ref = [reference_gamma(b, c), reference_gamma(a * b, c), reference_gamma(a, b * c), reference_gamma(a, b)]
+            assert terms == ref
+            lhs = twisted_action(a, ref[0])
+            for sign, t in zip((-1, 1, -1), ref[1:]):
+                lhs = tuple(x + sign * y for x, y in zip(lhs, t))
+            assert lhs == tuple(2 * v for v in reference_k_cocycle(a, b, c))
+            assert check_two_torsion(a, b, c)
+
+
+@pytest.mark.parametrize(
+    "fn, ranks",
+    [
+        (gamma, (1, 2)),
+        (check_cocycle_identity, (2, 2, 2, 1)),
+        (check_two_torsion, (2, 1, 2)),
+    ],
+)
+def test_rank_mismatch_raises(fn, ranks):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        fn(*(PseudoOrthogonal.identity(n) for n in ranks))
 
 
 class TestKEval:
@@ -289,3 +353,14 @@ class TestDoubleCover:
     def test_rejects_bad_vector(self):
         with pytest.raises(ValueError):
             DoubleCoverElement((0, 1, 2, 0), PseudoOrthogonal.identity(2))
+
+    def test_list_input_is_stored_as_tuple(self):
+        e = PseudoOrthogonal.identity(2)
+        x, y = DoubleCoverElement([0, 1, 1, 0], e), DoubleCoverElement((0, 1, 1, 0), e)
+        assert x.u == (0, 1, 1, 0) and x == y
+        assert hash(x) == hash(y) and len({x, y}) == 1
+
+    @pytest.mark.parametrize("u", [(True, False, 0, 1), (0, 1, 1.0, 0)])
+    def test_rejects_non_int_entries(self, u):
+        with pytest.raises(TypeError):
+            DoubleCoverElement(u, PseudoOrthogonal.identity(2))
