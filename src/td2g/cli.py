@@ -21,6 +21,7 @@ from . import crossedmod, jsonio, kinvariant, tdcorr
 from .groups import (
     MembershipError,
     check_membership,
+    embed_so,
     enumerate_n1,
     gl_generators,
     random_word,
@@ -166,17 +167,18 @@ def _suite_tdcorr(n, trials, seed) -> list[dict]:
         w = _word(gens, rng)
         transformed = tdcorr.act(section(w), c)
         checks.append(("act-validity", tdcorr.validate(transformed)))
-        checks.append(("gerbe-cocycle", tdcorr.check_gerbe_cocycle(c, samples=10, seed=s)))
-        checks.append(("corr-delta", tdcorr.check_corr_delta(c, samples=10, seed=s)))
-        checks.append(("poincare", tdcorr.check_poincare(c, samples=4, seed=s)))
-        checks.append(("flip", tdcorr.check_flip_identities(c, samples=10, seed=s)))
-        checks.append(("gl", tdcorr.check_gl_identities(c, gls[rng.below(len(gls))], samples=10, seed=s)))
+        checks.append(("gerbe-cocycle", tdcorr.check_gerbe_cocycle(c)))
+        checks.append(("corr-delta", tdcorr.check_corr_delta(c)))
+        checks.append(("poincare", tdcorr.check_poincare(c)))
+        checks.append(("flip", tdcorr.check_flip_identities(c)))
+        checks.append(("gl", tdcorr.check_gl_identities(c, gls[rng.below(len(gls))])))
         if n == 1:
-            checks.append(("rotation", tdcorr.check_rotation_identities(c, samples=10, seed=s)))
+            checks.append(("rotation", tdcorr.check_rotation_identities(c)))
         else:
             b = shifts[rng.below(len(shifts))]
-            checks.append(("so-shift-data", tdcorr.check_so_shift_data(c, b)))
-            checks.append(("so-shift-gerbes", tdcorr.check_so_shift_gerbes(c, b, samples=10, seed=s)))
+            shifted = tdcorr.act(section(embed_so(b)), c)
+            checks.append(("so-shift-data", tdcorr.check_so_shift_data(c, b, transformed=shifted)))
+            checks.append(("so-shift-gerbes", tdcorr.check_so_shift_gerbes(c, b, transformed=shifted)))
             checks.append(("eps-cech", tdcorr.check_eps_cech(c, b)))
         bad = [name for name, ok in checks if not ok]
         if bad:

@@ -78,11 +78,11 @@ class PseudoOrthogonal:
     """An element of O+-(n,n,Z) with its cached sign iso(A).
 
     `_b_split` holds (B_A, (B_A)_low) once `twogroup.b_split` has computed
-    them for this element, and None before; it takes no part in equality,
-    hashing or repr.
+    them for this element, and `_inverse` the inverse once `inverse` has;
+    both are None before and take no part in equality, hashing or repr.
     """
 
-    __slots__ = ("n", "mat", "iso", "_b_split")
+    __slots__ = ("n", "mat", "iso", "_b_split", "_inverse")
 
     def __init__(self, mat: IntMat, *, _iso: int | None = None):
         if not mat.is_square or mat.rows % 2 != 0:
@@ -94,6 +94,7 @@ class PseudoOrthogonal:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "iso", _iso)
         object.__setattr__(self, "_b_split", None)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonal is immutable")
@@ -110,8 +111,10 @@ class PseudoOrthogonal:
         return PseudoOrthogonal(self.mat * other.mat, _iso=self.iso * other.iso)
 
     def inverse(self) -> "PseudoOrthogonal":
-        inv = _conj_pairing(self.mat.transpose()).scale(self.iso)
-        return PseudoOrthogonal(inv, _iso=self.iso)
+        if self._inverse is None:
+            inv = _conj_pairing(self.mat.transpose()).scale(self.iso)
+            object.__setattr__(self, "_inverse", PseudoOrthogonal(inv, _iso=self.iso))
+        return self._inverse
 
     def transpose(self) -> "PseudoOrthogonal":
         return PseudoOrthogonal(self.mat.transpose(), _iso=self.iso)
@@ -227,13 +230,13 @@ def random_word(
     if any(g.n != n for g in generators):
         raise ValueError("generators of mixed rank")
     rng = seed if isinstance(seed, XorShift64Star) else XorShift64Star(seed)
-    acc = PseudoOrthogonal.identity(n)
+    acc = None
     for _ in range(length):
         g = generators[rng.below(len(generators))]
         if rng.below(2):
             g = g.inverse()
-        acc = acc * g
-    return acc
+        acc = g if acc is None else acc * g
+    return PseudoOrthogonal.identity(n) if acc is None else acc
 
 
 def gl_generators(n: int) -> list[IntMat]:

@@ -3,11 +3,29 @@ from operator import mul
 
 import pytest
 
-from td2g.intlinalg import IntMat, Phase, RatVec, diag_vec
-from td2g.groups import random_word, standard_generators
+from td2g.intlinalg import IntMat, Phase, RatVec, diag_vec, unimodular_inverse
+from td2g.groups import (
+    PseudoOrthogonal,
+    embed_gl,
+    embed_so,
+    flip_element,
+    random_word,
+    rotation_n1,
+    standard_generators,
+)
 from td2g.rng import XorShift64Star
-from td2g.tdcorr import NerveModel, TDCocycle
-from td2g.twogroup import b_split
+from td2g.tdcorr import (
+    NerveModel,
+    TDCocycle,
+    _check_so_skew,
+    _low_bracket,
+    _so_eps,
+    act,
+    corr_cochain,
+    gerbe_left,
+    gerbe_right,
+)
+from td2g.twogroup import b_split, section
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
 # entry, though random_cocycle writes one to each.
@@ -33,6 +51,23 @@ def words(n: int, count: int, seed: int, length: int = 6):
     gens = standard_generators(n)
     rng = XorShift64Star(seed)
     return [random_word(gens, length, rng) for _ in range(count)]
+
+
+def reference_random_word(generators, length: int, seed) -> PseudoOrthogonal:
+    """The earlier random_word: inverts on every pick and starts from the identity."""
+    if not generators:
+        raise ValueError("empty generator list")
+    n = generators[0].n
+    if any(g.n != n for g in generators):
+        raise ValueError("generators of mixed rank")
+    rng = seed if isinstance(seed, XorShift64Star) else XorShift64Star(seed)
+    acc = PseudoOrthogonal.identity(n)
+    for _ in range(length):
+        g = generators[rng.below(len(generators))]
+        if rng.below(2):
+            g = g.inverse()
+        acc = acc * g
+    return acc
 
 
 def fraction_inverse(m: IntMat) -> list[list[Fraction]]:
@@ -192,6 +227,270 @@ def reference_cocycle_key(key: str, arity: int, nerve: NerveModel, with_point: b
             return None
         indices.append(i)
     return (*head, *indices)
+
+
+# -- sampled references for the exhaustive tdcorr checks ---------------------
+# The earlier bodies: each identity is evaluated through gerbe_left,
+# gerbe_right and corr_cochain at seeded Fraction sample points.
+
+
+def rand_site(rng: XorShift64Star, c: TDCocycle, arity: int) -> tuple[str, tuple[int, ...]]:
+    p = c.nerve.points[rng.below(len(c.nerve.points))]
+    idx = c.nerve.cover[p]
+    return p, tuple(idx[rng.below(len(idx))] for _ in range(arity))
+
+
+def reference_check_gerbe_cocycle(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
+    """Both legs satisfy the groupoid Cech 2-cocycle condition at samples."""
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k, l) = rand_site(rng, c, 4)
+        a = rand_ratvec(rng, c.n)
+        lhs = (
+            gerbe_left(c, p, (j, k, l), c.a[(p, i, j)] + a)
+            - gerbe_left(c, p, (i, k, l), a)
+            + gerbe_left(c, p, (i, j, l), a)
+            - gerbe_left(c, p, (i, j, k), a)
+        )
+        if not lhs.is_zero():
+            return False
+        ahat = rand_ratvec(rng, c.n)
+        lhs_hat = (
+            gerbe_right(c, p, (j, k, l), c.ahat[(p, i, j)] + ahat)
+            - gerbe_right(c, p, (i, k, l), ahat)
+            + gerbe_right(c, p, (i, j, l), ahat)
+            - gerbe_right(c, p, (i, j, k), ahat)
+        )
+        if not lhs_hat.is_zero():
+            return False
+    return True
+
+
+def reference_check_corr_delta(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
+    """The correspondence identity: hat-leg minus leg equals the cochain coboundary.
+
+    Evaluated on fiber-product coordinates (a, ahat, m2, mhat2, m3, mhat3);
+    the middle chart carries the shifted coordinates and integer offsets
+    m3 - m2 + m_ijk, mhat3 - mhat2 + mhat_ijk.
+    """
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k) = rand_site(rng, c, 3)
+        a, ahat = rand_ratvec(rng, c.n), rand_ratvec(rng, c.n)
+        m2, mh2 = rand_intvec(rng, c.n, 3), rand_intvec(rng, c.n, 3)
+        m3, mh3 = rand_intvec(rng, c.n, 3), rand_intvec(rng, c.n, 3)
+        lhs = gerbe_right(c, p, (i, j, k), ahat) - gerbe_left(c, p, (i, j, k), a)
+        a_mid = a + c.a[(p, i, j)] + RatVec.from_ints(m2)
+        ahat_mid = ahat + c.ahat[(p, i, j)] + RatVec.from_ints(mh2)
+        m_mid = tuple(x - y + z for x, y, z in zip(m3, m2, c.m[(i, j, k)]))
+        mh_mid = tuple(x - y + z for x, y, z in zip(mh3, mh2, c.mhat[(i, j, k)]))
+        rhs = (
+            corr_cochain(c, p, (i, j), a, ahat, m2, mh2)
+            + corr_cochain(c, p, (j, k), a_mid, ahat_mid, m_mid, mh_mid)
+            - corr_cochain(c, p, (i, k), a, ahat, m3, mh3)
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def reference_check_poincare(c: TDCocycle, samples: int = 20, seed: int = 0) -> bool:
+    """Single-chart restriction: gerbe cocycles vanish and xi reduces to -m2 . ahat.
+
+    Meaningful for index-normalized cocycles (vanishing repeated-index
+    data), which the generator produces.
+    """
+    rng = XorShift64Star(seed)
+    zero = RatVec.zero(c.n)
+    for p in c.nerve.points:
+        for i in c.nerve.cover[p]:
+            if c.a[(p, i, i)] != zero or c.ahat[(p, i, i)] != zero:
+                return False
+            if not c.t[(p, i, i, i)].is_zero():
+                return False
+            if not gerbe_left(c, p, (i, i, i), rand_ratvec(rng, c.n)).is_zero():
+                return False
+            if not gerbe_right(c, p, (i, i, i), rand_ratvec(rng, c.n)).is_zero():
+                return False
+            for _ in range(samples):
+                a, ahat = rand_ratvec(rng, c.n), rand_ratvec(rng, c.n)
+                m2, mh2 = rand_intvec(rng, c.n, 3), rand_intvec(rng, c.n, 3)
+                got = corr_cochain(c, p, (i, i), a, ahat, m2, mh2)
+                if got != Phase(-ahat.dot(RatVec.from_ints(m2))):
+                    return False
+    return True
+
+
+def reference_check_flip_identities(
+    c: TDCocycle,
+    samples: int = 50,
+    seed: int = 0,
+    transformed: TDCocycle | None = None,
+) -> bool:
+    """The leg-flip action swaps all data and shifts gerbe cocycles by a coboundary."""
+    c2 = act(section(flip_element(c.n)), c) if transformed is None else transformed
+    for key in c.a:
+        if c2.a[key] != c.ahat[key] or c2.ahat[key] != c.a[key]:
+            return False
+    for key in c.m:
+        if c2.m[key] != c.mhat[key] or c2.mhat[key] != c.m[key]:
+            return False
+    for (p, i, j, k), tv in c.t.items():
+        expected = Phase(
+            tv.frac
+            - RatVec.from_ints(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
+            - c.ahat[(p, j, k)].dot(c.a[(p, i, j)])
+        )
+        if c2.t[(p, i, j, k)] != expected:
+            return False
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k) = rand_site(rng, c, 3)
+        x = rand_ratvec(rng, c.n)
+
+        def cross(pair_i, pair_j):
+            return c.a[(p, pair_i, pair_j)].dot(c.ahat[(p, pair_i, pair_j)])
+
+        side = gerbe_right(c, p, (i, j, k), x) - cross(i, j) - cross(j, k) + cross(i, k)
+        if gerbe_left(c2, p, (i, j, k), x) != side:
+            return False
+        if gerbe_right(c2, p, (i, j, k), x) != gerbe_left(c, p, (i, j, k), x):
+            return False
+    return True
+
+
+def reference_check_gl_identities(
+    c: TDCocycle, g: IntMat, samples: int = 50, seed: int = 0
+) -> bool:
+    """The GL(n,Z) action extends both legs: data maps by g and g^{-T}, t is fixed."""
+    if g.rows != c.n or g.cols != c.n:
+        raise ValueError("GL element has wrong size")
+    ginv = unimodular_inverse(g)
+    ginv_t = ginv.transpose()
+    c2 = act(section(embed_gl(g)), c)
+    for key, av in c.a.items():
+        if c2.a[key] != g.mul_ratvec(av) or c2.ahat[key] != ginv_t.mul_ratvec(c.ahat[key]):
+            return False
+    for key, mv in c.m.items():
+        if c2.m[key] != g.mul_vec(mv) or c2.mhat[key] != ginv_t.mul_vec(c.mhat[key]):
+            return False
+    if any(c2.t[key] != c.t[key] for key in c.t):
+        return False
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k) = rand_site(rng, c, 3)
+        a = rand_ratvec(rng, c.n)
+        if gerbe_left(c2, p, (i, j, k), a) != gerbe_left(c, p, (i, j, k), ginv.mul_ratvec(a)):
+            return False
+        ahat = rand_ratvec(rng, c.n)
+        if gerbe_right(c2, p, (i, j, k), ahat) != gerbe_right(
+            c, p, (i, j, k), g.transpose().mul_ratvec(ahat)
+        ):
+            return False
+    return True
+
+
+def reference_check_rotation_identities(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
+    """The order-4 rotation at n=1 dualizes legs: data and gerbe identities."""
+    if c.n != 1:
+        raise ValueError("rotation identities are defined for n == 1 only")
+    c2 = act(section(rotation_n1()), c)
+    for key, av in c.a.items():
+        if c2.a[key] != -c.ahat[key] or c2.ahat[key] != av:
+            return False
+    for key, mv in c.m.items():
+        if c2.m[key] != tuple(-x for x in c.mhat[key]) or c2.mhat[key] != mv:
+            return False
+    for (p, i, j, k), tv in c.t.items():
+        expected = Phase(
+            -tv.frac
+            + RatVec.from_ints(c.mhat[(i, j, k)]).dot(c.a[(p, i, k)])
+            + c.ahat[(p, j, k)].dot(c.a[(p, i, j)])
+        )
+        if c2.t[(p, i, j, k)] != expected:
+            return False
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k) = rand_site(rng, c, 3)
+        x = rand_ratvec(rng, c.n)
+
+        def cross(pi, pj):
+            return c.a[(p, pi, pj)].dot(c.ahat[(p, pi, pj)])
+
+        lhs = gerbe_left(c2, p, (i, j, k), x)
+        rhs = -gerbe_right(c, p, (i, j, k), -x) + cross(i, j) + cross(j, k) - cross(i, k)
+        if lhs != rhs:
+            return False
+        if gerbe_right(c2, p, (i, j, k), x) != -gerbe_left(c, p, (i, j, k), x):
+            return False
+    return True
+
+
+def reference_check_so_shift_data(c: TDCocycle, b: IntMat) -> bool:
+    """Transformed data: a and m fixed, ahat and mhat shifted by B, t corrected."""
+    b_low = _check_so_skew(c, b)
+    c2 = act(section(embed_so(b)), c)
+    for key, av in c.a.items():
+        if c2.a[key] != av or c2.ahat[key] != b.mul_ratvec(av) + c.ahat[key]:
+            return False
+    for key, mv in c.m.items():
+        if c2.m[key] != mv or c2.mhat[key] != tuple(
+            x + y for x, y in zip(b.mul_vec(mv), c.mhat[key])
+        ):
+            return False
+    for (p, i, j, k), tv in c.t.items():
+        m_ijk = RatVec.from_ints(c.m[(i, j, k)])
+        expected = Phase(
+            tv.frac
+            - _low_bracket(b_low, m_ijk, c.a[(p, i, k)])
+            - _low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
+        )
+        if c2.t[(p, i, j, k)] != expected:
+            return False
+    return True
+
+
+def reference_check_so_shift_gerbes(
+    c: TDCocycle, b: IntMat, samples: int = 50, seed: int = 0
+) -> bool:
+    """Left-leg three-term correction, and the right-leg discrepancy gamma:
+    gerbe values against the closed form, and the closed form against its
+    decomposition into a shifted coboundary of a_ij . v plus eps."""
+    b_low = _check_so_skew(c, b)
+    c2 = act(section(embed_so(b)), c)
+    rng = XorShift64Star(seed)
+    for _ in range(samples):
+        p, (i, j, k) = rand_site(rng, c, 3)
+        m_ijk = RatVec.from_ints(c.m[(i, j, k)])
+        a = rand_ratvec(rng, c.n)
+        lhs = gerbe_left(c2, p, (i, j, k), a)
+        rhs = gerbe_left(c, p, (i, j, k), a) + Phase(
+            _low_bracket(b_low, m_ijk, c.a[(p, i, k)])
+            + _low_bracket(b_low, c.a[(p, i, j)], c.a[(p, j, k)])
+            - a.dot(b.mul_ratvec(m_ijk))
+        )
+        if lhs != rhs:
+            return False
+        v = rand_ratvec(rng, c.n)
+        gamma_gerbe = gerbe_right(c2, p, (i, j, k), v) - gerbe_right(
+            c, p, (i, j, k), RatVec.zero(c.n)
+        )
+        gamma_closed = (
+            _low_bracket(b_low, c.a[(p, i, k)], m_ijk)
+            + _low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
+            - v.dot(m_ijk)
+        )
+        if gamma_gerbe != Phase(gamma_closed):
+            return False
+        decomposition = (
+            c.a[(p, i, j)].dot(v)
+            + c.a[(p, j, k)].dot(v + b.mul_ratvec(c.a[(p, i, j)]))
+            - c.a[(p, i, k)].dot(v)
+            + _so_eps(c, b_low, p, i, j, k)
+        )
+        if gamma_closed != decomposition:
+            return False
+    return True
 
 
 @pytest.fixture

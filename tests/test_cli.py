@@ -439,10 +439,9 @@ class TestVerifyCommand:
         assert report["failures"]
         assert all(f["failed"] == ["eps-cech"] for f in report["failures"])
 
-    def test_thread_env_reproducible(self, capsys, monkeypatch):
+    def test_torsion_report_reproducible(self, capsys):
         argv = ["verify", "--suite", "torsion", "--n", "2", "--trials", "6", "--seed", "5"]
         code1, rep1 = run_main(capsys, argv)
-        monkeypatch.setenv("TD2G_THREADS", "3")
         code2, rep2 = run_main(capsys, argv)
         assert code1 == code2 == 0
         rep1.pop("elapsed_ms")

@@ -19,7 +19,7 @@ from td2g.groups import (
 )
 from td2g.intlinalg import IntMat, unimodular_inverse
 from td2g.rng import XorShift64Star, substream_seeds
-from conftest import words
+from conftest import reference_random_word, words
 
 
 class TestMembership:
@@ -168,6 +168,28 @@ class TestRandomWord:
     def test_rejects_empty_generators(self):
         with pytest.raises(ValueError):
             random_word([], 3, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_reference_draw_for_draw(self, n):
+        # the same words from the same draws: both generators end in the same state
+        gens = standard_generators(n)
+        for seed in (0, 1, 7, 2**40 + 3):
+            for length in (0, 1, 2, 5, 9):
+                mine, ref = XorShift64Star(seed), XorShift64Star(seed)
+                w = random_word(gens, length, mine)
+                expected = reference_random_word(standard_generators(n), length, ref)
+                assert w == expected and w.iso == expected.iso
+                assert mine.next_u64() == ref.next_u64()
+
+    def test_inverse_is_memoised_outside_equality(self):
+        for g in standard_generators(2):
+            before = (hash(g), repr(g))
+            inv = g.inverse()
+            assert g.inverse() is inv
+            assert inv.mat == unimodular_inverse(g.mat) and inv.iso == g.iso
+            assert (g * inv) == PseudoOrthogonal.identity(2)
+            assert (hash(g), repr(g)) == before
+            assert g == PseudoOrthogonal(g.mat)
 
 
 class TestGroupLaws:

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from td2g.groups import embed_so, flip_element, minus_identity, rotation_n1
+from td2g import tdcorr
+from td2g.groups import embed_so, flip_element, gl_generators, minus_identity, rotation_n1, so_basis
 from td2g.intlinalg import IntMat, Phase, RatVec
 from td2g.tdcorr import (
     NerveModel,
@@ -35,6 +36,14 @@ from conftest import (
     rand_intvec,
     rand_ratvec,
     reference_act,
+    reference_check_corr_delta,
+    reference_check_flip_identities,
+    reference_check_gerbe_cocycle,
+    reference_check_gl_identities,
+    reference_check_poincare,
+    reference_check_rotation_identities,
+    reference_check_so_shift_data,
+    reference_check_so_shift_gerbes,
     reference_first_violation,
     words,
 )
@@ -407,3 +416,166 @@ class TestSoShift:
         c = random_cocycle(default_nerve(), 2, 131)
         with pytest.raises(ValueError):
             check_so_shift_identities(c, IntMat.identity(2))
+
+
+def with_entry(c: TDCocycle, member: str, key, value) -> TDCocycle:
+    """c with the one entry `key` of `member` replaced by `value`."""
+    data = {name: dict(getattr(c, name)) for name in MEMBERS}
+    data[member][key] = value
+    return TDCocycle(c.nerve, c.n, **data)
+
+
+def exhaustive_and_sampled(n: int, samples: int):
+    """(name, exhaustive check, sampled reference) for every converted check at rank n."""
+    g, b = gl_generators(n)[0], so_basis(n)[0] if n > 1 else None
+    pairs = [
+        ("gerbe-cocycle", check_gerbe_cocycle, lambda c: reference_check_gerbe_cocycle(c, samples, 1)),
+        ("corr-delta", check_corr_delta, lambda c: reference_check_corr_delta(c, samples, 2)),
+        ("poincare", check_poincare, lambda c: reference_check_poincare(c, samples, 3)),
+        ("flip", check_flip_identities, lambda c: reference_check_flip_identities(c, samples, 4)),
+        (
+            "gl",
+            lambda c: check_gl_identities(c, g),
+            lambda c: reference_check_gl_identities(c, g, samples, 5),
+        ),
+    ]
+    if n == 1:
+        rotation = lambda c: reference_check_rotation_identities(c, samples, 6)  # noqa: E731
+        pairs.append(("rotation", check_rotation_identities, rotation))
+    else:
+        pairs.append(
+            ("so-shift-data", lambda c: check_so_shift_data(c, b), lambda c: reference_check_so_shift_data(c, b))
+        )
+        pairs.append(
+            (
+                "so-shift-gerbes",
+                lambda c: check_so_shift_gerbes(c, b),
+                lambda c: reference_check_so_shift_gerbes(c, b, samples, 7),
+            )
+        )
+    return pairs
+
+
+class TestExhaustiveChecks:
+    """The identity checks visit every site; the sampled bodies in conftest are references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_valid_cocycles_and_their_images_pass(self, nerve, n):
+        c = random_cocycle(NERVES[nerve], n, 521 + n)
+        for cc in [c] + [act(section(w), c) for w in words(n, 2, 523 + n)]:
+            assert check_gerbe_cocycle(cc) and check_corr_delta(cc) and check_poincare(cc)
+            assert check_flip_identities(cc)
+            assert all(check_gl_identities(cc, g) for g in gl_generators(n))
+            if n == 1:
+                assert check_rotation_identities(cc)
+            for b in so_basis(n):
+                assert check_so_shift_data(cc, b) and check_so_shift_gerbes(cc, b)
+
+    def test_single_site_defects(self):
+        # one wrong t at one triple, one wrong ahat at one pair, one wrong m
+        # at one triple: the suite's 10 samples miss all three, every site is visited
+        c = random_cocycle(default_nerve(), 2, 5)
+        t_key, h_key, m_key = ("p0", 0, 1, 3), ("p0", 1, 3), (0, 2, 3)
+        bad_t = with_entry(c, "t", t_key, c.t[t_key] + Phase(Fraction(1, 7)))
+        h = c.ahat[h_key].entries
+        bad_h = with_entry(c, "ahat", h_key, RatVec([h[0] + Fraction(1, 3), h[1]]))
+        bad_m = with_entry(c, "m", m_key, (c.m[m_key][0] + 1, c.m[m_key][1]))
+        assert reference_check_gerbe_cocycle(bad_t, samples=10, seed=5)
+        assert reference_check_corr_delta(bad_h, samples=10, seed=5)
+        assert reference_check_gerbe_cocycle(bad_m, samples=10, seed=5)
+        assert not check_gerbe_cocycle(bad_t, samples=10, seed=5)
+        assert not check_corr_delta(bad_h, samples=10, seed=5)
+        assert not check_gerbe_cocycle(bad_m, samples=10, seed=5)
+        # each record names the defect's point and a site that has it as a face
+        # (0, 0, 1, 3) is skipped: its faces 0|1|3 enter twice with opposite signs
+        assert tdcorr._first("gerbe-cocycle", tdcorr._gerbe_cocycle_failures(bad_t)) == {
+            "check": "gerbe-cocycle", "point": "p0", "indices": (0, 1, 0, 3), "term": "left"
+        }
+        assert tdcorr._first("corr-delta", tdcorr._corr_delta_failures(bad_h)) == {
+            "check": "corr-delta", "point": "p0", "indices": (0, 1, 3), "term": "a"
+        }
+        assert tdcorr._first("gerbe-cocycle", tdcorr._gerbe_cocycle_failures(bad_m)) == {
+            "check": "gerbe-cocycle", "point": "p0", "indices": (0, 1, 2, 3), "term": "delta-m"
+        }
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_every_sampled_failure_is_an_exhaustive_failure(self, member):
+        # the references evaluate gerbe_left, gerbe_right and corr_cochain at
+        # random fiber points; any failure there is a failure of the exhaustive check
+        rng = XorShift64Star(541)
+        caught = {}
+        for n in (1, 2, 3):
+            checks = exhaustive_and_sampled(n, 20)
+            for nerve in ("default", "split") if n == 3 else sorted(NERVES):
+                c = random_cocycle(NERVES[nerve], n, 547 + n)
+                for _ in range(1 if nerve == "wide" else 2):
+                    bad = mutated(c, member, rng)
+                    for name, exhaustive, sampled in checks:
+                        ok = exhaustive(bad)
+                        if not sampled(bad):
+                            assert not ok, (name, n, nerve)
+                        caught[name] = caught.get(name, 0) + (not ok)
+        assert caught["gerbe-cocycle"]
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_mutated_flip_image_is_rejected(self, member):
+        rng = XorShift64Star(557)
+        for nerve in sorted(NERVES):
+            c = random_cocycle(NERVES[nerve], 2, 563)
+            good = act(section(flip_element(2)), c)
+            for _ in range(3):
+                bad = mutated(good, member, rng)
+                if bad == good:
+                    continue
+                assert not reference_check_flip_identities(c, samples=50, seed=3, transformed=bad)
+                got = tdcorr._first("flip", tdcorr._swap_failures(c, bad, 1))
+                assert got is not None and got["point"] in (None, *c.nerve.points)
+
+    def test_transformed_over_other_denominators(self):
+        # a transformed cocycle built afresh has its own view; a t entry with a
+        # new denominator is compared over the joint one
+        c = random_cocycle(default_nerve(), 2, 569)
+        good = act(section(flip_element(2)), c)
+        fresh = TDCocycle(good.nerve, 2, good.a, good.ahat, good.m, good.mhat, good.t)
+        assert check_flip_identities(c, transformed=fresh)
+        key = ("p1", 0, 2, 1)
+        bad = with_entry(good, "t", key, good.t[key] + Phase(Fraction(1, 11)))
+        assert tdcorr._first("flip", tdcorr._swap_failures(c, bad, 1)) == {
+            "check": "flip", "point": "p1", "indices": (0, 2, 1), "term": "t"
+        }
+
+    def test_so_shift_checks_share_the_transformed_cocycle(self):
+        c = random_cocycle(default_nerve(), 2, 571)
+        b = IntMat([[0, 1], [-1, 0]])
+        shifted = act(section(embed_so(b)), c)
+        assert check_so_shift_data(c, b, transformed=shifted)
+        assert check_so_shift_gerbes(c, b, transformed=shifted)
+        wrong = act(section(embed_so(b.scale(2))), c)
+        assert not check_so_shift_data(c, b, transformed=wrong)
+        assert not check_so_shift_gerbes(c, b, transformed=wrong)
+
+    def test_checks_draw_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check drew random numbers")
+
+        c = random_cocycle(default_nerve(), 2, 577)
+        c1 = random_cocycle(default_nerve(), 1, 577)
+        monkeypatch.setattr(tdcorr, "XorShift64Star", refuse)
+        b = so_basis(2)[0]
+        assert check_gerbe_cocycle(c) and check_corr_delta(c) and check_poincare(c)
+        assert check_flip_identities(c) and check_gl_identities(c, gl_generators(2)[0])
+        assert check_rotation_identities(c1)
+        assert check_so_shift_data(c, b) and check_so_shift_gerbes(c, b)
+
+    def test_act_hands_its_view_to_the_result(self):
+        c = random_cocycle(WIDE_NERVE, 3, 587)
+        out = act(section(words(3, 1, 593)[0]), c)
+        assert out._view is not None
+        fresh = TDCocycle(out.nerve, 3, out.a, out.ahat, out.m, out.mhat, out.t)
+        for p, (d, big, wd, w, an, hn, tn) in out._view.items():
+            assert all(an[ij] == tuple(x * d for x in out.a[(p, *ij)].entries) for ij in an)
+            assert all(hn[ij] == tuple(x * d for x in out.ahat[(p, *ij)].entries) for ij in hn)
+            assert all(Fraction(tn[s], big) == out.t[(p, *s)].frac for s in tn)
+            assert wd * d == big == w * d * d
+        assert first_violation(out) is None and first_violation(fresh) is None
