@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 from math import lcm
 from operator import add, mul
@@ -591,6 +592,11 @@ def _so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> Frac
     )
 
 
+def _delta_eps(eps, i: int, j: int, k: int, l: int) -> Fraction:
+    """delta eps_ijkl over its four faces; `eps` is the caller's per-point memo of `_so_eps`."""
+    return eps(j, k, l) - eps(i, k, l) + eps(i, j, l) - eps(i, j, k)
+
+
 def _check_so_skew(c: TDCocycle, b: IntMat) -> IntMat:
     if b.rows != c.n or b != -b.transpose():
         raise ValueError("so shift requires a skew n x n matrix")
@@ -678,16 +684,9 @@ def check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
     """
     b_low = _check_so_skew(c, b)
     for p in c.nerve.points:
-        idx = c.nerve.cover[p]
-        for i, j, k, l in product(idx, repeat=4):
-            d = (
-                _so_eps(c, b_low, p, j, k, l)
-                - _so_eps(c, b_low, p, i, k, l)
-                + _so_eps(c, b_low, p, i, j, l)
-                - _so_eps(c, b_low, p, i, j, k)
-            )
-            if d != 0:
-                return False
+        eps = cache(partial(_so_eps, c, b_low, p))
+        if any(_delta_eps(eps, *ijkl) for ijkl in product(c.nerve.cover[p], repeat=4)):
+            return False
     return True
 
 
@@ -709,12 +708,7 @@ def eps_cech_defect(
     b_low = _check_so_skew(c, b)
     i, j, k, l = ijkl
     _require_cover(c, point, ijkl)
-    d = (
-        _so_eps(c, b_low, point, j, k, l)
-        - _so_eps(c, b_low, point, i, k, l)
-        + _so_eps(c, b_low, point, i, j, l)
-        - _so_eps(c, b_low, point, i, j, k)
-    )
+    d = _delta_eps(cache(partial(_so_eps, c, b_low, point)), i, j, k, l)
     p_, q_, r_ = c.m[(i, j, k)], c.m[(i, k, l)], c.m[(i, j, l)]
 
     def ibrak(u: IntVec, mat: IntMat, v: IntVec) -> int:

@@ -1,9 +1,25 @@
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
 
-from td2g.intlinalg import IntMat, Phase, RatVec, diag_vec, unimodular_inverse
+from td2g.crossedmod import (
+    TDGroupElement,
+    TDHElement,
+    _rand_lattice,
+    _rand_rational,
+    ci_from_obj,
+    td_alpha,
+)
+from td2g.intlinalg import (
+    IntMat,
+    Phase,
+    RatVec,
+    diag_vec,
+    phase_bilinear,
+    unimodular_inverse,
+)
 from td2g.groups import (
     PseudoOrthogonal,
     embed_gl,
@@ -25,7 +41,7 @@ from td2g.tdcorr import (
     gerbe_left,
     gerbe_right,
 )
-from td2g.twogroup import b_split, section
+from td2g.twogroup import Mor, Obj, b_split, eval_mor, section
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
 # entry, though random_cocycle writes one to each.
@@ -491,6 +507,85 @@ def reference_check_so_shift_gerbes(
         if gamma_closed != decomposition:
             return False
     return True
+
+
+def reference_check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
+    """The earlier check_eps_cech: eps recomputed at each of the four faces."""
+    b_low = _check_so_skew(c, b)
+    for p in c.nerve.points:
+        idx = c.nerve.cover[p]
+        for i, j, k, l in product(idx, repeat=4):
+            d = (
+                _so_eps(c, b_low, p, j, k, l)
+                - _so_eps(c, b_low, p, i, k, l)
+                + _so_eps(c, b_low, p, i, j, l)
+                - _so_eps(c, b_low, p, i, j, k)
+            )
+            if d != 0:
+                return False
+    return True
+
+
+def reference_ci_axiom_failures(ci, samples: int = 20, seed: int = 0) -> list[str]:
+    """The earlier ci_axiom_failures: all four axioms at seeded sample points."""
+    if isinstance(ci, Obj):
+        ci = ci_from_obj(ci)
+    dim = ci.dim
+    failures: list[str] = []
+    rng = XorShift64Star(seed)
+    for trial in range(samples):
+        mints = tuple(rng.int_in(-5, 5) for _ in range(dim))
+        mvec = RatVec.from_ints(mints)
+        m2 = _rand_lattice(rng, dim)
+        h = TDHElement(mints, Phase(rng.fraction()))
+        # CI1: phi(t(h)) == t(f(h))
+        if ci.phi(TDGroupElement(mvec)).a != RatVec.from_ints(ci.f(h).m):
+            failures.append(f"CI1 at trial {trial}")
+        # CI2: eta vanishes on lattice pairs
+        if not ci.eta(TDGroupElement(mvec), TDGroupElement(m2)).is_zero():
+            failures.append(f"CI2 at trial {trial}")
+        # CI3: eta(a, m-a) + f(alpha(a,h)).s == eta(m-a, a) + alpha(phi(a), f(h)).s
+        a = TDGroupElement(_rand_rational(rng, dim))
+        ma = TDGroupElement(mvec - a.a)
+        lhs = ci.eta(a, ma) + ci.f(td_alpha(a, h)).s
+        rhs = ci.eta(ma, a) + td_alpha(ci.phi(a), ci.f(h)).s
+        if lhs != rhs:
+            failures.append(f"CI3 at trial {trial}")
+        # CI4: eta(a,b) + eta(a+b,c) == eta(b,c) + eta(a,b+c)
+        b = TDGroupElement(_rand_rational(rng, dim))
+        c = TDGroupElement(_rand_rational(rng, dim))
+        ab = TDGroupElement(a.a + b.a)
+        bc = TDGroupElement(b.a + c.a)
+        if ci.eta(a, b) + ci.eta(ab, c) != ci.eta(b, c) + ci.eta(a, bc):
+            failures.append(f"CI4 at trial {trial}")
+    return failures
+
+
+def reference_ct_axiom_failures(m, samples: int = 20, seed: int = 0, beta=None) -> list[str]:
+    """The earlier ct_axiom_failures: both axioms at seeded sample points."""
+    if isinstance(m, Mor):
+        x_src, x_dst, dim = m.src.x, m.dst.x, 2 * m.n
+        beta_fn = beta or (lambda v: eval_mor(m, v))
+    else:
+        x_src, x_dst, dim = m
+        if beta is None:
+            raise ValueError("raw triple requires an explicit beta evaluator")
+        beta_fn = beta
+    failures: list[str] = []
+    rng = XorShift64Star(seed)
+    for trial in range(samples):
+        # CT1: beta vanishes on t(H) = Z^{2n}
+        mvec = _rand_lattice(rng, dim)
+        if not beta_fn(mvec).is_zero():
+            failures.append(f"CT1 at trial {trial}")
+        # CT2: beta(a1) + beta(a2) + eta(a1,a2) == eta'(a1,a2) + beta(a1+a2)
+        a1 = _rand_rational(rng, dim)
+        a2 = _rand_rational(rng, dim)
+        lhs = beta_fn(a1) + beta_fn(a2) + phase_bilinear(x_src, a1, a2)
+        rhs = phase_bilinear(x_dst, a1, a2) + beta_fn(a1 + a2)
+        if lhs != rhs:
+            failures.append(f"CT2 at trial {trial}")
+    return failures
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from td2g.crossedmod import (
     CrossedIntertwiner,
@@ -10,6 +11,7 @@ from td2g.crossedmod import (
     check_ci_axioms,
     check_ct_axioms,
     ci_axiom_failures,
+    ct_axiom_failures,
     ci_from_obj,
     functor_eval,
     pairing,
@@ -18,17 +20,32 @@ from td2g.crossedmod import (
     td_source,
     td_target,
 )
-from td2g.groups import embed_so, flip_element
+from td2g.groups import embed_so, flip_element, j_matrix
 from td2g.intlinalg import IntMat, Phase, RatVec, strict_lower_split
 from td2g.twogroup import (
+    Mor,
     beta_multiplicator,
+    eval_mor,
     mor_identity,
+    obj_inverse,
     obj_product,
     obj_unit,
     quadratic_phase,
     section,
 )
-from conftest import rand_intvec, rand_ratvec, words
+from conftest import (
+    rand_intvec,
+    rand_ratvec,
+    reference_ci_axiom_failures,
+    reference_ct_axiom_failures,
+    words,
+)
+
+# Sample coordinates have denominators 1..7, and lcm(1..7) = 420.  A CI3
+# defect pairs one such coordinate with a lattice vector, so a multiple of
+# 420 in M is invisible to every sample.  A CT2 defect pairs two sample
+# coordinates, whose denominators multiply, so there it takes 420**2.
+LCM_DEN = 420
 
 
 class TestAction:
@@ -115,8 +132,6 @@ class TestCIAxioms:
                 assert check_ci_axioms(section(w), samples=8, seed=i)
 
     def test_products_and_inverses(self):
-        from td2g.twogroup import obj_inverse
-
         ws = words(2, 6, 223)
         for a, b in zip(ws[::2], ws[1::2]):
             o = obj_product(section(a), obj_inverse(section(b)))
@@ -163,6 +178,212 @@ class TestCTAxioms:
         m = beta_multiplicator(flip_element(2), flip_element(2))
         with pytest.raises(ValueError):
             check_ct_axioms((m.src.x, m.dst.x, 4), samples=5, seed=0)
+
+
+class TestIntertwinerBoundary:
+    @pytest.mark.parametrize(
+        "amat, xmat",
+        [(IntMat.zeros(4, 2), IntMat.zeros(4)), (IntMat.identity(4), IntMat.zeros(4, 2))],
+        ids=["amat", "xmat"],
+    )
+    def test_rejects_non_square(self, amat, xmat):
+        with pytest.raises(ValueError, match="square"):
+            CrossedIntertwiner(amat, 1, xmat)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="different shapes"):
+            CrossedIntertwiner(IntMat.identity(4), 1, IntMat.zeros(2))
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValueError, match="even"):
+            CrossedIntertwiner(IntMat.identity(3), 1, IntMat.zeros(3))
+
+    @pytest.mark.parametrize("eps", [0, 2, -3, True, 1.0, Fraction(-1)])
+    def test_rejects_sign_outside_plus_minus_one(self, eps):
+        with pytest.raises(ValueError, match="sign"):
+            CrossedIntertwiner(IntMat.identity(2), eps, IntMat.zeros(2))
+
+    def test_accepts_both_signs(self):
+        for eps in (1, -1):
+            assert CrossedIntertwiner(IntMat.identity(2), eps, IntMat.zeros(2)).eps == eps
+
+
+def _objects(n):
+    ws = words(n, 4, 300 + n)
+    sections = [section(w) for w in ws]
+    return sections + [
+        obj_product(sections[0], obj_inverse(sections[1])),
+        obj_inverse(sections[2]),
+    ]
+
+
+def _morphisms(n):
+    ws = words(n, 4, 310 + n)
+    return [beta_multiplicator(a, b) for a, b in zip(ws, ws[1:])]
+
+
+def square_matrices(dim):
+    return st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim).map(
+        lambda flat: IntMat([flat[dim * i : dim * (i + 1)] for i in range(dim)])
+    )
+
+
+def _with_slots(m, **slots):
+    """A copy of the morphism m with slots overwritten past Mor's own checks."""
+    bad = Mor(m.src, m.dst, m.lin)
+    for name, value in slots.items():
+        object.__setattr__(bad, name, value)
+    return bad
+
+
+def _axioms(failures):
+    return {f.split()[0] for f in failures}
+
+
+def _unit(dim, i, q=1):
+    return RatVec([Fraction(int(k == i), q) for k in range(dim)])
+
+
+def _ci3_probe(ci, q=1009):
+    """Sites (i, j) where CI3 fails at a = e_i / q, h = (e_j, 0): lhs - rhs is M_ij / q."""
+    sites = []
+    for i in range(ci.dim):
+        a = TDGroupElement(_unit(ci.dim, i, q))
+        for j in range(ci.dim):
+            h = TDHElement(tuple(int(k == j) for k in range(ci.dim)), Phase(0))
+            ma = TDGroupElement(_unit(ci.dim, j) - a.a)
+            lhs = ci.eta(a, ma) + ci.f(td_alpha(a, h)).s
+            rhs = ci.eta(ma, a) + td_alpha(ci.phi(a), ci.f(h)).s
+            if lhs != rhs:
+                sites.append(f"CI3 at ({i}, {j})")
+    return sites
+
+
+def _ct_probe(m, q=101):
+    """Sites where CT1 fails at e_i and e_i + e_j, and CT2 at (e_i / q, e_j / q)."""
+    dim = 2 * m.n
+    beta = [eval_mor(m, _unit(dim, i)) for i in range(dim)]
+    sites = [f"CT1 at ({i}, {i})" for i in range(dim) if not beta[i].is_zero()]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if eval_mor(m, _unit(dim, i) + _unit(dim, j)) != beta[i] + beta[j]:
+                sites.append(f"CT1 at ({i}, {j})")
+    for i in range(dim):
+        for j in range(dim):
+            a1, a2 = _unit(dim, i, q), _unit(dim, j, q)
+            lhs = eval_mor(m, a1) + eval_mor(m, a2) + m.src.eta(a1, a2)
+            if lhs != m.dst.eta(a1, a2) + eval_mor(m, a1 + a2):
+                sites.append(f"CT2 at ({i}, {j})")
+    return sites
+
+
+class TestExactAgreesWithReference:
+    """The exact checks against the earlier sampled bodies in conftest."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_valid_data_passes_both(self, n):
+        for seed, o in enumerate(_objects(n)):
+            assert ci_axiom_failures(o) == []
+            assert reference_ci_axiom_failures(o, samples=8, seed=seed) == []
+        for seed, m in enumerate(_morphisms(n)):
+            assert ct_axiom_failures(m) == []
+            assert reference_ct_axiom_failures(m, samples=8, seed=seed) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mutated_intertwiners(self, n):
+        dim = 2 * n
+        for o in _objects(n)[::2]:
+            flipped = CrossedIntertwiner(o.g.mat, -o.g.iso, o.x)
+            assert ci_axiom_failures(flipped)
+            assert reference_ci_axiom_failures(flipped, samples=8, seed=n)
+            for i in range(dim):
+                for j in range(dim):
+                    x = o.x + IntMat.basis(dim, i + 1, j + 1)
+                    bad = CrossedIntertwiner(o.g.mat, o.g.iso, x)
+                    exact = ci_axiom_failures(bad)
+                    # a diagonal bump leaves X - X^T, hence every axiom, intact
+                    sites = sorted({f"CI3 at ({i}, {j})", f"CI3 at ({j}, {i})"})
+                    assert exact == ([] if i == j else sites)
+                    ref = reference_ci_axiom_failures(bad, samples=8, seed=dim * i + j)
+                    assert _axioms(ref) <= _axioms(exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mutated_morphisms(self, n):
+        dim = 2 * n
+        for m in _morphisms(n)[:2]:
+            bad = []
+            for i in range(dim):
+                for j in range(dim):
+                    e = IntMat.basis(dim, i + 1, j + 1)
+                    bad += [_with_slots(m, h=m.h + e), _with_slots(m, h=m.h + e + e.transpose())]
+                half = list(m.lin)
+                half[i] += Fraction(1, 2)
+                bad.append(_with_slots(m, lin=tuple(half)))
+            for seed, b in enumerate(bad):
+                exact = ct_axiom_failures(b)
+                assert exact and exact == _ct_probe(b)
+                ref = reference_ct_axiom_failures(b, samples=8, seed=seed)
+                assert _axioms(ref) <= _axioms(exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 4]).flatmap(
+            lambda dim: st.tuples(
+                square_matrices(dim), st.sampled_from([1, -1]), square_matrices(dim)
+            )
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_ci1_ci2_ci4_never_fail(self, data, seed):
+        """On any integer (A, eps, X), valid or not, only CI3 can fail."""
+        amat, eps, xmat = data
+        ci = CrossedIntertwiner(amat, eps, xmat)
+        ref = reference_ci_axiom_failures(ci, samples=4, seed=seed)
+        exact = ci_axiom_failures(ci)
+        assert _axioms(ref) <= {"CI3"} and _axioms(exact) <= {"CI3"}
+        assert exact == _ci3_probe(ci)
+        assert bool(exact) >= bool(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 0), (2, 1)]),
+        st.lists(st.integers(-3, 3), min_size=16),
+        st.lists(st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-1, 3)]), min_size=4),
+        st.integers(0, 2**32),
+    )
+    def test_ct_sites_match_probes(self, case, bump, lin, seed):
+        """An overwritten h and lin fail exactly where beta's values say."""
+        n, k = case
+        m = _morphisms(n)[k]
+        dim = 2 * n
+        h = m.h + IntMat([bump[dim * i : dim * (i + 1)] for i in range(dim)])
+        bad = _with_slots(m, h=h, lin=tuple(lin[:dim]))
+        exact = ct_axiom_failures(bad)
+        assert exact == _ct_probe(bad)
+        if reference_ct_axiom_failures(bad, samples=4, seed=seed):
+            assert exact
+
+
+class TestDefectsNoSampleSees:
+    def test_ci_bump_of_420(self):
+        o = section(words(2, 1, 241)[0])
+        bad = CrossedIntertwiner(o.g.mat, o.g.iso, o.x + IntMat.basis(4, 1, 2).scale(LCM_DEN))
+        for seed in range(20):
+            assert reference_ci_axiom_failures(bad, samples=8, seed=seed) == []
+        assert ci_axiom_failures(bad) == ["CI3 at (0, 1)", "CI3 at (1, 0)"]
+        assert not check_ci_axioms(bad, samples=8, seed=0)
+
+    def test_ct_bump_of_420_squared(self):
+        m = beta_multiplicator(*words(2, 2, 251))
+        e = IntMat.basis(4, 1, 2) + IntMat.basis(4, 2, 1)
+        bad = _with_slots(m, h=m.h + e.scale(LCM_DEN**2))
+        for seed in range(20):
+            assert reference_ct_axiom_failures(bad, samples=8, seed=seed) == []
+        assert ct_axiom_failures(bad) == ["CT2 at (0, 1)", "CT2 at (1, 0)"]
+        assert not check_ct_axioms(bad, samples=8, seed=0)
+        # a bump of 420 alone meets a sample pair with product denominator 49
+        seen = _with_slots(m, h=m.h + e.scale(LCM_DEN))
+        assert any(reference_ct_axiom_failures(seen, samples=8, seed=s) for s in range(20))
 
 
 class TestInducedFunctor:

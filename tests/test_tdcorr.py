@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -37,6 +38,7 @@ from conftest import (
     rand_ratvec,
     reference_act,
     reference_check_corr_delta,
+    reference_check_eps_cech,
     reference_check_flip_identities,
     reference_check_gerbe_cocycle,
     reference_check_gl_identities,
@@ -47,6 +49,23 @@ from conftest import (
     reference_first_violation,
     words,
 )
+
+
+def flat_cocycle(nerve: NerveModel, seed: int) -> TDCocycle:
+    """Rank-2 data with a_ij = lift_j - lift_i at each point and every m zero.
+
+    Zero left-leg offsets force m == 0, where eps is an exact cocycle.  The
+    other members come from a random cocycle, so `validate` may fail; eps
+    only reads a and m.
+    """
+    c = random_cocycle(nerve, 2, seed)
+    r = XorShift64Star(5)
+    a = {}
+    for p in nerve.points:
+        lift = {i: rand_ratvec(r, 2) for i in nerve.cover[p]}
+        for i, j in product(nerve.cover[p], repeat=2):
+            a[(p, i, j)] = lift[j] - lift[i]
+    return TDCocycle(nerve, 2, a, c.ahat, {k: (0, 0) for k in c.m}, c.mhat, c.t)
 
 
 def zero_cocycle(nerve: NerveModel, n: int) -> TDCocycle:
@@ -391,26 +410,47 @@ class TestSoShift:
                                 assert (d - pairing_term).denominator == 1
 
     def test_eps_cech_holds_without_left_lattice_classes(self):
-        # zero left-leg offsets force m == 0, where eps is an exact cocycle
-        nerve = default_nerve()
-        c = random_cocycle(nerve, 2, 127)
-        zero_m = {k: (0, 0) for k in c.m}
-        a_flat = {}
-        lift = {}
-        from td2g.rng import XorShift64Star
+        assert check_eps_cech(flat_cocycle(default_nerve(), 127), IntMat([[0, 1], [-1, 0]]))
 
-        r = XorShift64Star(5)
-        for p in nerve.points:
-            for i in nerve.cover[p]:
-                lift[(p, i)] = rand_ratvec(r, 2)
-        for p in nerve.points:
-            for i in nerve.cover[p]:
-                for j in nerve.cover[p]:
-                    a_flat[(p, i, j)] = lift[(p, j)] - lift[(p, i)]
-        c0 = TDCocycle(nerve, 2, a_flat, c.ahat, zero_m, c.mhat, c.t)
-        # 5th condition is unaffected (m == 0 kills the coupling only if t
-        # was built for it), so validate may fail; eps only needs a and m.
-        assert check_eps_cech(c0, IntMat([[0, 1], [-1, 0]]))
+    @pytest.mark.parametrize("nerve", [default_nerve(), SPLIT_NERVE, WIDE_NERVE])
+    def test_eps_cech_matches_per_face_reference(self, nerve):
+        b2 = IntMat([[0, 1], [-1, 0]])
+        cases = [(random_cocycle(nerve, 1, 3), IntMat([[0]]))]
+        cases += [(random_cocycle(nerve, 2, s), b) for s in (5, 7) for b in (b2, b2.scale(0))]
+        cases.append((flat_cocycle(nerve, 11), b2.scale(3)))
+        results = [check_eps_cech(c, b) for c, b in cases]
+        assert results == [reference_check_eps_cech(c, b) for c, b in cases]
+        assert True in results and False in results
+
+    def test_eps_computed_once_per_triple(self, monkeypatch):
+        nerve = default_nerve()
+        c, b = flat_cocycle(nerve, 127), IntMat([[0, 1], [-1, 0]])
+        calls = []
+        so_eps = tdcorr._so_eps
+        monkeypatch.setattr(
+            tdcorr, "_so_eps", lambda *args: calls.append(args[2:]) or so_eps(*args)
+        )
+        assert check_eps_cech(c, b)
+        # every triple of every point, once: not once per face of each quadruple
+        assert len(calls) == len(set(calls)) == sum(len(nerve.cover[p]) ** 3 for p in nerve.points)
+        i, j = nerve.cover[nerve.points[0]][:2]
+        for ijkl, distinct in (((i, i, i, i), 1), ((i, i, j, j), 2), ((i, j, i, j), 4)):
+            calls.clear()
+            eps_cech_defect(c, b, nerve.points[0], ijkl)
+            assert len(calls) == distinct
+
+    def test_eps_defect_matches_per_face_sum(self):
+        c, b = random_cocycle(default_nerve(), 2, 109), IntMat([[0, 2], [-2, 0]])
+        b_low = tdcorr._check_so_skew(c, b)
+        for p in c.nerve.points:
+            for i, j, k, l in product(c.nerve.cover[p], repeat=4):
+                faces = (
+                    tdcorr._so_eps(c, b_low, p, j, k, l)
+                    - tdcorr._so_eps(c, b_low, p, i, k, l)
+                    + tdcorr._so_eps(c, b_low, p, i, j, l)
+                    - tdcorr._so_eps(c, b_low, p, i, j, k)
+                )
+                assert eps_cech_defect(c, b, p, (i, j, k, l))[0] == faces
 
     def test_rejects_non_skew(self):
         c = random_cocycle(default_nerve(), 2, 131)
