@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .groups import PseudoOrthogonal, check_membership
 from .intlinalg import IntMat, Phase, RatVec
@@ -191,16 +192,28 @@ def _key_join(*parts) -> str:
     return "|".join(str(p) for p in parts)
 
 
+def _reduced(num: int, den: int) -> list[int]:
+    g = gcd(num, den)
+    return [num // g, den // g]
+
+
 def cocycle_to_json(c: TDCocycle, meta: dict | None = None) -> dict:
+    a, ahat, t = {}, {}, {}
+    for p, (d, big, _, _, an, hn, tn) in c.nums.items():
+        for ij, u in an.items():
+            a[_key_join(p, *ij)] = [_reduced(x, d) for x in u]
+            ahat[_key_join(p, *ij)] = [_reduced(x, d) for x in hn[ij]]
+        for ijk, x in tn.items():
+            t[_key_join(p, *ijk)] = _reduced(x, big)
     payload = {
         "n": c.n,
         "points": list(c.nerve.points),
         "cover": {p: list(c.nerve.cover[p]) for p in c.nerve.points},
-        "a": {_key_join(*k): ratvec_to_json(v) for k, v in c.a.items()},
-        "ahat": {_key_join(*k): ratvec_to_json(v) for k, v in c.ahat.items()},
+        "a": a,
+        "ahat": ahat,
         "m": {_key_join(*k): list(v) for k, v in c.m.items()},
         "mhat": {_key_join(*k): list(v) for k, v in c.mhat.items()},
-        "t": {_key_join(*k): phase_to_json(v) for k, v in c.t.items()},
+        "t": t,
     }
     if meta is not None:
         payload["meta"] = meta

@@ -2,11 +2,14 @@
 
 A cocycle consists of rational transition data a, ahat per (point, i, j),
 global integer vectors m, mhat per index triple, and phases t per
-(point, i, j, k), subject to five pointwise conditions.  Identities from
-the correspondence picture (bundle-gerbe cocycles on both legs, the
+(point, i, j, k), subject to five pointwise conditions.  The rational data
+is stored once, as integer numerators over one denominator per point
+(`TDCocycle.nums`); Fractions appear only at the edge, in the public
+constructor and in the read-only maps `a`, `ahat` and `t`.  Identities
+from the correspondence picture (bundle-gerbe cocycles on both legs, the
 correspondence cochain, and the transformation identities for the flip,
 GL, rotation and so-shift actions) are verified exactly at every site of
-the nerve, on integer numerators over one denominator per point.
+the nerve, on those numerators.
 
 Random valid cocycles are built generatively: free rational lifts per
 (point, chart) plus antisymmetric integer offsets produce a and ahat and
@@ -45,9 +48,6 @@ __all__ = [
     "random_cocycle",
     "default_nerve",
     "act",
-    "gerbe_left",
-    "gerbe_right",
-    "corr_cochain",
     "check_gerbe_cocycle",
     "check_corr_delta",
     "check_poincare",
@@ -91,17 +91,50 @@ class NerveModel:
         return tuple(sorted(out))
 
 
-_FIELDS = ("nerve", "n", "a", "ahat", "m", "mhat", "t")
+class _Entries(Mapping):
+    """Read-only a (slot 0), ahat (1) or t (2) of `TDCocycle.nums`; values are built per lookup."""
+
+    __slots__ = ("_nums", "_slot")
+
+    def __init__(self, nums: dict, slot: int):
+        self._nums, self._slot = nums, slot
+
+    def __getitem__(self, key):
+        d, big, _, _, *tables = self._nums[key[0]]
+        num = tables[self._slot][key[1:]]
+        if self._slot == 2:
+            return Phase._new(Fraction(num, big))
+        return RatVec._new(tuple([Fraction(x, d) for x in num]))
+
+    def __iter__(self):
+        for p, row in self._nums.items():
+            for k in row[4 + self._slot]:
+                yield (p, *k)
+
+    def __len__(self) -> int:
+        return sum(len(row[4 + self._slot]) for row in self._nums.values())
+
+
+_FIELDS = ("nerve", "n", "m", "mhat", "nums")
 
 
 class TDCocycle:
     """Local T-duality data (a, ahat, m, mhat, t) over a nerve model.
 
-    `_view` holds the per-point numerators of `_point_view` once built, and
-    None before; it takes no part in equality.
+    The rational data is stored once, in `nums`: per point p the tuple
+    (D, B, B/D, B/D^2, A, H, T).  A and H map each (i, j) to the numerators
+    of a_ij and ahat_ij over D; T maps each (i, j, k) to the numerator of
+    t_ijk over B, in [0, B), with D^2 dividing B.  Keys off the cover are
+    stored too.  `a`, `ahat` and `t` are read-only maps built from `nums`.
+
+    The public constructor checks that every a, ahat, m and mhat entry has
+    length n, that a and ahat share their keys and that every site of the
+    nerve has data, and is the one place where Fractions become numerators.
+    `_new` trusts numerators computed in this module.  Equality compares
+    values, so cocycles stored over different denominators can be equal.
     """
 
-    __slots__ = _FIELDS + ("_view",)
+    __slots__ = _FIELDS
 
     def __init__(
         self,
@@ -113,63 +146,69 @@ class TDCocycle:
         mhat: Mapping[TripleKey, IntVec],
         t: Mapping[TKey, Phase],
     ):
-        values = (nerve, n, dict(a), dict(ahat), dict(m), dict(mhat), dict(t), None)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        m, mhat = dict(m), dict(mhat)
+        for name, table in (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat)):
+            for key, v in table.items():
+                if (len(v) if name[0] == "m" else v.dim) != n:
+                    raise ValueError(f"{name} entry at {key} must have length {n}")
         for p in nerve.points:
             idx = nerve.cover[p]
             for i in idx:
                 for j in idx:
-                    if (p, i, j) not in self.a or (p, i, j) not in self.ahat:
+                    if (p, i, j) not in a or (p, i, j) not in ahat:
                         raise ValueError(f"missing transition data at {(p, i, j)}")
                     for k in idx:
-                        if (p, i, j, k) not in self.t:
+                        if (p, i, j, k) not in t:
                             raise ValueError(f"missing phase data at {(p, i, j, k)}")
-                        if (i, j, k) not in self.m or (i, j, k) not in self.mhat:
+                        if (i, j, k) not in m or (i, j, k) not in mhat:
                             raise ValueError(f"missing integer data at {(i, j, k)}")
+        if a.keys() != ahat.keys():
+            raise ValueError("a and ahat must have the same keys")
+        keys: dict[str, tuple[list, list]] = {}
+        for slot, table in enumerate((a, t)):
+            for key in table:
+                keys.setdefault(key[0], ([], []))[slot].append(key)
+        nums = {}
+        for p, (pairs, triples) in keys.items():
+            d, rows = common_denominator(a[k].entries + ahat[k].entries for k in pairs)
+            fracs = [t[k].frac for k in triples]
+            big = lcm(d * d, *[f.denominator for f in fracs])
+            an = {k[1:]: r[:n] for k, r in zip(pairs, rows)}
+            hn = {k[1:]: r[n:] for k, r in zip(pairs, rows)}
+            tn = {k[1:]: f.numerator * (big // f.denominator) for k, f in zip(triples, fracs)}
+            nums[p] = (d, big, big // d, big // (d * d), an, hn, tn)
+        self._fill(nerve, n, m, mhat, nums)
+
+    @classmethod
+    def _new(cls, nerve: NerveModel, n: int, m: dict, mhat: dict, nums: dict) -> TDCocycle:
+        """Unchecked constructor; `nums` must have the stored form described above."""
+        return object.__new__(cls)._fill(nerve, n, m, mhat, nums)
+
+    def _fill(self, *values) -> TDCocycle:
+        for name, value in zip(_FIELDS, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    a = property(lambda self: _Entries(self.nums, 0), doc="(p, i, j) -> RatVec, read-only")
+    ahat = property(lambda self: _Entries(self.nums, 1), doc="(p, i, j) -> RatVec, read-only")
+    t = property(lambda self: _Entries(self.nums, 2), doc="(p, i, j, k) -> Phase, read-only")
 
     def __setattr__(self, name, value):
         raise AttributeError("TDCocycle is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TDCocycle) and all(
-            getattr(self, f) == getattr(other, f) for f in _FIELDS
+            getattr(self, f) == getattr(other, f) for f in _FIELDS[:4] + ("a", "ahat", "t")
         )
 
     __hash__ = None
-
-
-def _point_view(c: TDCocycle) -> dict[str, tuple]:
-    """Per point p: (D, B, B/D, B/D^2, A, H, T), built once per cocycle, kept in `_view`.
-
-    D is a common denominator of the a and ahat entries at p, and A and H
-    map each (i, j) to the numerators of a_ij and ahat_ij over D.  B is a
-    common multiple of D^2 and the t denominators at p, and T maps each
-    (i, j, k) to the numerator of t_ijk over B, in [0, B); off-cover keys too.
-    """
-    if c._view is None:
-        keys: dict[str, tuple[list, list]] = {}
-        for slot, table in enumerate((c.a, c.t)):
-            for key in table:
-                keys.setdefault(key[0], ([], []))[slot].append(key)
-        n, view = c.n, {}
-        for p, (pairs, triples) in keys.items():
-            d, rows = common_denominator(c.a[k].entries + c.ahat[k].entries for k in pairs)
-            fracs = [c.t[k].frac for k in triples]
-            big = lcm(d * d, *[f.denominator for f in fracs])
-            an = {k[1:]: r[:n] for k, r in zip(pairs, rows)}
-            hn = {k[1:]: r[n:] for k, r in zip(pairs, rows)}
-            tn = {k[1:]: f.numerator * (big // f.denominator) for k, f in zip(triples, fracs)}
-            view[p] = (d, big, big // d, big // (d * d), an, hn, tn)
-        object.__setattr__(c, "_view", view)
-    return c._view
 
 
 def first_violation(c: TDCocycle) -> dict | None:
     """The first failing cocycle condition with its location, or None.
 
     Per point in nerve order: conditions 1 and 2 at every index triple,
-    then 5 at every quadruple, on the numerators of `_point_view`: 1 and 2
+    then 5 at every quadruple, on the numerators of `c.nums`: 1 and 2
     over D_p, and 5 modulo B_p.
 
     Conditions 3 and 4 are implied and not checked.  Where 1 and 2 hold
@@ -178,7 +217,7 @@ def first_violation(c: TDCocycle) -> dict | None:
     mhat likewise with ahat.  1 and 2 are checked at all of p's triples
     before any of its quadruples, so 3 or 4 is never the first violation.
     """
-    m, mhat, view = c.m, c.mhat, _point_view(c)
+    m, mhat, view = c.m, c.mhat, c.nums
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
         d, big, wd, _, an, hn, tn = view[p]
@@ -208,9 +247,18 @@ def default_nerve() -> NerveModel:
 
 
 def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
-    """Seeded valid cocycle, antisymmetric as described in the module docstring."""
+    """Seeded valid cocycle, antisymmetric as described in the module docstring.
+
+    Each rational is drawn as `XorShift64Star.fraction(4, 6)` draws it, with
+    a denominator in 1..6, and written directly as its numerator over
+    D = lcm(1..6) = 60; t is stored over D^2.
+    """
     rng = XorShift64Star(seed)
-    indices = nerve.indices()
+    indices, d = nerve.indices(), 60
+
+    def draw() -> int:
+        num = rng.int_in(-4, 4)
+        return num * (d // rng.int_in(1, 6))
 
     def asym_int_table() -> dict[tuple[int, int], IntVec]:
         table: dict[tuple[int, int], IntVec] = {}
@@ -226,21 +274,21 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
     off = asym_int_table()
     off_hat = asym_int_table()
 
-    lift: dict[tuple[str, int], RatVec] = {}
-    lift_hat: dict[tuple[str, int], RatVec] = {}
+    lift: dict[tuple[str, int], list[int]] = {}
+    lift_hat: dict[tuple[str, int], list[int]] = {}
     for p in nerve.points:
         for i in nerve.cover[p]:
-            lift[(p, i)] = RatVec([rng.fraction(4, 6) for _ in range(n)])
-            lift_hat[(p, i)] = RatVec([rng.fraction(4, 6) for _ in range(n)])
+            lift[(p, i)] = [draw() for _ in range(n)]
+            lift_hat[(p, i)] = [draw() for _ in range(n)]
 
-    s: dict[PairKey, Fraction] = {}
+    s: dict[PairKey, int] = {}
     for p in nerve.points:
         idx = nerve.cover[p]
         for i in idx:
-            s[(p, i, i)] = Fraction(0)
+            s[(p, i, i)] = 0
             for j in idx:
                 if i < j:
-                    v = rng.fraction(4, 6)
+                    v = draw()
                     s[(p, i, j)] = v
                     s[(p, j, i)] = -v
 
@@ -252,21 +300,23 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
     m = {ijk: m_of(*ijk, off) for ijk in product(indices, repeat=3)}
     mhat = {ijk: m_of(*ijk, off_hat) for ijk in product(indices, repeat=3)}
 
-    a: dict[PairKey, RatVec] = {}
-    ahat: dict[PairKey, RatVec] = {}
-    t: dict[TKey, Phase] = {}
+    def pair(lifts, offsets, p: str, i: int, j: int) -> IntVec:
+        rows = zip(lifts[(p, i)], lifts[(p, j)], offsets[(i, j)])
+        return tuple([y - x + d * o for x, y, o in rows])
+
+    nums = {}
     for p in nerve.points:
         idx = nerve.cover[p]
+        an, hn, tn = {}, {}, {}
         for i, j in product(idx, repeat=2):
-            a[(p, i, j)] = lift[(p, j)] - lift[(p, i)] + RatVec.from_ints(off[(i, j)])
-            ahat[(p, i, j)] = (
-                lift_hat[(p, j)] - lift_hat[(p, i)] + RatVec.from_ints(off_hat[(i, j)])
-            )
+            an[(i, j)] = pair(lift, off, p, i, j)
+            hn[(i, j)] = pair(lift_hat, off_hat, p, i, j)
         for i, j, k in product(idx, repeat=3):
             coboundary = s[(p, j, k)] - s[(p, i, k)] + s[(p, i, j)]
-            twist = RatVec.from_ints(m[(i, j, k)]).dot(lift_hat[(p, k)])
-            t[(p, i, j, k)] = Phase(coboundary - twist)
-    return TDCocycle(nerve, n, a, ahat, m, mhat, t)
+            twist = _dot(m[(i, j, k)], lift_hat[(p, k)])
+            tn[(i, j, k)] = d * (coboundary - twist) % (d * d)
+        nums[p] = (d, d * d, d, 1, an, hn, tn)
+    return TDCocycle._new(nerve, n, m, mhat, nums)
 
 
 # -- the action of automorphism objects --------------------------------
@@ -284,41 +334,33 @@ def act(o: Obj, c: TDCocycle) -> TDCocycle:
     concatenated transition vectors.  Acting by the unit object is the
     identity, and act(o1 * o2, c) == act(o1, act(o2, c)) exactly.
 
-    The v_pq and t at p are numerators over D_p and B_p (`_point_view`);
-    with A v_pq and X v_pq computed once per pair, the correction times
-    D_p^2 is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  The
-    result keeps these numerators as its view.
+    The v_pq and t at p are numerators over D_p and B_p (`c.nums`); with
+    A v_pq and X v_pq computed once per pair, the correction times D_p^2
+    is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  The result is
+    stored over the same D_p and B_p.
     """
     if o.n != c.n:
         raise ValueError("rank mismatch")
     amat, x, iso, n = o.g.mat, o.x, o.g.iso, c.n
-    new_a, new_ahat, new_t, view = {}, {}, {}, {}
-    for p, (d, big, wd, w, an, hn, tn) in _point_view(c).items():
+    nums = {}
+    for p, (d, big, wd, w, an, hn, tn) in c.nums.items():
         v = {ij: an[ij] + hn[ij] for ij in an}
         xv = {ij: x.mul_vec(u) for ij, u in v.items()}
         an2, hn2, tn2 = {}, {}, {}
-        for (i, j), u in v.items():
+        for ij, u in v.items():
             both = amat.mul_vec(u)
-            an2[(i, j)], hn2[(i, j)] = both[:n], both[n:]
-            fr = tuple([Fraction(y, d) for y in both])
-            new_a[(p, i, j)], new_ahat[(p, i, j)] = RatVec._new(fr[:n]), RatVec._new(fr[n:])
+            an2[ij], hn2[ij] = both[:n], both[n:]
         for (i, j, k), tv in tn.items():
             xv_ij, mm = xv[(i, j)], c.m[(i, j, k)] + c.mhat[(i, j, k)]
             corr = d * sum(map(mul, mm, map(add, xv[(j, k)], xv_ij)))
             corr += sum(map(mul, v[(j, k)], xv_ij))
-            tn2[(i, j, k)] = num = (iso * tv - w * corr) % big
-            new_t[(p, i, j, k)] = Phase._new(Fraction(num, big))
-        view[p] = (d, big, wd, w, an2, hn2, tn2)
+            tn2[(i, j, k)] = (iso * tv - w * corr) % big
+        nums[p] = (d, big, wd, w, an2, hn2, tn2)
     new_m, new_mhat = {}, {}
     for key, mv in c.m.items():
         both_i = amat.mul_vec(mv + c.mhat[key])
         new_m[key], new_mhat[key] = both_i[:n], both_i[n:]
-    out = TDCocycle(c.nerve, n, new_a, new_ahat, new_m, new_mhat, new_t)
-    object.__setattr__(out, "_view", view)
-    return out
-
-
-# -- derived gerbe and correspondence cochains --------------------------
+    return TDCocycle._new(c.nerve, n, new_m, new_mhat, nums)
 
 
 def _require_cover(c: TDCocycle, point: str, indices: Sequence[int]) -> None:
@@ -329,55 +371,6 @@ def _require_cover(c: TDCocycle, point: str, indices: Sequence[int]) -> None:
         raise ValueError(f"indices {tuple(indices)} do not cover point {point!r}")
 
 
-def gerbe_left(c: TDCocycle, point: str, ijk: TripleKey, a: RatVec) -> Phase:
-    """Left-leg gerbe cocycle: -t_ijk - a . mhat_ijk + a_ij . ahat_jk."""
-    i, j, k = ijk
-    _require_cover(c, point, ijk)
-    if a.dim != c.n:
-        raise ValueError("fiber coordinate has wrong dimension")
-    val = (
-        -c.t[(point, i, j, k)].frac
-        - a.dot(RatVec.from_ints(c.mhat[(i, j, k)]))
-        + c.a[(point, i, j)].dot(c.ahat[(point, j, k)])
-    )
-    return Phase(val)
-
-
-def gerbe_right(c: TDCocycle, point: str, ijk: TripleKey, ahat: RatVec) -> Phase:
-    """Right-leg gerbe cocycle: -t_ijk - m_ijk . (ahat_ik + ahat)."""
-    i, j, k = ijk
-    _require_cover(c, point, ijk)
-    if ahat.dim != c.n:
-        raise ValueError("fiber coordinate has wrong dimension")
-    val = -c.t[(point, i, j, k)].frac - RatVec.from_ints(c.m[(i, j, k)]).dot(
-        c.ahat[(point, i, k)] + ahat
-    )
-    return Phase(val)
-
-
-def corr_cochain(
-    c: TDCocycle,
-    point: str,
-    ij: tuple[int, int],
-    a: RatVec,
-    ahat: RatVec,
-    m2: IntVec,
-    mhat2: IntVec,
-) -> Phase:
-    """Correspondence cochain: -m2 . ahat - ahat_ij . m2 - ahat_ij . a.
-
-    The hatted integer shift mhat2 is part of the fiber-product
-    coordinates but does not enter the formula.
-    """
-    i, j = ij
-    _require_cover(c, point, ij)
-    if a.dim != c.n or ahat.dim != c.n or len(m2) != c.n or len(mhat2) != c.n:
-        raise ValueError("dimension mismatch")
-    aij_hat = c.ahat[(point, i, j)]
-    val = -ahat.dot(RatVec.from_ints(m2)) - aij_hat.dot(RatVec.from_ints(m2)) - aij_hat.dot(a)
-    return Phase(val)
-
-
 # -- exhaustive identity kernels -----------------------------------------
 #
 # Before reduction mod 1 each identity below is affine in every fiber
@@ -385,7 +378,7 @@ def corr_cochain(
 # it holds for all real fibers and integer shifts exactly when every
 # coefficient of a real variable is 0 and the rest is integral.  A kernel
 # checks this at every site (points in nerve order, index tuples in
-# product order) on the numerators of `_point_view`, and yields each
+# product order) on the numerators of `TDCocycle.nums`, and yields each
 # failing (point, indices, term); `_first` makes the first a record.  The
 # data checks of the actions cover every key (global m, mhat with point
 # None).  The public checks keep `samples` and `seed` and ignore them.
@@ -404,7 +397,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def _joint_view(c: TDCocycle, c2: TDCocycle, p: str) -> tuple:
     """(D, B, B/D, B/D^2, A, H, T, A2, H2, T2): the views of c and c2 at p over one D, B."""
-    v, v2 = _point_view(c)[p], _point_view(c2)[p]
+    v, v2 = c.nums[p], c2.nums[p]
     if v[:2] == v2[:2]:
         return (*v, *v2[4:])
     d = lcm(v[0], v2[0])
@@ -417,7 +410,7 @@ def _joint_view(c: TDCocycle, c2: TDCocycle, p: str) -> tuple:
 
 
 def _gerbe_cocycle_failures(c: TDCocycle) -> Iterator[tuple]:
-    m, mhat, view = c.m, c.mhat, _point_view(c)
+    m, mhat, view = c.m, c.mhat, c.nums
     for p in c.nerve.points:
         idx, (_, big, wd, w, an, hn, tn) = c.nerve.cover[p], view[p]
         triples = list(product(idx, repeat=3))
@@ -446,7 +439,7 @@ def check_gerbe_cocycle(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
 
 
 def _corr_delta_failures(c: TDCocycle) -> Iterator[tuple]:
-    mhat, view = c.mhat, _point_view(c)
+    mhat, view = c.mhat, c.nums
     for p in c.nerve.points:
         d, _, _, _, _, hn, _ = view[p]
         for i, j, k in product(c.nerve.cover[p], repeat=3):
@@ -469,7 +462,7 @@ def check_corr_delta(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
 
 
 def _poincare_failures(c: TDCocycle) -> Iterator[tuple]:
-    view = _point_view(c)
+    view = c.nums
     for p in c.nerve.points:
         _, big, _, _, an, hn, tn = view[p]
         for i in c.nerve.cover[p]:
@@ -578,22 +571,16 @@ def check_rotation_identities(c: TDCocycle, samples: int = 50, seed: int = 0) ->
     return _first("rotation", _swap_failures(c, c2, -1)) is None
 
 
-def _low_bracket(b_low: IntMat, u: RatVec, v: RatVec) -> Fraction:
-    du, (nu,) = common_denominator((u.entries,))
-    dv, (nv,) = common_denominator((v.entries,))
-    return Fraction(sum(map(mul, nu, b_low.mul_vec(nv))), du * dv)
-
-
-def _so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> Fraction:
-    """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk>, lower-split brackets."""
-    m_ijk = RatVec.from_ints(c.m[(i, j, k)])
-    return _low_bracket(b_low, c.a[(p, i, k)], m_ijk) + _low_bracket(
-        b_low, c.a[(p, i, j)], c.a[(p, j, k)]
+def _so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> int:
+    """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk> in lower-split brackets, times D_p^2."""
+    d, _, _, _, an, _, _ = c.nums[p]
+    return d * _dot(an[(i, k)], b_low.mul_vec(c.m[(i, j, k)])) + _dot(
+        an[(i, j)], b_low.mul_vec(an[(j, k)])
     )
 
 
-def _delta_eps(eps, i: int, j: int, k: int, l: int) -> Fraction:
-    """delta eps_ijkl over its four faces; `eps` is the caller's per-point memo of `_so_eps`."""
+def _delta_eps(eps, i: int, j: int, k: int, l: int) -> int:
+    """delta eps_ijkl times D_p^2; `eps` is the caller's per-point memo of `_so_eps`."""
     return eps(j, k, l) - eps(i, k, l) + eps(i, j, l) - eps(i, j, k)
 
 
@@ -680,7 +667,8 @@ def check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
     cocycles with nonvanishing left-leg lattice classes: the honest
     coboundary is delta eps == a_kl . (B m_ijk) mod Z (see
     `eps_cech_defect` for the exact statement).  It does hold when all
-    m_ijk vanish, and trivially for b == 0.
+    m_ijk vanish, and trivially for b == 0.  At each point, eps is taken
+    on the numerators of `c.nums`, times D_p^2.
     """
     b_low = _check_so_skew(c, b)
     for p in c.nerve.points:
@@ -708,21 +696,22 @@ def eps_cech_defect(
     b_low = _check_so_skew(c, b)
     i, j, k, l = ijkl
     _require_cover(c, point, ijkl)
-    d = _delta_eps(cache(partial(_so_eps, c, b_low, point)), i, j, k, l)
+    d, _, _, _, an, _, _ = c.nums[point]
+    delta = _delta_eps(cache(partial(_so_eps, c, b_low, point)), i, j, k, l)
     p_, q_, r_ = c.m[(i, j, k)], c.m[(i, k, l)], c.m[(i, j, l)]
 
-    def ibrak(u: IntVec, mat: IntMat, v: IntVec) -> int:
-        return sum(ue * me * ve for ue, row in zip(u, mat.data) for me, ve in zip(row, v))
+    def brak(u: IntVec, mat: IntMat, v: IntVec) -> int:
+        return _dot(u, mat.mul_vec(v))
 
-    closed = (
-        c.a[(point, k, l)].dot(RatVec.from_ints(b.mul_vec(p_)))
-        + ibrak(q_, b, p_)
-        + ibrak(r_, b_low, r_)
-        - ibrak(r_, b_low, q_)
-        - ibrak(r_, b_low, p_)
-        + ibrak(p_, b_low, q_)
+    integral = (
+        brak(q_, b, p_)
+        + brak(r_, b_low, r_)
+        - brak(r_, b_low, q_)
+        - brak(r_, b_low, p_)
+        + brak(p_, b_low, q_)
     )
-    return d, closed
+    closed = Fraction(_dot(an[(k, l)], b.mul_vec(p_)), d) + integral
+    return Fraction(delta, d * d), closed
 
 
 def check_so_shift_identities(c: TDCocycle, b: IntMat, samples: int = 50, seed: int = 0) -> bool:

@@ -16,6 +16,7 @@ from td2g.intlinalg import (
     IntMat,
     Phase,
     RatVec,
+    common_denominator,
     diag_vec,
     phase_bilinear,
     unimodular_inverse,
@@ -30,17 +31,7 @@ from td2g.groups import (
     standard_generators,
 )
 from td2g.rng import XorShift64Star
-from td2g.tdcorr import (
-    NerveModel,
-    TDCocycle,
-    _check_so_skew,
-    _low_bracket,
-    _so_eps,
-    act,
-    corr_cochain,
-    gerbe_left,
-    gerbe_right,
-)
+from td2g.tdcorr import NerveModel, TDCocycle, _check_so_skew, _require_cover, act
 from td2g.twogroup import Mor, Obj, b_split, eval_mor, section
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
@@ -243,6 +234,129 @@ def reference_cocycle_key(key: str, arity: int, nerve: NerveModel, with_point: b
             return None
         indices.append(i)
     return (*head, *indices)
+
+
+def reference_random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
+    """The earlier random_cocycle: every entry built through RatVec and Fraction arithmetic."""
+    rng = XorShift64Star(seed)
+    indices = nerve.indices()
+
+    def asym_int_table() -> dict[tuple[int, int], tuple[int, ...]]:
+        table: dict[tuple[int, int], tuple[int, ...]] = {}
+        for i in indices:
+            table[(i, i)] = (0,) * n
+            for j in indices:
+                if i < j:
+                    v = tuple(rng.int_in(-2, 2) for _ in range(n))
+                    table[(i, j)] = v
+                    table[(j, i)] = tuple(-x for x in v)
+        return table
+
+    off = asym_int_table()
+    off_hat = asym_int_table()
+
+    lift: dict[tuple[str, int], RatVec] = {}
+    lift_hat: dict[tuple[str, int], RatVec] = {}
+    for p in nerve.points:
+        for i in nerve.cover[p]:
+            lift[(p, i)] = RatVec([rng.fraction(4, 6) for _ in range(n)])
+            lift_hat[(p, i)] = RatVec([rng.fraction(4, 6) for _ in range(n)])
+
+    s: dict[tuple[str, int, int], Fraction] = {}
+    for p in nerve.points:
+        idx = nerve.cover[p]
+        for i in idx:
+            s[(p, i, i)] = Fraction(0)
+            for j in idx:
+                if i < j:
+                    v = rng.fraction(4, 6)
+                    s[(p, i, j)] = v
+                    s[(p, j, i)] = -v
+
+    def m_of(i: int, j: int, k: int, table) -> tuple[int, ...]:
+        return tuple(
+            x - y - z for x, y, z in zip(table[(i, k)], table[(j, k)], table[(i, j)])
+        )
+
+    m = {ijk: m_of(*ijk, off) for ijk in product(indices, repeat=3)}
+    mhat = {ijk: m_of(*ijk, off_hat) for ijk in product(indices, repeat=3)}
+
+    a: dict[tuple[str, int, int], RatVec] = {}
+    ahat: dict[tuple[str, int, int], RatVec] = {}
+    t: dict[tuple[str, int, int, int], Phase] = {}
+    for p in nerve.points:
+        idx = nerve.cover[p]
+        for i, j in product(idx, repeat=2):
+            a[(p, i, j)] = lift[(p, j)] - lift[(p, i)] + RatVec.from_ints(off[(i, j)])
+            ahat[(p, i, j)] = (
+                lift_hat[(p, j)] - lift_hat[(p, i)] + RatVec.from_ints(off_hat[(i, j)])
+            )
+        for i, j, k in product(idx, repeat=3):
+            coboundary = s[(p, j, k)] - s[(p, i, k)] + s[(p, i, j)]
+            twist = RatVec.from_ints(m[(i, j, k)]).dot(lift_hat[(p, k)])
+            t[(p, i, j, k)] = Phase(coboundary - twist)
+    return TDCocycle(nerve, n, a, ahat, m, mhat, t)
+
+
+# -- Fraction gerbe and correspondence cochains ------------------------------
+# The cochains the tdcorr identities are stated in, evaluated at one fiber
+# point over Fractions; the sampled references below are built on them.
+
+
+def gerbe_left(c: TDCocycle, point: str, ijk, a: RatVec) -> Phase:
+    """Left-leg gerbe cocycle: -t_ijk - a . mhat_ijk + a_ij . ahat_jk."""
+    i, j, k = ijk
+    _require_cover(c, point, ijk)
+    if a.dim != c.n:
+        raise ValueError("fiber coordinate has wrong dimension")
+    val = (
+        -c.t[(point, i, j, k)].frac
+        - a.dot(RatVec.from_ints(c.mhat[(i, j, k)]))
+        + c.a[(point, i, j)].dot(c.ahat[(point, j, k)])
+    )
+    return Phase(val)
+
+
+def gerbe_right(c: TDCocycle, point: str, ijk, ahat: RatVec) -> Phase:
+    """Right-leg gerbe cocycle: -t_ijk - m_ijk . (ahat_ik + ahat)."""
+    i, j, k = ijk
+    _require_cover(c, point, ijk)
+    if ahat.dim != c.n:
+        raise ValueError("fiber coordinate has wrong dimension")
+    val = -c.t[(point, i, j, k)].frac - RatVec.from_ints(c.m[(i, j, k)]).dot(
+        c.ahat[(point, i, k)] + ahat
+    )
+    return Phase(val)
+
+
+def corr_cochain(c: TDCocycle, point: str, ij, a: RatVec, ahat: RatVec, m2, mhat2) -> Phase:
+    """Correspondence cochain: -m2 . ahat - ahat_ij . m2 - ahat_ij . a.
+
+    The hatted integer shift mhat2 is part of the fiber-product
+    coordinates but does not enter the formula.
+    """
+    i, j = ij
+    _require_cover(c, point, ij)
+    if a.dim != c.n or ahat.dim != c.n or len(m2) != c.n or len(mhat2) != c.n:
+        raise ValueError("dimension mismatch")
+    aij_hat = c.ahat[(point, i, j)]
+    val = -ahat.dot(RatVec.from_ints(m2)) - aij_hat.dot(RatVec.from_ints(m2)) - aij_hat.dot(a)
+    return Phase(val)
+
+
+def low_bracket(b_low: IntMat, u: RatVec, v: RatVec) -> Fraction:
+    """u^T b_low v over Fractions."""
+    du, (nu,) = common_denominator((u.entries,))
+    dv, (nv,) = common_denominator((v.entries,))
+    return Fraction(sum(map(mul, nu, b_low.mul_vec(nv))), du * dv)
+
+
+def reference_so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> Fraction:
+    """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk>, lower-split brackets, over Fractions."""
+    m_ijk = RatVec.from_ints(c.m[(i, j, k)])
+    return low_bracket(b_low, c.a[(p, i, k)], m_ijk) + low_bracket(
+        b_low, c.a[(p, i, j)], c.a[(p, j, k)]
+    )
 
 
 # -- sampled references for the exhaustive tdcorr checks ---------------------
@@ -458,8 +572,8 @@ def reference_check_so_shift_data(c: TDCocycle, b: IntMat) -> bool:
         m_ijk = RatVec.from_ints(c.m[(i, j, k)])
         expected = Phase(
             tv.frac
-            - _low_bracket(b_low, m_ijk, c.a[(p, i, k)])
-            - _low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
+            - low_bracket(b_low, m_ijk, c.a[(p, i, k)])
+            - low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
         )
         if c2.t[(p, i, j, k)] != expected:
             return False
@@ -481,8 +595,8 @@ def reference_check_so_shift_gerbes(
         a = rand_ratvec(rng, c.n)
         lhs = gerbe_left(c2, p, (i, j, k), a)
         rhs = gerbe_left(c, p, (i, j, k), a) + Phase(
-            _low_bracket(b_low, m_ijk, c.a[(p, i, k)])
-            + _low_bracket(b_low, c.a[(p, i, j)], c.a[(p, j, k)])
+            low_bracket(b_low, m_ijk, c.a[(p, i, k)])
+            + low_bracket(b_low, c.a[(p, i, j)], c.a[(p, j, k)])
             - a.dot(b.mul_ratvec(m_ijk))
         )
         if lhs != rhs:
@@ -492,8 +606,8 @@ def reference_check_so_shift_gerbes(
             c, p, (i, j, k), RatVec.zero(c.n)
         )
         gamma_closed = (
-            _low_bracket(b_low, c.a[(p, i, k)], m_ijk)
-            + _low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
+            low_bracket(b_low, c.a[(p, i, k)], m_ijk)
+            + low_bracket(b_low, c.a[(p, j, k)], c.a[(p, i, j)])
             - v.dot(m_ijk)
         )
         if gamma_gerbe != Phase(gamma_closed):
@@ -502,7 +616,7 @@ def reference_check_so_shift_gerbes(
             c.a[(p, i, j)].dot(v)
             + c.a[(p, j, k)].dot(v + b.mul_ratvec(c.a[(p, i, j)]))
             - c.a[(p, i, k)].dot(v)
-            + _so_eps(c, b_low, p, i, j, k)
+            + reference_so_eps(c, b_low, p, i, j, k)
         )
         if gamma_closed != decomposition:
             return False
@@ -516,10 +630,10 @@ def reference_check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
         idx = c.nerve.cover[p]
         for i, j, k, l in product(idx, repeat=4):
             d = (
-                _so_eps(c, b_low, p, j, k, l)
-                - _so_eps(c, b_low, p, i, k, l)
-                + _so_eps(c, b_low, p, i, j, l)
-                - _so_eps(c, b_low, p, i, j, k)
+                reference_so_eps(c, b_low, p, j, k, l)
+                - reference_so_eps(c, b_low, p, i, k, l)
+                + reference_so_eps(c, b_low, p, i, j, l)
+                - reference_so_eps(c, b_low, p, i, j, k)
             )
             if d != 0:
                 return False

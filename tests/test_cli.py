@@ -79,6 +79,8 @@ MALFORMED_COCYCLES = {
     "t-index-outside-cover": _set_entry("t", "p3|2|2|1", [0, 1]),
     "m-off-nerve-key-missing-from-mhat": _set_entry("m", "9|9|9", [0, 0]),
     "m-and-mhat-off-nerve-key": _set_m_and_mhat("9|9|9", [0, 0]),
+    "a-entry-of-length-3": _set_entry("a", "p1|0|1", [[0, 1], [0, 1], [0, 1]]),
+    "m-entry-of-length-3": _set_entry("m", "0|1|2", [0, 0, 0]),
     "mhat-lacks-uncovered-key": _delete_entry("mhat", "0|1|3"),
     "m-lacks-uncovered-key": _delete_entry("m", "0|1|3"),
     "duplicate-point": lambda payload: payload["points"].append("p1"),

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from td2g import tdcorr
+from td2g import cli, jsonio, tdcorr
 from td2g.groups import embed_so, flip_element, gl_generators, minus_identity, rotation_n1, so_basis
 from td2g.intlinalg import IntMat, Phase, RatVec
 from td2g.tdcorr import (
@@ -20,12 +20,9 @@ from td2g.tdcorr import (
     check_so_shift_data,
     check_so_shift_gerbes,
     check_so_shift_identities,
-    corr_cochain,
     default_nerve,
     eps_cech_defect,
     first_violation,
-    gerbe_left,
-    gerbe_right,
     random_cocycle,
     validate,
 )
@@ -34,6 +31,9 @@ from td2g.twogroup import Obj, beta_multiplicator, eval_mor, obj_product, obj_un
 from conftest import (
     SPLIT_NERVE,
     WIDE_NERVE,
+    corr_cochain,
+    gerbe_left,
+    gerbe_right,
     rand_intvec,
     rand_ratvec,
     reference_act,
@@ -47,6 +47,8 @@ from conftest import (
     reference_check_so_shift_data,
     reference_check_so_shift_gerbes,
     reference_first_violation,
+    reference_random_cocycle,
+    reference_so_eps,
     words,
 )
 
@@ -113,6 +115,17 @@ class TestValidate:
         broken.pop(next(iter(broken)))
         with pytest.raises(ValueError):
             TDCocycle(c.nerve, c.n, broken, c.ahat, c.m, c.mhat, c.t)
+
+    def test_entries_of_the_wrong_length_rejected(self):
+        # a and ahat lengths that still add up to 2n, and an m entry that zip would truncate
+        c = random_cocycle(default_nerve(), 2, 3)
+        a, ahat, m = dict(c.a), dict(c.ahat), dict(c.m)
+        a[("p3", 2, 2)], ahat[("p3", 2, 2)] = RatVec([0, 0, 0]), RatVec([0])
+        with pytest.raises(ValueError, match="must have length 2"):
+            TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, c.t)
+        m[(2, 2, 2)] = (0, 0, 0)
+        with pytest.raises(ValueError, match="must have length 2"):
+            TDCocycle(c.nerve, 2, c.a, c.ahat, m, c.mhat, c.t)
 
 
 class TestAct:
@@ -242,14 +255,25 @@ class TestIntegerKernels:
         for key in (("p3", 1, 2), ("p3", 1, 1), ("zz", 5, 5)):
             a[key] = RatVec([Fraction(1, 7 + key[1]), Fraction(-2, 3)])
             ahat[key] = RatVec([Fraction(5, 11), Fraction(key[2], 13)])
-        ahat[("p2", 9, 9)] = RatVec([Fraction(1, 17), 0])
         t[("p3", 1, 1, 2)] = Phase(Fraction(2, 9))
         extra = TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, t)
         for w in words(2, 2, 421):
-            got = act(section(w), extra)
-            assert got == reference_act(section(w), extra)
-            assert ("p2", 9, 9) not in got.ahat
+            assert act(section(w), extra) == reference_act(section(w), extra)
         assert first_violation(extra) is None and reference_first_violation(extra) is None
+        # a and ahat are stored as one row per key, so an ahat entry without an a entry is refused
+        ahat[("p2", 9, 9)] = RatVec([Fraction(1, 17), 0])
+        with pytest.raises(ValueError, match="same keys"):
+            TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_random_cocycle_matches_reference(self, nerve, n):
+        for seed in (0, 1, 2, 617, 2**64 - 1):
+            got = random_cocycle(NERVES[nerve], n, seed)
+            ref = reference_random_cocycle(NERVES[nerve], n, seed)
+            assert got.m == ref.m and got.mhat == ref.mhat
+            for member in ("a", "ahat", "t"):
+                assert dict(getattr(got, member)) == dict(getattr(ref, member))
 
     @pytest.mark.parametrize("member", MEMBERS)
     @pytest.mark.parametrize("nerve", sorted(NERVES))
@@ -440,15 +464,16 @@ class TestSoShift:
             assert len(calls) == distinct
 
     def test_eps_defect_matches_per_face_sum(self):
+        # the faces are summed over Fractions, independently of the numerator kernel
         c, b = random_cocycle(default_nerve(), 2, 109), IntMat([[0, 2], [-2, 0]])
         b_low = tdcorr._check_so_skew(c, b)
         for p in c.nerve.points:
             for i, j, k, l in product(c.nerve.cover[p], repeat=4):
                 faces = (
-                    tdcorr._so_eps(c, b_low, p, j, k, l)
-                    - tdcorr._so_eps(c, b_low, p, i, k, l)
-                    + tdcorr._so_eps(c, b_low, p, i, j, l)
-                    - tdcorr._so_eps(c, b_low, p, i, j, k)
+                    reference_so_eps(c, b_low, p, j, k, l)
+                    - reference_so_eps(c, b_low, p, i, k, l)
+                    + reference_so_eps(c, b_low, p, i, j, l)
+                    - reference_so_eps(c, b_low, p, i, j, k)
                 )
                 assert eps_cech_defect(c, b, p, (i, j, k, l))[0] == faces
 
@@ -608,14 +633,40 @@ class TestExhaustiveChecks:
         assert check_rotation_identities(c1)
         assert check_so_shift_data(c, b) and check_so_shift_gerbes(c, b)
 
-    def test_act_hands_its_view_to_the_result(self):
-        c = random_cocycle(WIDE_NERVE, 3, 587)
-        out = act(section(words(3, 1, 593)[0]), c)
-        assert out._view is not None
-        fresh = TDCocycle(out.nerve, 3, out.a, out.ahat, out.m, out.mhat, out.t)
-        for p, (d, big, wd, w, an, hn, tn) in out._view.items():
-            assert all(an[ij] == tuple(x * d for x in out.a[(p, *ij)].entries) for ij in an)
-            assert all(hn[ij] == tuple(x * d for x in out.ahat[(p, *ij)].entries) for ij in hn)
-            assert all(Fraction(tn[s], big) == out.t[(p, *s)].frac for s in tn)
-            assert wd * d == big == w * d * d
-        assert first_violation(out) is None and first_violation(fresh) is None
+    def test_tdcorr_suite_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tdcorr suite built a Fraction")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert cli._suite_tdcorr(1, 2, 7) == []
+        # eps-cech fails by design at n = 2 (see check_eps_cech)
+        assert all(f["failed"] == ["eps-cech"] for f in cli._suite_tdcorr(2, 2, 7))
+
+    def test_equal_across_denominators(self):
+        # the generator stores every point over D = 60; the public constructor
+        # and the JSON round trip store the lcm of the reduced denominators,
+        # which is 1 at the single-chart point p3
+        def rebuild(x: TDCocycle) -> TDCocycle:
+            return TDCocycle(x.nerve, x.n, x.a, x.ahat, x.m, x.mhat, x.t)
+
+        def copies(x: TDCocycle) -> list[TDCocycle]:
+            return [x, rebuild(x), jsonio.cocycle_from_json(jsonio.cocycle_to_json(x))]
+
+        c = random_cocycle(default_nerve(), 2, 587)
+        same = copies(c)
+        assert [x.nums["p3"][:2] for x in same] == [(60, 3600), (1, 1), (1, 1)]
+        assert same[1] == c and same[2] == c
+        d, big, wd, w, an, hn, tn = c.nums["p1"]
+        nums = {**c.nums, "p1": (d, big, wd, w, an, hn, {**tn, (0, 1, 2): tn[(0, 1, 2)] + 1})}
+        bad = copies(TDCocycle._new(c.nerve, 2, c.m, c.mhat, nums))
+        for group in (same, bad):
+            assert len({str(first_violation(x)) for x in group}) == 1
+        assert first_violation(bad[0]) == {"condition": 5, "point": "p1", "indices": (0, 1, 0, 2)}
+        o = section(words(2, 1, 593)[0])
+        dumps = {jsonio.canonical_dumps(jsonio.cocycle_to_json(act(o, x))) for x in same}
+        assert len(dumps) == 1
+        # a transformed cocycle over its own denominators is compared over the joint ones
+        b = so_basis(2)[0]
+        assert check_flip_identities(c, transformed=rebuild(act(section(flip_element(2)), c)))
+        assert check_so_shift_data(c, b, transformed=rebuild(act(section(embed_so(b)), c)))
+        assert all(check_gl_identities(rebuild(act(o, c)), g) for g in gl_generators(2))
