@@ -76,23 +76,7 @@ def _run_trials(trials: int, seed: int, worker) -> list[dict]:
 
 
 def _suite_n1_exhaustive(_n, _trials, _seed) -> list[dict]:
-    elems = enumerate_n1()
-    failures = []
-    zero = (0, 0)
-    for ia, a in enumerate(elems):
-        for ib, b in enumerate(elems):
-            for ic, c in enumerate(elems):
-                if kinvariant.k_cocycle(a, b, c) != zero:
-                    failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
-    for ia, a in enumerate(elems):
-        for ib, b in enumerate(elems):
-            for ic, c in enumerate(elems):
-                for idd, d in enumerate(elems):
-                    if not kinvariant.check_cocycle_identity(a, b, c, d):
-                        failures.append(
-                            {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
-                        )
-    return failures
+    return kinvariant.finite_group_failures(enumerate_n1())
 
 
 def _word(gens, rng: XorShift64Star):

@@ -30,11 +30,19 @@ entries are the column dots of P with (B_Q)_low P.  `k_cocycle` and
 m terms (10 distinct diagonals) from one 4-chain and
 `check_two_torsion` its four gamma terms from one 3-chain, while its
 right side 2m stays a separate `k_cocycle` call.
+
+On a finite group the chains repeat: every product is again one of the
+group's elements.  `finite_group_failures` therefore indexes the N
+elements, builds their Cayley table once, and fills one m table (N^3
+`k_cocycle` calls) and one gamma table (N^2 `gamma` calls); delta m = 0
+at every quadruple and delta gamma = 2m at every triple are then table
+reads.  The tables live for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 from typing import Callable, Sequence
 
@@ -61,6 +69,7 @@ __all__ = [
     "check_cocycle_identity",
     "gamma",
     "check_two_torsion",
+    "finite_group_failures",
     "check_vanishing_on_subgroup",
     "DoubleCoverElement",
     "double_cover_identity",
@@ -202,6 +211,75 @@ def check_two_torsion(
     lhs = _vec_sub(lhs, ch.gamma(0, 1, 2))
     rhs = tuple(2 * v for v in k_cocycle(a, b, c))
     return lhs == rhs
+
+
+def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
+    """Decide m = 0, delta m = 0 and delta gamma = 2m over a finite group, from tables.
+
+    `elems` must be closed under multiplication; a product outside the
+    list raises ValueError.  With a, b, c, d indices into `elems` and ab
+    the index of elems[a] * elems[b] (the Cayley table), the failure
+    records are, in this order:
+
+    - `n1-vanishing` at each triple (a, b, c) in lexicographic order with
+      m_{a,b,c} != 0;
+    - `cocycle-identity` at each quadruple (a, b, c, d) in lexicographic
+      order where
+      I A I m_{b,c,d} - m_{ab,c,d} + m_{a,bc,d} - m_{a,b,cd} + m_{a,b,c} != 0;
+    - `n1-two-torsion` at each triple (a, b, c) in lexicographic order
+      where I A I g_{b,c} - g_{ab,c} + g_{a,bc} - g_{a,b} != 2 m_{a,b,c}.
+
+    m is a table of `k_cocycle` at every triple and g one of `gamma` at
+    every pair, both looked up on this module at call time.
+
+    The second list is `check_cocycle_identity` at every quadruple: each
+    of its five terms is m at a triple of products of the 4-chain
+    (a, b, c, d), and such a product equals the Cayley product as a
+    group element, while m is a function of the element triple alone
+    (the chain reads nothing but the elements' matrices and signs).  The
+    third list is `check_two_torsion` at every triple, for the same
+    reason applied to its four gamma terms of the 3-chain (a, b, c).
+    """
+    index = {g: i for i, g in enumerate(elems)}
+    table = []
+    for a in elems:
+        row = []
+        for b in elems:
+            ab = index.get(a * b)
+            if ab is None:
+                raise ValueError("elements are not closed under multiplication")
+            row.append(ab)
+        table.append(row)
+    idx = range(len(elems))
+    zero = (0,) * (2 * elems[0].n)
+    failures = []
+    m = {}
+    for ia, ib, ic in product(idx, repeat=3):
+        v = m[ia, ib, ic] = k_cocycle(elems[ia], elems[ib], elems[ic])
+        if v != zero:
+            failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
+    for ia, ib, ic, idd in product(idx, repeat=4):
+        terms = zip(
+            twisted_action(elems[ia], m[ib, ic, idd]),
+            m[table[ia][ib], ic, idd],
+            m[ia, table[ib][ic], idd],
+            m[ia, ib, table[ic][idd]],
+            m[ia, ib, ic],
+        )
+        if any(t0 - t1 + t2 - t3 + t4 for t0, t1, t2, t3, t4 in terms):
+            failures.append({"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]})
+    g = {(ia, ib): gamma(elems[ia], elems[ib]) for ia, ib in product(idx, repeat=2)}
+    for ia, ib, ic in product(idx, repeat=3):
+        terms = zip(
+            twisted_action(elems[ia], g[ib, ic]),
+            g[table[ia][ib], ic],
+            g[ia, table[ib][ic]],
+            g[ia, ib],
+            m[ia, ib, ic],
+        )
+        if any(t0 - t1 + t2 - t3 - 2 * t4 for t0, t1, t2, t3, t4 in terms):
+            failures.append({"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]})
+    return failures
 
 
 # -- distinguished subgroups ------------------------------------------

@@ -128,8 +128,11 @@ class TDCocycle:
     stored too.  `a`, `ahat` and `t` are read-only maps built from `nums`.
 
     The public constructor checks that every a, ahat, m and mhat entry has
-    length n, that a and ahat share their keys and that every site of the
-    nerve has data, and is the one place where Fractions become numerators.
+    length n, that a and ahat share their keys, as m and mhat do, that
+    every t entry at (p, i, j, k) has a entries at (p, i, j) and (p, j, k)
+    and an m entry at (i, j, k), which `act` reads, and that every site of
+    the nerve has data.  It is the one place where Fractions become
+    numerators.
     `_new` trusts numerators computed in this module.  Equality compares
     values, so cocycles stored over different denominators can be equal.
     """
@@ -164,6 +167,13 @@ class TDCocycle:
                             raise ValueError(f"missing integer data at {(i, j, k)}")
         if a.keys() != ahat.keys():
             raise ValueError("a and ahat must have the same keys")
+        if m.keys() != mhat.keys():
+            key = next(iter(m.keys() ^ mhat.keys()))
+            raise ValueError(f"m and mhat must have the same keys; {key} is in one only")
+        for key in t:
+            p, i, j, k = key
+            if (p, i, j) not in a or (p, j, k) not in a or (i, j, k) not in m:
+                raise ValueError(f"phase data at {key} lacks its a or m entries")
         keys: dict[str, tuple[list, list]] = {}
         for slot, table in enumerate((a, t)):
             for key in table:

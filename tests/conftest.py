@@ -21,10 +21,12 @@ from td2g.intlinalg import (
     phase_bilinear,
     unimodular_inverse,
 )
+from td2g import kinvariant
 from td2g.groups import (
     PseudoOrthogonal,
     embed_gl,
     embed_so,
+    enumerate_n1,
     flip_element,
     random_word,
     rotation_n1,
@@ -128,6 +130,27 @@ def reference_gamma(a, b) -> tuple[int, ...]:
     bm = b.mat
     w = diag_vec(bm.transpose() * b_split(a)[1] * bm)
     return tuple(-v for v in (a * b).inv_transpose_mat().mul_vec(w))
+
+
+def reference_n1_exhaustive(_n, _trials, _seed) -> list[dict]:
+    """The earlier n1-exhaustive suite body: one k_cocycle per triple, one chain per quadruple."""
+    elems = enumerate_n1()
+    failures = []
+    zero = (0, 0)
+    for ia, a in enumerate(elems):
+        for ib, b in enumerate(elems):
+            for ic, c in enumerate(elems):
+                if kinvariant.k_cocycle(a, b, c) != zero:
+                    failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
+    for ia, a in enumerate(elems):
+        for ib, b in enumerate(elems):
+            for ic, c in enumerate(elems):
+                for idd, d in enumerate(elems):
+                    if not kinvariant.check_cocycle_identity(a, b, c, d):
+                        failures.append(
+                            {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
+                        )
+    return failures
 
 
 # -- Fraction references for the integer kernels ---------------------------

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from td2g.kinvariant import (
     check_vanishing_on_subgroup,
     double_cover_identity,
     double_cover_mul,
+    finite_group_failures,
     gamma,
     k_cocycle,
     k_eval,
@@ -29,8 +31,16 @@ from td2g.kinvariant import (
 )
 from td2g.twogroup import b_matrix, strict_lower_split
 from td2g.intlinalg import diag_vec
-from conftest import rand_intvec, rand_ratvec, reference_gamma, reference_k_cocycle, words
+from conftest import (
+    rand_intvec,
+    rand_ratvec,
+    reference_gamma,
+    reference_k_cocycle,
+    reference_n1_exhaustive,
+    words,
+)
 from td2g import kinvariant
+from td2g.cli import main
 
 # Frozen by the k_eval integer-recovery oracle (balanced residues at
 # x = e_i/N for N = 1009 and 1013, equal for both moduli).
@@ -303,6 +313,112 @@ class TestTwoTorsion:
             ws = words(n, 9, 149 + n)
             for t in zip(ws[::3], ws[1::3], ws[2::3]):
                 assert check_two_torsion(*t)
+
+
+class TestFiniteGroupTables:
+    """The table path of n1-exhaustive against the earlier per-chain body."""
+
+    @staticmethod
+    def _bump(monkeypatch, method, *at):
+        """Add 1 to the first entry of `_Chain.<method>` where it reads the elements enumerate_n1()[i], i in `at`.
+
+        The fault is keyed on elements, as m and gamma are functions of
+        elements.  A fault keyed on chain positions (say, only k(0, 1, 2, 3))
+        would not be a fair comparison: the table path computes every m at
+        positions (0, 1, 2, 3) through k_cocycle, whereas
+        check_cocycle_identity reads four of its five terms at other
+        positions, so the two paths would see different functions and
+        rightly disagree.
+        """
+        real = getattr(kinvariant._Chain, method)
+        elems = enumerate_n1()
+        target = tuple(elems[i] for i in at)
+
+        def faulty(self, *pos):
+            v = real(self, *pos)
+            if tuple(self.prod[p, q] for p, q in zip(pos, pos[1:])) == target:
+                return (v[0] + 1,) + v[1:]
+            return v
+
+        monkeypatch.setattr(kinvariant._Chain, method, faulty)
+
+    @staticmethod
+    def _failing_torsion_triples():
+        elems = enumerate_n1()
+        return [
+            [ia, ib, ic]
+            for ia, a in enumerate(elems)
+            for ib, b in enumerate(elems)
+            for ic, c in enumerate(elems)
+            if not check_two_torsion(a, b, c)
+        ]
+
+    def test_both_paths_pass_on_correct_data(self):
+        assert finite_group_failures(enumerate_n1()) == []
+        assert reference_n1_exhaustive(1, 0, 0) == []
+
+    @pytest.mark.parametrize("elems", [z_elements(2), v_elements(2)], ids=["Z2", "V2"])
+    def test_other_finite_groups_pass(self, elems):
+        assert finite_group_failures(elems) == []
+
+    # Indices into enumerate_n1(): 0 is E, 2 the flip and 4 a rotation of
+    # order 4.  The group is dihedral of order 8; with the second triple,
+    # whose elements are not central, a table read that swapped the
+    # factors of a product would land on another m entry.
+    @pytest.mark.parametrize("triple", [(2, 0, 0), (4, 2, 4)])
+    def test_m_fault_gives_the_same_records(self, monkeypatch, triple):
+        self._bump(monkeypatch, "k", *triple)
+        got = finite_group_failures(enumerate_n1())
+        ref = reference_n1_exhaustive(1, 0, 0)
+        checks = {r["check"] for r in ref}
+        assert checks == {"n1-vanishing", "cocycle-identity"}
+        assert [r for r in got if r["check"] in checks] == ref
+        # The torsion records are exactly the triples where the chain
+        # check, with its own k_cocycle call on the right, fails.
+        torsion = self._failing_torsion_triples()
+        assert torsion == [list(triple)]
+        assert got == ref + [{"trial": 0, "check": "n1-two-torsion", "triple": t} for t in torsion]
+
+    @pytest.mark.parametrize("pair", [(2, 2), (2, 4)])
+    def test_gamma_fault_fails_torsion_only(self, monkeypatch, pair):
+        self._bump(monkeypatch, "gamma", *pair)
+        got = finite_group_failures(enumerate_n1())
+        torsion = self._failing_torsion_triples()
+        assert torsion and reference_n1_exhaustive(1, 0, 0) == []
+        assert got == [{"trial": 0, "check": "n1-two-torsion", "triple": t} for t in torsion]
+
+    def test_suite_reports_the_fault(self, monkeypatch, capsys):
+        self._bump(monkeypatch, "k", 2, 0, 0)
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"][0] == {"trial": 0, "check": "n1-vanishing", "triple": [2, 0, 0]}
+
+    def test_not_closed_raises(self):
+        with pytest.raises(ValueError, match="not closed"):
+            finite_group_failures(enumerate_n1()[:3])
+
+    def test_work_count(self, monkeypatch, capsys):
+        # Work, not time: the suite multiplies each pair of the 8 elements
+        # once for the Cayley table (64), then each k_cocycle builds the
+        # 3-chain a, ab, abc, b, bc (3 products) at 512 triples, and each
+        # gamma the 2-chain a, ab (1 product) at 64 pairs:
+        # 64 + 3 * 512 + 64 = 1664.  One chain per quadruple would be
+        # thousands more.
+        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "mul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("k_cocycle", "check_cocycle_identity"):
+            monkeypatch.setattr(kinvariant, name, counted(name, getattr(kinvariant, name)))
+        monkeypatch.setattr(PseudoOrthogonal, "__mul__", counted("mul", PseudoOrthogonal.__mul__))
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        assert calls == {"k_cocycle": 512, "check_cocycle_identity": 0, "mul": 64 + 3 * 512 + 64}
 
 
 class TestSubgroupVanishing:

@@ -127,6 +127,35 @@ class TestValidate:
         with pytest.raises(ValueError, match="must have length 2"):
             TDCocycle(c.nerve, 2, c.a, c.ahat, m, c.mhat, c.t)
 
+    def test_m_key_without_mhat_entry_rejected(self):
+        # act reads mhat at every m key; validate reads neither off the nerve
+        c = random_cocycle(default_nerve(), 2, 5)
+        m, mhat = dict(c.m), dict(c.mhat)
+        m[(9, 9, 9)] = (0, 0)
+        with pytest.raises(ValueError, match=r"\(9, 9, 9\) is in one only"):
+            TDCocycle(c.nerve, 2, c.a, c.ahat, m, c.mhat, c.t)
+        mhat[(9, 9, 9)] = (0, 0)
+        with pytest.raises(ValueError, match=r"\(9, 9, 9\) is in one only"):
+            TDCocycle(c.nerve, 2, c.a, c.ahat, c.m, mhat, c.t)
+        assert act(obj_unit(2), TDCocycle(c.nerve, 2, c.a, c.ahat, m, mhat, c.t)).m[(9, 9, 9)] == (0, 0)
+
+    def test_t_entry_without_a_entries_rejected(self):
+        # act reads a at (p, i, j) and (p, j, k) and m at (i, j, k) for each t entry
+        c = random_cocycle(default_nerve(), 2, 5)
+        t = dict(c.t)
+        t[("p3", 1, 1, 2)] = Phase(Fraction(1, 3))
+        with pytest.raises(ValueError, match=r"phase data at \('p3', 1, 1, 2\)"):
+            TDCocycle(c.nerve, 2, c.a, c.ahat, c.m, c.mhat, t)
+        a, ahat = dict(c.a), dict(c.ahat)
+        for key in (("p3", 1, 1), ("p3", 1, 2)):
+            a[key], ahat[key] = RatVec.zero(2), RatVec.zero(2)
+        ok = TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, t)
+        assert act(obj_unit(2), ok) == ok
+        t[("p3", 1, 1, 9)] = Phase(0)
+        a[("p3", 1, 9)], ahat[("p3", 1, 9)] = RatVec.zero(2), RatVec.zero(2)
+        with pytest.raises(ValueError, match=r"phase data at \('p3', 1, 1, 9\)"):
+            TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, t)
+
 
 class TestAct:
     def test_unit_is_identity(self):
