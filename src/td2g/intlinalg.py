@@ -328,14 +328,6 @@ class Phase:
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
 
-    @property
-    def numerator(self) -> int:
-        return self.frac.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.frac.denominator
-
     def is_zero(self) -> bool:
         return self.frac == 0
 

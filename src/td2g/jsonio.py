@@ -1,8 +1,9 @@
-"""JSON encodings for matrices, rationals, group elements, objects and cocycles.
+"""JSON encodings for matrices, group elements, objects, morphisms and cocycles.
 
 Formats:
   matrix    {"rows": r, "cols": c, "data": [[int, ...], ...]}
-  rational  [num, den]  (den > 0; phases additionally reduced into [0,1))
+  rational  [num, den]  (den > 0; phases additionally in [0,1)); written
+            reduced, read reduced or not
   element   {"n": n, "matrix": <matrix>}        iso is recomputed on load
   object    {"matrix": <matrix>, "eta": <matrix>}
   morphism  {"H": <matrix>, "lin": [int, ...], "src": <object>, "dst": <object>}
@@ -16,18 +17,20 @@ Formats:
             ("01", " 1", "+1" and "1_0" name no index).
 
 All loads validate shape and integrality; `canonical_dumps` produces a
-byte-stable serialization (sorted keys, no whitespace).
+byte-stable serialization (sorted keys, no whitespace).  The cocycle
+loader checks keys, the nerve and that each entry is an array of integers
+or of [num, den] integer pairs; `tdcorr.cocycle_numerators` checks the
+rest once and turns the pairs into stored numerators.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd
 
 from .groups import PseudoOrthogonal, check_membership
-from .intlinalg import IntMat, Phase, RatVec
-from .tdcorr import NerveModel, TDCocycle
+from .intlinalg import IntMat
+from .tdcorr import NerveModel, TDCocycle, cocycle_numerators
 from .twogroup import Mor, Obj
 
 __all__ = [
@@ -35,12 +38,6 @@ __all__ = [
     "canonical_dumps",
     "mat_to_json",
     "mat_from_json",
-    "frac_to_json",
-    "frac_from_json",
-    "phase_to_json",
-    "phase_from_json",
-    "ratvec_to_json",
-    "ratvec_from_json",
     "element_to_json",
     "element_from_json",
     "obj_to_json",
@@ -70,10 +67,10 @@ def _expect_int(x, what: str) -> int:
     return x
 
 
-def _build(cls, *args):
-    """cls(*args), with a ValueError from the constructor's own checks raised as FormatError."""
+def _build(make, *args):
+    """make(*args), with a ValueError from its own checks raised as FormatError."""
     try:
-        return cls(*args)
+        return make(*args)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -98,44 +95,19 @@ def mat_from_json(obj) -> IntMat:
     return IntMat._new(tuple(map(tuple, data)))
 
 
-def frac_to_json(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
-
-
-def frac_from_json(obj) -> Fraction:
-    _expect(
-        isinstance(obj, list) and len(obj) == 2, "rational must be a two-element array"
-    )
-    num = _expect_int(obj[0], "numerator")
-    den = _expect_int(obj[1], "denominator")
-    _expect(den > 0, "denominator must be positive")
-    return Fraction(num, den)
-
-
-def phase_to_json(p: Phase) -> list[int]:
-    return [p.numerator, p.denominator]
-
-
-def phase_from_json(obj) -> Phase:
-    f = frac_from_json(obj)
-    _expect(0 <= f < 1, "phase must be reduced into [0,1)")
-    return Phase._new(f)
-
-
-def ratvec_to_json(v: RatVec) -> list[list[int]]:
-    return [frac_to_json(e) for e in v.entries]
-
-
-def ratvec_from_json(obj, dim: int | None = None) -> RatVec:
-    _expect(isinstance(obj, list) and obj, "vector must be a non-empty array")
-    if dim is not None:
-        _expect(len(obj) == dim, f"vector must have length {dim}")
-    return RatVec._new(tuple([frac_from_json(e) for e in obj]))
-
-
-def _intvec_from_json(obj, dim: int, what: str) -> tuple[int, ...]:
-    _expect(isinstance(obj, list) and len(obj) == dim, f"{what} must have length {dim}")
+def _ints(obj, what: str) -> tuple[int, ...]:
+    _expect(isinstance(obj, list), f"{what} must be an array")
     return tuple(_expect_int(x, what) for x in obj)
+
+
+def _pair(obj) -> list[int]:
+    _expect(isinstance(obj, list) and len(obj) == 2, "rational must be a two-element array")
+    return [_expect_int(obj[0], "numerator"), _expect_int(obj[1], "denominator")]
+
+
+def _pairs(obj) -> list[list[int]]:
+    _expect(isinstance(obj, list), "vector must be an array")
+    return [_pair(x) for x in obj]
 
 
 def element_to_json(a: PseudoOrthogonal) -> dict:
@@ -178,8 +150,7 @@ def mor_from_json(obj) -> Mor:
         _expect(key in obj, f"morphism missing {key!r}")
     src = obj_from_json(obj["src"])
     dst = obj_from_json(obj["dst"])
-    lin = _intvec_from_json(obj["lin"], 2 * src.n, "character entry")
-    m = Mor(src, dst, lin)
+    m = _build(Mor, src, dst, _ints(obj["lin"], "character entry"))
     if "H" in obj:
         _expect(mat_from_json(obj["H"]) == m.h, "declared H disagrees with endpoints")
     return m
@@ -266,10 +237,9 @@ def cocycle_from_json(obj) -> TDCocycle:
     point_heads = {p: (p, {str(i): i for i in cover[p]}) for p in points}
     nerve_names = {str(i): i for i in nerve.indices()}
     index_heads = {x: (i, nerve_names) for x, i in nerve_names.items()}
-    a = _map_from_json(obj, "a", 3, point_heads, lambda v: ratvec_from_json(v, n))
-    ahat = _map_from_json(obj, "ahat", 3, point_heads, lambda v: ratvec_from_json(v, n))
-    m = _map_from_json(obj, "m", 3, index_heads, lambda v: _intvec_from_json(v, n, "m entry"))
-    mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _intvec_from_json(v, n, "mhat entry"))
-    _expect(m.keys() == mhat.keys(), "m and mhat must have the same keys")
-    t = _map_from_json(obj, "t", 4, point_heads, phase_from_json)
-    return _build(TDCocycle, nerve, n, a, ahat, m, mhat, t)
+    a = _map_from_json(obj, "a", 3, point_heads, _pairs)
+    ahat = _map_from_json(obj, "ahat", 3, point_heads, _pairs)
+    m = _map_from_json(obj, "m", 3, index_heads, lambda v: _ints(v, "m entry"))
+    mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _ints(v, "mhat entry"))
+    t = _map_from_json(obj, "t", 4, point_heads, _pair)
+    return TDCocycle._new(*_build(cocycle_numerators, nerve, n, a, ahat, m, mhat, t))

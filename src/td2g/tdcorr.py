@@ -4,12 +4,13 @@ A cocycle consists of rational transition data a, ahat per (point, i, j),
 global integer vectors m, mhat per index triple, and phases t per
 (point, i, j, k), subject to five pointwise conditions.  The rational data
 is stored once, as integer numerators over one denominator per point
-(`TDCocycle.nums`); Fractions appear only at the edge, in the public
-constructor and in the read-only maps `a`, `ahat` and `t`.  Identities
-from the correspondence picture (bundle-gerbe cocycles on both legs, the
-correspondence cochain, and the transformation identities for the flip,
-GL, rotation and so-shift actions) are verified exactly at every site of
-the nerve, on those numerators.
+(`TDCocycle.nums`), which `cocycle_numerators` builds from (num, den)
+pairs; Fractions appear only in the public constructor and in the
+read-only maps `a`, `ahat` and `t`.  Identities from the correspondence
+picture (bundle-gerbe cocycles on both legs, the correspondence cochain,
+and the transformation identities for the flip, GL, rotation and so-shift
+actions) are verified exactly at every site of the nerve, on those
+numerators.
 
 Random valid cocycles are built generatively: free rational lifts per
 (point, chart) plus antisymmetric integer offsets produce a and ahat and
@@ -29,13 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from .groups import embed_gl, embed_so, flip_element, rotation_n1
 from .intlinalg import (
-    IntMat, Phase, RatVec, common_denominator, strict_lower_split, unimodular_inverse
+    IntMat, Phase, RatVec, strict_lower_split, unimodular_inverse
 )
 from .rng import XorShift64Star
 from .twogroup import Obj, section
@@ -43,6 +44,7 @@ from .twogroup import Obj, section
 __all__ = [
     "NerveModel",
     "TDCocycle",
+    "cocycle_numerators",
     "validate",
     "first_violation",
     "random_cocycle",
@@ -118,6 +120,65 @@ class _Entries(Mapping):
 _FIELDS = ("nerve", "n", "m", "mhat", "nums")
 
 
+def cocycle_numerators(
+    nerve: NerveModel, n: int, a: Mapping, ahat: Mapping, m: Mapping, mhat: Mapping, t: Mapping
+) -> tuple:
+    """The stored form (nerve, n, m, mhat, nums) of a cocycle with its rationals as (num, den).
+
+    The one place where rationals become numerators.  It checks each fact
+    once: every a, ahat, m and mhat entry has length n and every denominator
+    is positive; every site of the nerve has data; a and ahat share their
+    keys, as m and mhat do; every t entry at (p, i, j, k) lies in [0, 1) and
+    has a entries at (p, i, j) and (p, j, k) and an m entry at (i, j, k),
+    which `act` reads.  Pairs are reduced first, so [2, 4] stores as [1, 2].
+    """
+    m, mhat = dict(m), dict(mhat)
+    for name, table in (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat)):
+        for key, v in table.items():
+            if len(v) != n:
+                raise ValueError(f"{name} entry at {key} must have length {n}")
+            if name[0] == "a" and any(y <= 0 for _, y in v):
+                raise ValueError(f"{name} entry at {key} must have positive denominators")
+    for p in nerve.points:
+        idx = nerve.cover[p]
+        for i in idx:
+            for j in idx:
+                if (p, i, j) not in a or (p, i, j) not in ahat:
+                    raise ValueError(f"missing transition data at {(p, i, j)}")
+                for k in idx:
+                    if (p, i, j, k) not in t:
+                        raise ValueError(f"missing phase data at {(p, i, j, k)}")
+                    if (i, j, k) not in m or (i, j, k) not in mhat:
+                        raise ValueError(f"missing integer data at {(i, j, k)}")
+    if a.keys() != ahat.keys():
+        raise ValueError("a and ahat must have the same keys")
+    if m.keys() != mhat.keys():
+        key = next(iter(m.keys() ^ mhat.keys()))
+        raise ValueError(f"m and mhat must have the same keys; {key} is in one only")
+    keys: dict[str, tuple[list, list]] = {}
+    for key in a:
+        keys.setdefault(key[0], ([], []))[0].append(key)
+    for key, (num, den) in t.items():
+        p, i, j, k = key
+        if (p, i, j) not in a or (p, j, k) not in a or (i, j, k) not in m:
+            raise ValueError(f"phase data at {key} lacks its a or m entries")
+        if not 0 <= num < den:
+            raise ValueError(f"phase at {key} must be reduced into [0,1)")
+        g = gcd(num, den)
+        keys[p][1].append((key[1:], num // g, den // g))
+    nums = {}
+    for p, (pairs, phases) in keys.items():
+        rows = [(*a[k], *ahat[k]) for k in pairs]
+        d = lcm(*[y // gcd(x, y) for row in rows for x, y in row])
+        rows = [tuple([x * d // y for x, y in row]) for row in rows]
+        big = lcm(d * d, *[y for _, _, y in phases])
+        an = {k[1:]: r[:n] for k, r in zip(pairs, rows)}
+        hn = {k[1:]: r[n:] for k, r in zip(pairs, rows)}
+        tn = {k: x * (big // y) for k, x, y in phases}
+        nums[p] = (d, big, big // d, big // (d * d), an, hn, tn)
+    return nerve, n, m, mhat, nums
+
+
 class TDCocycle:
     """Local T-duality data (a, ahat, m, mhat, t) over a nerve model.
 
@@ -127,14 +188,10 @@ class TDCocycle:
     t_ijk over B, in [0, B), with D^2 dividing B.  Keys off the cover are
     stored too.  `a`, `ahat` and `t` are read-only maps built from `nums`.
 
-    The public constructor checks that every a, ahat, m and mhat entry has
-    length n, that a and ahat share their keys, as m and mhat do, that
-    every t entry at (p, i, j, k) has a entries at (p, i, j) and (p, j, k)
-    and an m entry at (i, j, k), which `act` reads, and that every site of
-    the nerve has data.  It is the one place where Fractions become
-    numerators.
-    `_new` trusts numerators computed in this module.  Equality compares
-    values, so cocycles stored over different denominators can be equal.
+    The public constructor hands the (numerator, denominator) pairs of its
+    RatVec and Phase values to `cocycle_numerators`, as `jsonio` hands the
+    pairs it reads.  `_new` trusts numerators computed in this module.
+    Equality compares values, so cocycles over other denominators can be equal.
     """
 
     __slots__ = _FIELDS
@@ -149,45 +206,11 @@ class TDCocycle:
         mhat: Mapping[TripleKey, IntVec],
         t: Mapping[TKey, Phase],
     ):
-        m, mhat = dict(m), dict(mhat)
-        for name, table in (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat)):
-            for key, v in table.items():
-                if (len(v) if name[0] == "m" else v.dim) != n:
-                    raise ValueError(f"{name} entry at {key} must have length {n}")
-        for p in nerve.points:
-            idx = nerve.cover[p]
-            for i in idx:
-                for j in idx:
-                    if (p, i, j) not in a or (p, i, j) not in ahat:
-                        raise ValueError(f"missing transition data at {(p, i, j)}")
-                    for k in idx:
-                        if (p, i, j, k) not in t:
-                            raise ValueError(f"missing phase data at {(p, i, j, k)}")
-                        if (i, j, k) not in m or (i, j, k) not in mhat:
-                            raise ValueError(f"missing integer data at {(i, j, k)}")
-        if a.keys() != ahat.keys():
-            raise ValueError("a and ahat must have the same keys")
-        if m.keys() != mhat.keys():
-            key = next(iter(m.keys() ^ mhat.keys()))
-            raise ValueError(f"m and mhat must have the same keys; {key} is in one only")
-        for key in t:
-            p, i, j, k = key
-            if (p, i, j) not in a or (p, j, k) not in a or (i, j, k) not in m:
-                raise ValueError(f"phase data at {key} lacks its a or m entries")
-        keys: dict[str, tuple[list, list]] = {}
-        for slot, table in enumerate((a, t)):
-            for key in table:
-                keys.setdefault(key[0], ([], []))[slot].append(key)
-        nums = {}
-        for p, (pairs, triples) in keys.items():
-            d, rows = common_denominator(a[k].entries + ahat[k].entries for k in pairs)
-            fracs = [t[k].frac for k in triples]
-            big = lcm(d * d, *[f.denominator for f in fracs])
-            an = {k[1:]: r[:n] for k, r in zip(pairs, rows)}
-            hn = {k[1:]: r[n:] for k, r in zip(pairs, rows)}
-            tn = {k[1:]: f.numerator * (big // f.denominator) for k, f in zip(triples, fracs)}
-            nums[p] = (d, big, big // d, big // (d * d), an, hn, tn)
-        self._fill(nerve, n, m, mhat, nums)
+        a, ahat = [
+            {k: [f.as_integer_ratio() for f in v.entries] for k, v in x.items()} for x in (a, ahat)
+        ]
+        t = {k: ph.frac.as_integer_ratio() for k, ph in t.items()}
+        self._fill(*cocycle_numerators(nerve, n, a, ahat, m, mhat, t))
 
     @classmethod
     def _new(cls, nerve: NerveModel, n: int, m: dict, mhat: dict, nums: dict) -> TDCocycle:

@@ -75,8 +75,14 @@ def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:
     return split
 
 
+def _fill(self, **fields):
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    return self
+
+
 class Obj:
-    """Object (A, X) with bilinear phase matrix X satisfying X - X^T == B_A."""
+    """Object (A, X) with X - X^T == B_A; the constructor checks it, `_new` trusts it."""
 
     __slots__ = ("g", "x")
 
@@ -85,8 +91,11 @@ class Obj:
             raise ValueError("phase matrix has wrong shape")
         if x - x.transpose() != b_split(g)[0]:
             raise ValueError("phase matrix violates X - X^T == B_A")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "x", x)
+        _fill(self, g=g, x=x)
+
+    @classmethod
+    def _new(cls, g: PseudoOrthogonal, x: IntMat) -> Obj:
+        return _fill(object.__new__(cls), g=g, x=x)
 
     def __setattr__(self, name, value):
         raise AttributeError("Obj is immutable")
@@ -109,29 +118,30 @@ class Obj:
 
 
 def obj_unit(n: int) -> Obj:
-    return Obj(PseudoOrthogonal.identity(n), IntMat.zeros(2 * n))
+    """(1, 0); an object since B_1 = J - J = 0."""
+    return Obj._new(PseudoOrthogonal.identity(n), IntMat.zeros(2 * n))
 
 
 def obj_product(o1: Obj, o2: Obj) -> Obj:
-    """(A1 A2, A2^T X1 A2 + iso(A1) X2)."""
+    """(A1 A2, A2^T X1 A2 + iso(A1) X2); X - X^T = A2^T B_{A1} A2 + iso(A1) B_{A2} = B_{A1 A2}."""
     if o1.n != o2.n:
         raise ValueError("rank mismatch")
     a2 = o2.g.mat
     x = a2.transpose() * o1.x * a2 + o2.x.scale(o1.g.iso)
-    return Obj(o1.g * o2.g, x)
+    return Obj._new(o1.g * o2.g, x)
 
 
 def obj_inverse(o: Obj) -> Obj:
-    """(A^{-1}, -iso(A) A^{-T} X A^{-1})."""
+    """(A^{-1}, -iso(A) A^{-T} X A^{-1}); an object, as B_{A^{-1}} = -iso(A) A^{-T} B_A A^{-1}."""
     ginv = o.g.inverse()
     m = ginv.mat
     x = (m.transpose() * o.x * m).scale(-o.g.iso)
-    return Obj(ginv, x)
+    return Obj._new(ginv, x)
 
 
 def section(a: PseudoOrthogonal) -> Obj:
-    """The canonical section A |-> (A, (B_A)_low) of the projection to O+-(n,n,Z)."""
-    return Obj(a, b_split(a)[1])
+    """Canonical section A |-> (A, L), L = (B_A)_low; an object, as B_A is skew: L - L^T = B_A."""
+    return Obj._new(a, b_split(a)[1])
 
 
 def x_matrix(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntMat:
@@ -153,7 +163,8 @@ class Mor:
     H is determined by the endpoints (H = src.x - dst.x) and must be
     symmetric; lin is an integer character.  The encoded map is
     beta(x) = 1/2 x^T H x - 1/2 H^diag . x + lin . x mod 1, which vanishes
-    on the integer lattice.
+    on the integer lattice.  `_new` trusts that src and dst share A, as every
+    internal result's do; then H is symmetric, as X - X^T == B_A == X' - X'^T.
     """
 
     __slots__ = ("src", "dst", "h", "lin")
@@ -172,10 +183,11 @@ class Mor:
         lin = tuple(lin)
         if len(lin) != dim:
             raise ValueError("character has wrong length")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lin", lin)
+        _fill(self, src=src, dst=dst, h=h, lin=lin)
+
+    @classmethod
+    def _new(cls, src: Obj, dst: Obj, lin: tuple[int, ...]) -> Mor:
+        return _fill(object.__new__(cls), src=src, dst=dst, h=src.x - dst.x, lin=lin)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mor is immutable")
@@ -205,23 +217,23 @@ def beta_multiplicator(a: PseudoOrthogonal, b: PseudoOrthogonal) -> Mor:
         raise ValueError("rank mismatch")
     src = obj_product(section(a), section(b))
     dst = section(a * b)
-    return Mor(src, dst)
+    return Mor._new(src, dst, (0,) * (2 * a.n))
 
 
 def mor_identity(o: Obj) -> Mor:
-    return Mor(o, o)
+    return Mor._new(o, o, (0,) * (2 * o.n))
 
 
 def mor_inverse(m: Mor) -> Mor:
     """Vertical inverse: (-H, -lin) from dst back to src."""
-    return Mor(m.dst, m.src, tuple(-v for v in m.lin))
+    return Mor._new(m.dst, m.src, tuple(-v for v in m.lin))
 
 
 def mor_vcompose(m1: Mor, m2: Mor) -> Mor:
     """Pointwise addition; defined when m1.dst == m2.src."""
     if m1.dst != m2.src:
         raise ValueError("endpoint mismatch in vertical composition")
-    return Mor(m1.src, m2.dst, tuple(x + y for x, y in zip(m1.lin, m2.lin)))
+    return Mor._new(m1.src, m2.dst, tuple([x + y for x, y in zip(m1.lin, m2.lin)]))
 
 
 def mor_hcompose(m1: Mor, m2: Mor) -> Mor:
@@ -250,7 +262,7 @@ def mor_hcompose(m1: Mor, m2: Mor) -> Mor:
     lin = tuple(
         p + iso1 * q + c // 2 for p, q, c in zip(lin1_pulled, m2.lin, twice_c)
     )
-    return Mor(obj_product(m1.src, m2.src), obj_product(m1.dst, m2.dst), lin)
+    return Mor._new(obj_product(m1.src, m2.src), obj_product(m1.dst, m2.dst), lin)
 
 
 def quadratic_phase(h: IntMat, lin: Sequence[int | Fraction], x: RatVec) -> Phase:

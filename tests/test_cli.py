@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from td2g import crossedmod, jsonio, kinvariant, tdcorr
+from td2g import crossedmod, intlinalg, jsonio, kinvariant, tdcorr
 from td2g.cli import main
 from td2g.groups import (
     embed_so,
@@ -17,14 +17,14 @@ from td2g.groups import (
     rotation_n1,
     standard_generators,
 )
-from td2g.intlinalg import IntMat, Phase
+from td2g.intlinalg import IntMat, Phase, RatVec
 from td2g.kinvariant import k_cocycle
 from td2g.rng import XorShift64Star, substream_seeds
 from td2g.tdcorr import (
     NerveModel, TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
 )
 from td2g.twogroup import beta_multiplicator, obj_unit, section
-from conftest import SPLIT_NERVE, reference_cocycle_key, words
+from conftest import SPLIT_NERVE, WIDE_NERVE, reference_cocycle_key, words
 
 
 def write_json(path, payload):
@@ -91,6 +91,15 @@ MALFORMED_COCYCLES = {
     "t-index-with-leading-zero": _rename_key("t", "p1|0|1|2", "p1|00|1|2"),
     "m-index-with-underscore": _rename_key("m", "0|1|2", "0_0|1|2"),
     "t-non-canonical-beside-canonical": _rename_key("t", "p1|0|1|2", "p1|0|01|2", keep=True),
+    "t-above-one": _set_entry("t", "p1|0|1|2", [3, 2]),
+    "t-negative-denominator": _set_entry("t", "p1|0|1|2", [1, -2]),
+    "t-zero-denominator": _set_entry("t", "p1|0|1|2", [1, 0]),
+    "a-zero-denominator": _set_entry("a", "p1|0|1", [[1, 0], [0, 1]]),
+    "a-negative-denominator": _set_entry("a", "p1|0|1", [[1, -3], [0, 1]]),
+    "a-bool-numerator": _set_entry("a", "p1|0|1", [[True, 2], [0, 1]]),
+    "a-float-numerator": _set_entry("a", "p1|0|1", [[0.5, 2], [0, 1]]),
+    "a-string-numerator": _set_entry("a", "p1|0|1", [["1", 2], [0, 1]]),
+    "a-pair-of-length-3": _set_entry("a", "p1|0|1", [[1, 2, 3], [0, 1]]),
 }
 
 
@@ -161,15 +170,6 @@ class TestJsonIO:
             with pytest.raises(jsonio.FormatError):
                 jsonio.mat_from_json({"rows": rows, "cols": cols, "data": data})
 
-    def test_phase_bounds(self):
-        from fractions import Fraction
-
-        assert jsonio.phase_from_json([1, 3]) == Phase(Fraction(1, 3))
-        with pytest.raises(jsonio.FormatError):
-            jsonio.phase_from_json([3, 2])
-        with pytest.raises(jsonio.FormatError):
-            jsonio.phase_from_json([1, -2])
-
     def test_element_roundtrip_recomputes_iso(self):
         e = rotation_n1()
         back = jsonio.element_from_json(jsonio.element_to_json(e))
@@ -195,6 +195,10 @@ class TestJsonIO:
         if m.h != IntMat.zeros(4):
             with pytest.raises(jsonio.FormatError):
                 jsonio.mor_from_json(payload)
+        # the Mor constructor's own refusals are format errors too
+        for key, value in (("lin", [0, 0, 0]), ("dst", jsonio.obj_to_json(section(a)))):
+            with pytest.raises(jsonio.FormatError):
+                jsonio.mor_from_json({**jsonio.mor_to_json(m), key: value})
 
     def test_cocycle_roundtrip_and_meta_ignored(self):
         # SPLIT_NERVE also carries m and mhat entries on triples no point covers
@@ -247,6 +251,43 @@ class TestJsonIO:
                 jsonio.cocycle_from_json(payload)
         else:
             assert expected in getattr(jsonio.cocycle_from_json(payload), member)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("nerve", [default_nerve(), SPLIT_NERVE, KEY_NERVE], ids=["default", "split", "key"])
+    def test_loader_and_constructor_store_the_same_numerators(self, nerve, n):
+        c = random_cocycle(nerve, n, 389)
+        loaded = jsonio.cocycle_from_json(jsonio.cocycle_to_json(c))
+        built = TDCocycle(c.nerve, c.n, c.a, c.ahat, c.m, c.mhat, c.t)
+        assert loaded.nums == built.nums and (loaded.m, loaded.mhat) == (built.m, built.mhat)
+        # unreduced pairs load as their reduced values and are written reduced
+        payload = jsonio.cocycle_to_json(c)
+        scaled = json.loads(json.dumps(payload))
+        for member, factor in (("a", 2), ("ahat", 3)):
+            for pair in itertools.chain.from_iterable(scaled[member].values()):
+                pair[0], pair[1] = factor * pair[0], factor * pair[1]
+        for pair in scaled["t"].values():
+            pair[0], pair[1] = 5 * pair[0], 5 * pair[1]
+        key = next(iter(payload["t"]))
+        payload["t"][key], scaled["t"][key] = [1, 2], [2, 4]
+        reduced, unreduced = jsonio.cocycle_from_json(payload), jsonio.cocycle_from_json(scaled)
+        assert reduced == unreduced and reduced.nums == unreduced.nums
+        dumps = {jsonio.canonical_dumps(jsonio.cocycle_to_json(x)) for x in (reduced, unreduced)}
+        assert dumps == {jsonio.canonical_dumps(payload)}
+
+    def test_cocycle_load_builds_no_rational(self, monkeypatch):
+        # rank 3 on the 12-point WIDE_NERVE, the size of a benchmark act-io file
+        payload = jsonio.cocycle_to_json(random_cocycle(WIDE_NERVE, 3, 397))
+        assert len(jsonio.canonical_dumps(payload)) > 20_000
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a cocycle built a rational")
+
+        for owner, name in ((RatVec, "_new"), (Phase, "_new"), (intlinalg, "common_denominator")):
+            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        loaded = jsonio.cocycle_from_json(payload)
+        monkeypatch.undo()
+        assert loaded == random_cocycle(WIDE_NERVE, 3, 397)
 
     def test_canonical_dumps_sorted(self):
         s = jsonio.canonical_dumps({"b": 1, "a": [1, 2]})

@@ -90,6 +90,27 @@ class TestObj:
         with pytest.raises(ValueError):
             Obj(g, IntMat.zeros(4))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trusted_results_equal_checked_construction(self, n):
+        # every object and morphism built by a trusted constructor equals,
+        # hashes and prints as the checked constructor's of the same data
+        for a, b in zip(*[iter(words(n, 8, 70 + n))] * 2):
+            sa, sb = section(a), section(b)
+            m, m2 = beta_multiplicator(a, b), beta_multiplicator(b, a)
+            objs = (obj_unit(n), sa, obj_product(sa, sb), obj_inverse(sa))
+            for o in objs:
+                checked = Obj(o.g, o.x)
+                assert o == checked and hash(o) == hash(checked) and repr(o) == repr(checked)
+            mors = (
+                m, mor_identity(sa), mor_inverse(m),
+                mor_vcompose(m, mor_inverse(m)), mor_hcompose(m, m2), mor_hcompose(mor_inverse(m), m2),
+            )
+            for f in mors:
+                checked = Mor(f.src, f.dst, f.lin)
+                assert f == checked and f.h == checked.h and repr(f) == repr(checked)
+            with pytest.raises(ValueError, match="X - X"):
+                Obj(a, sa.x + IntMat.basis(2 * n, 1, 2))
+
     def test_product_unit(self):
         o = section(perm_v(2, 1))
         assert obj_product(obj_unit(2), o) == o
