@@ -132,7 +132,7 @@ def obj_from_json(obj) -> Obj:
         "object must carry matrix and eta",
     )
     g = check_membership(mat_from_json(obj["matrix"]))
-    return Obj(g, mat_from_json(obj["eta"]))
+    return _build(Obj, g, mat_from_json(obj["eta"]))
 
 
 def mor_to_json(m: Mor) -> dict:

@@ -37,6 +37,10 @@ elements, builds their Cayley table once, and fills one m table (N^3
 `k_cocycle` calls) and one gamma table (N^2 `gamma` calls); delta m = 0
 at every quadruple and delta gamma = 2m at every triple are then table
 reads.  The tables live for one call.
+
+The splitting over the GL, SO, Z and V subgroups is decided without
+draws by `subgroup_vanishing_failure`: GL and SO by a certificate over
+their generators, Z and V by reduction to the 8 triples at n=1.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import (
     PseudoOrthogonal,
@@ -53,13 +57,11 @@ from .groups import (
     flip_element,
     gl_generators,
     perm_v,
-    random_word,
     so_basis,
 )
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import IntMat, Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
-from .rng import XorShift64Star
+from .intlinalg import Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
 from .twogroup import b_split, beta_multiplicator, eval_mor
 
 __all__ = [
@@ -74,7 +76,7 @@ __all__ = [
     "DoubleCoverElement",
     "double_cover_identity",
     "double_cover_mul",
-    "subgroup_sampler",
+    "subgroup_vanishing_failure",
     "z_elements",
     "v_elements",
 ]
@@ -297,62 +299,61 @@ def v_elements(n: int) -> list[PseudoOrthogonal]:
     return elems
 
 
-def _random_gl_element(n: int, rng: XorShift64Star) -> PseudoOrthogonal:
-    word = random_word([embed_gl(g) for g in gl_generators(n)], 4 + rng.below(5), rng)
-    return word
+# The generators of each subgroup that `subgroup_vanishing_failure` certifies.
+_GENERATORS = {
+    "GL": lambda n: [embed_gl(g) for g in gl_generators(n)],
+    "SO": lambda n: [embed_so(b) for b in so_basis(n)],
+}
 
 
-def _random_so_element(n: int, rng: XorShift64Star) -> PseudoOrthogonal:
-    basis = so_basis(n)
-    acc = IntMat.zeros(n)
-    for b in basis:
-        acc = acc + b.scale(rng.int_in(-3, 3))
-    return embed_so(acc)
+def subgroup_vanishing_failure(tag: str, n: int) -> dict | None:
+    """Decide m == 0 on the whole tagged rank-n subgroup (GL, SO, Z or V); None if it holds.
 
+    GL and SO: with G = `_GENERATORS[tag](n)`, the certificate is iso(h) = 1
+    and h^T L_g h == L_g, L_g = (B_g)_low, for all g, h in G; a failure
+    names the first failing pair as `generators`, indices into G.  It gives
+    m = 0 on the group that G generates:
 
-def subgroup_sampler(tag: str, n: int) -> Callable[[XorShift64Star], PseudoOrthogonal]:
-    if tag == "GL":
-        return lambda rng: _random_gl_element(n, rng)
-    if tag == "SO":
-        return lambda rng: _random_so_element(n, rng)
-    raise ValueError(f"unknown subgroup tag {tag!r}")
+    - B_{AB} = iso(A) B_B + B^T B_A B, and iso = 1 on the whole group;
+    - each generator, and so its inverse, fixes every L_g, hence every
+      B_g = L_g - L_g^T;
+    - by induction on words, B_{QP} = B_Q + B_P and B_{h^-1} = -B_h, so
+      every L_Q is an integer combination of the L_g and P^T L_Q P = L_Q;
+    - each form F(Q, P) = (P^T L_Q P)^diag of `k_cocycle` is then the
+      diagonal of the strictly lower L_Q, which is 0; so is m.
 
+    A generator with L_g = 0 needs no product: every GL one, as B_{D_g} = 0.
 
-def check_vanishing_on_subgroup(
-    tag: str, n: int, trials: int = 0, seed: int = 0
-) -> bool:
-    """m == 0 over triples from the tagged subgroup (GL, SO, Z or V).
-
-    Z is always exhaustive; V is exhaustive while 8^n stays small, else
-    sampled; GL and SO are sampled with `trials` seeded draws.
+    Z and V: every V element is block-diagonal over the coordinate pairs
+    (i, i+n), each block E or the n=1 flip, with iso = 1.  J, I, B_A, its
+    lower split (i < i+n keeps the order within a pair) and every product
+    keep those blocks, so m at a V triple is, pair by pair, m at a triple of
+    z_elements(1): its 8 triples decide V for every n.  Z lies in V, as
+    flip_element(n) = V_1...V_n.  A failure names the triple as `triple`,
+    indices into z_elements(1).
     """
-    zero = (0,) * (2 * n)
-    if tag == "Z":
-        elems = z_elements(n)
-    elif tag == "V":
-        elems = v_elements(n)
-        if len(elems) ** 3 > 4096:
-            elems = None
-    elif tag in ("GL", "SO"):
-        elems = None
-    else:
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    if tag in _GENERATORS:
+        gens = _GENERATORS[tag](n)
+        for ig, g in enumerate(gens):
+            low = b_split(g)[1]
+            for ih, h in enumerate(gens):
+                if h.iso != 1 or (any(map(any, low.data)) and h.mat.transpose() * low * h.mat != low):
+                    return {"subgroup": tag, "generators": [ig, ih]}
+        return None
+    if tag not in ("Z", "V"):
         raise ValueError(f"unknown subgroup tag {tag!r}")
+    elems = z_elements(1)
+    for t in product(range(2), repeat=3):
+        if k_cocycle(*(elems[i] for i in t)) != (0, 0):
+            return {"subgroup": tag, "triple": list(t)}
+    return None
 
-    if elems is not None:
-        return all(
-            k_cocycle(a, b, c) == zero for a in elems for b in elems for c in elems
-        )
 
-    rng = XorShift64Star(seed)
-    if tag == "V":
-        vs = v_elements(n)
-        draw = lambda r: vs[r.below(len(vs))]
-    else:
-        draw = subgroup_sampler(tag, n)
-    for _ in range(max(trials, 1)):
-        if k_cocycle(draw(rng), draw(rng), draw(rng)) != zero:
-            return False
-    return True
+def check_vanishing_on_subgroup(tag: str, n: int, trials: int = 0, seed: int = 0) -> bool:
+    """m == 0 on the whole tagged subgroup; `trials` and `seed` are accepted and ignored."""
+    return subgroup_vanishing_failure(tag, n) is None
 
 
 # -- the mod-2 double cover -------------------------------------------

@@ -28,8 +28,10 @@ from td2g.groups import (
     embed_so,
     enumerate_n1,
     flip_element,
+    gl_generators,
     random_word,
     rotation_n1,
+    so_basis,
     standard_generators,
 )
 from td2g.rng import XorShift64Star
@@ -151,6 +153,45 @@ def reference_n1_exhaustive(_n, _trials, _seed) -> list[dict]:
                             {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
                         )
     return failures
+
+
+def reference_subgroup_vanishing(tag: str, n: int, trials: int = 0, seed: int = 0) -> bool:
+    """The earlier subgroup check: exhaustive for Z, and for V while 8^n <= 4096, else seeded draws."""
+    zero = (0,) * (2 * n)
+    if tag == "Z":
+        elems = kinvariant.z_elements(n)
+    elif tag == "V":
+        elems = kinvariant.v_elements(n)
+        if len(elems) ** 3 > 4096:
+            elems = None
+    elif tag in ("GL", "SO"):
+        elems = None
+    else:
+        raise ValueError(f"unknown subgroup tag {tag!r}")
+    if elems is not None:
+        return all(
+            kinvariant.k_cocycle(a, b, c) == zero for a in elems for b in elems for c in elems
+        )
+
+    def random_gl_element(rng):
+        return random_word([embed_gl(g) for g in gl_generators(n)], 4 + rng.below(5), rng)
+
+    def random_so_element(rng):
+        acc = IntMat.zeros(n)
+        for b in so_basis(n):
+            acc = acc + b.scale(rng.int_in(-3, 3))
+        return embed_so(acc)
+
+    rng = XorShift64Star(seed)
+    if tag == "V":
+        vs = kinvariant.v_elements(n)
+        draw = lambda r: vs[r.below(len(vs))]
+    else:
+        draw = random_gl_element if tag == "GL" else random_so_element
+    for _ in range(max(trials, 1)):
+        if kinvariant.k_cocycle(draw(rng), draw(rng), draw(rng)) != zero:
+            return False
+    return True
 
 
 # -- Fraction references for the integer kernels ---------------------------

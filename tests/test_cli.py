@@ -200,6 +200,22 @@ class TestJsonIO:
             with pytest.raises(jsonio.FormatError):
                 jsonio.mor_from_json({**jsonio.mor_to_json(m), key: value})
 
+    @pytest.mark.parametrize(
+        "eta",
+        [IntMat.zeros(4), IntMat.zeros(2)],
+        ids=["violates-the-phase-law", "wrong-shape"],
+    )
+    def test_obj_rejects_bad_eta_as_format_error(self, tmp_path, capsys, eta):
+        payload = {"matrix": jsonio.mat_to_json(flip_element(2).mat), "eta": jsonio.mat_to_json(eta)}
+        with pytest.raises(jsonio.FormatError):
+            jsonio.obj_from_json(payload)
+        auto = tmp_path / "auto.json"
+        write_json(auto, payload)
+        cfile = tmp_path / "c.json"
+        write_json(cfile, jsonio.cocycle_to_json(random_cocycle(default_nerve(), 2, 353)))
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(tmp_path / "out.json")])
+        assert code == 2 and capsys.readouterr().err.startswith("error: ")
+
     def test_cocycle_roundtrip_and_meta_ignored(self):
         # SPLIT_NERVE also carries m and mhat entries on triples no point covers
         for nerve in (default_nerve(), SPLIT_NERVE):

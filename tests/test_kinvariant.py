@@ -10,8 +10,12 @@ from td2g.groups import (
     embed_so,
     enumerate_n1,
     flip_element,
+    gl_generators,
     pairing_matrix,
     perm_v,
+    random_word,
+    so_basis,
+    standard_generators,
 )
 from td2g.intlinalg import IntMat, Phase, RatVec, unimodular_inverse
 from td2g.kinvariant import (
@@ -25,11 +29,13 @@ from td2g.kinvariant import (
     gamma,
     k_cocycle,
     k_eval,
+    subgroup_vanishing_failure,
     twisted_action,
     v_elements,
     z_elements,
 )
-from td2g.twogroup import b_matrix, strict_lower_split
+from td2g.rng import XorShift64Star
+from td2g.twogroup import b_matrix, b_split, strict_lower_split
 from td2g.intlinalg import diag_vec
 from conftest import (
     rand_intvec,
@@ -37,6 +43,7 @@ from conftest import (
     reference_gamma,
     reference_k_cocycle,
     reference_n1_exhaustive,
+    reference_subgroup_vanishing,
     words,
 )
 from td2g import kinvariant
@@ -439,6 +446,94 @@ class TestSubgroupVanishing:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             check_vanishing_on_subgroup("SL", 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_reference(self, n):
+        # V stays exhaustive in the reference up to n = 4 (16^3 = 4096 triples)
+        assert len(v_elements(n)) ** 3 <= 4096
+        for tag, seed in (("Z", 0), ("V", 0), ("GL", 41 + n), ("SO", 43 + n)):
+            assert subgroup_vanishing_failure(tag, n) is None
+            assert reference_subgroup_vanishing(tag, n, trials=30, seed=seed)
+
+    @staticmethod
+    def _gl_and_shift(n):
+        return [embed_gl(g) for g in gl_generators(n)] + [embed_so(so_basis(n)[0])]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family", ["gl-and-shift", "standard"])
+    def test_controls_fail_and_the_claim_fails_with_them(self, monkeypatch, n, family):
+        gens = self._gl_and_shift(n) if family == "gl-and-shift" else standard_generators(n)
+        monkeypatch.setitem(kinvariant._GENERATORS, "GL", lambda rank: gens)
+        record = subgroup_vanishing_failure("GL", n)
+        assert set(record) == {"subgroup", "generators"} and record["subgroup"] == "GL"
+        g, h = (gens[i] for i in record["generators"])
+        low = b_split(g)[1]
+        assert h.iso != 1 or h.mat.transpose() * low * h.mat != low
+        # the certificate is not stricter than the claim: m != 0 somewhere in the group
+        rng = XorShift64Star(7 + n)
+        zero = (0,) * (2 * n)
+        assert any(
+            k_cocycle(*(random_word(gens, 4 + rng.below(5), rng) for _ in range(3))) != zero
+            for _ in range(200)
+        )
+
+    def test_generator_with_iso_minus_one_fails(self, monkeypatch):
+        # diag(1, -1) has B = 0, so only the iso condition of the proof refuses it
+        g = enumerate_n1()[6]
+        assert g.iso == -1 and not any(map(any, b_matrix(g).data))
+        monkeypatch.setitem(kinvariant._GENERATORS, "SO", lambda rank: [PseudoOrthogonal.identity(1), g])
+        assert subgroup_vanishing_failure("SO", 1) == {"subgroup": "SO", "generators": [0, 1]}
+
+    def test_injected_generator_names_the_pair(self, monkeypatch, capsys):
+        monkeypatch.setitem(kinvariant._GENERATORS, "GL", self._gl_and_shift)
+        assert main(["verify", "--suite", "subgroups", "--n", "2", "--trials", "5", "--seed", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        # the shift is the fourth generator; the transvection E + E_12 moves its lower split
+        assert report["failures"] == [
+            {"trial": 0, "check": "subgroup-vanishing", "subgroup": "GL", "generators": [3, 0]}
+        ]
+
+    def test_injected_triple_names_the_n1_site(self, monkeypatch, capsys):
+        flip = flip_element(1)
+        real = kinvariant.k_cocycle
+        monkeypatch.setattr(
+            kinvariant, "k_cocycle", lambda a, b, c: (1, 0) if (a, c) == (flip, flip) else real(a, b, c)
+        )
+        assert main(["verify", "--suite", "subgroups", "--n", "3", "--trials", "5", "--seed", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == [
+            {"trial": 0, "check": "subgroup-vanishing", "subgroup": tag, "triple": [1, 0, 1]}
+            for tag in ("Z", "V")
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_v_is_block_diagonal_over_coordinate_pairs(self, n):
+        blocks = {(i, i) for i in range(2 * n)} | {(i, i + n) for i in range(n)} | {(i + n, i) for i in range(n)}
+        elems = v_elements(n)
+        assert flip_element(n) in elems
+        for a in elems:
+            assert a.iso == 1
+            for mat in (a.mat, *b_split(a)):
+                assert all(mat[r, c] == 0 for r in range(2 * n) for c in range(2 * n) if (r, c) not in blocks)
+
+    def test_work_draws_nothing(self, monkeypatch, capsys):
+        # No subgroup check draws: every draw goes through next_u64.
+        def no_draws(self):
+            raise AssertionError("the subgroups suite drew a random number")
+
+        calls = []
+        real = kinvariant.k_cocycle
+        monkeypatch.setattr(XorShift64Star, "next_u64", no_draws)
+        monkeypatch.setattr(kinvariant, "k_cocycle", lambda *abc: calls.append(abc) or real(*abc))
+        argv = ["verify", "--suite", "subgroups", "--n", "6", "--trials", "200", "--seed", "42"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["elapsed_ms"]
+        assert json.dumps(report, sort_keys=True, separators=(",", ":")) == (
+            '{"failures":[],"n":6,"seed":42,"suite":"subgroups","trials":200}'
+        )
+        # Z and V read the 8 triples at n=1 each; GL and SO call no k_cocycle
+        assert len(calls) == 16 and all(a.n == 1 for abc in calls for a in abc)
 
 
 class TestDoubleCover:
