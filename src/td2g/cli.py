@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -57,11 +58,18 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _load_json(path: str):
-    """Decode a JSON file; every failure, repeated object keys included, is a FormatError."""
+def _load_json(path: str) -> tuple[object, str]:
+    """Decode a JSON file read once, with the sha256 of the bytes decoded.
+
+    The bytes are decoded as text-mode `open` decodes them (UTF-8,
+    universal newlines).  Every failure, repeated object keys included,
+    is a FormatError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        return json.load(text, object_pairs_hook=_unique_keys), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError, RecursionError) as exc:
         raise jsonio.FormatError(f"{path}: {exc}") from exc
 
@@ -184,7 +192,7 @@ _SUITE_BODIES = {
 
 def cmd_check(args) -> int:
     try:
-        mat = jsonio.mat_from_json(_load_json(args.matrix))
+        mat = jsonio.mat_from_json(_load_json(args.matrix)[0])
     except jsonio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -199,9 +207,9 @@ def cmd_check(args) -> int:
 
 def cmd_kinv(args) -> int:
     try:
-        a = jsonio.element_from_json(_load_json(args.a))
-        b = jsonio.element_from_json(_load_json(args.b))
-        c = jsonio.element_from_json(_load_json(args.c))
+        a = jsonio.element_from_json(_load_json(args.a)[0])
+        b = jsonio.element_from_json(_load_json(args.b)[0])
+        c = jsonio.element_from_json(_load_json(args.c)[0])
         if not (a.n == b.n == c.n):
             raise jsonio.FormatError("rank mismatch between elements")
     except (jsonio.FormatError, MembershipError) as exc:
@@ -262,13 +270,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_MATH
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 def _report_violation(c, message: str) -> bool:
     """Whether `c` is invalid; if so, print `message` and its first failing condition as JSON."""
     if tdcorr.validate(c):
@@ -279,8 +280,10 @@ def _report_violation(c, message: str) -> bool:
 
 def cmd_act(args) -> int:
     try:
-        obj = jsonio.obj_from_json(_load_json(args.auto))
-        coc = jsonio.cocycle_from_json(_load_json(args.cocycle))
+        auto, auto_sha256 = _load_json(args.auto)
+        obj = jsonio.obj_from_json(auto)
+        cocycle, cocycle_sha256 = _load_json(args.cocycle)
+        coc = jsonio.cocycle_from_json(cocycle)
         if obj.n != coc.n:
             raise jsonio.FormatError("object and cocycle rank differ")
     except (jsonio.FormatError, MembershipError, ValueError) as exc:
@@ -291,14 +294,14 @@ def cmd_act(args) -> int:
     result = tdcorr.act(obj, coc)
     if _report_violation(result, "internal error: transformed cocycle failed validation"):
         return EXIT_INTERNAL
-    meta = {
-        "auto_sha256": _sha256_file(args.auto),
-        "cocycle_sha256": _sha256_file(args.cocycle),
-    }
-    payload = jsonio.cocycle_to_json(result, meta=meta)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.canonical_dumps(payload))
-        fh.write("\n")
+    meta = {"auto_sha256": auto_sha256, "cocycle_sha256": cocycle_sha256}
+    text = jsonio.canonical_dumps(jsonio.cocycle_to_json(result, meta=meta)) + "\n"
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {args.output}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

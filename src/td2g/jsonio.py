@@ -63,7 +63,8 @@ def _expect(cond: bool, msg: str) -> None:
 
 
 def _expect_int(x, what: str) -> int:
-    _expect(isinstance(x, int) and not isinstance(x, bool), f"{what} must be an integer")
+    # `type(x) is int` refuses bool, the only int subclass `json.load` returns
+    _expect(type(x) is int, f"{what} must be an integer")
     return x
 
 
@@ -97,12 +98,21 @@ def mat_from_json(obj) -> IntMat:
 
 def _ints(obj, what: str) -> tuple[int, ...]:
     _expect(isinstance(obj, list), f"{what} must be an array")
-    return tuple(_expect_int(x, what) for x in obj)
+    for x in obj:
+        if type(x) is not int:
+            raise FormatError(f"{what} must be an integer")
+    return tuple(obj)
 
 
 def _pair(obj) -> list[int]:
-    _expect(isinstance(obj, list) and len(obj) == 2, "rational must be a two-element array")
-    return [_expect_int(obj[0], "numerator"), _expect_int(obj[1], "denominator")]
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise FormatError("rational must be a two-element array")
+    num, den = obj
+    if type(num) is not int:
+        raise FormatError("numerator must be an integer")
+    if type(den) is not int:
+        raise FormatError("denominator must be an integer")
+    return obj
 
 
 def _pairs(obj) -> list[list[int]]:
@@ -159,36 +169,33 @@ def mor_from_json(obj) -> Mor:
 # -- cocycles ------------------------------------------------------------
 
 
-def _key_join(*parts) -> str:
-    return "|".join(str(p) for p in parts)
-
-
-def _reduced(num: int, den: int) -> list[int]:
-    g = gcd(num, den)
-    return [num // g, den // g]
-
-
 def cocycle_to_json(c: TDCocycle, meta: dict | None = None) -> dict:
     a, ahat, t = {}, {}, {}
     for p, (d, big, _, _, an, hn, tn) in c.nums.items():
-        for ij, u in an.items():
-            a[_key_join(p, *ij)] = [_reduced(x, d) for x in u]
-            ahat[_key_join(p, *ij)] = [_reduced(x, d) for x in hn[ij]]
-        for ijk, x in tn.items():
-            t[_key_join(p, *ijk)] = _reduced(x, big)
+        for (i, j), u in an.items():
+            key = f"{p}|{i}|{j}"
+            a[key] = [[x // (g := gcd(x, d)), d // g] for x in u]
+            ahat[key] = [[x // (g := gcd(x, d)), d // g] for x in hn[(i, j)]]
+        for (i, j, k), x in tn.items():
+            g = gcd(x, big)
+            t[f"{p}|{i}|{j}|{k}"] = [x // g, big // g]
     payload = {
         "n": c.n,
         "points": list(c.nerve.points),
         "cover": {p: list(c.nerve.cover[p]) for p in c.nerve.points},
         "a": a,
         "ahat": ahat,
-        "m": {_key_join(*k): list(v) for k, v in c.m.items()},
-        "mhat": {_key_join(*k): list(v) for k, v in c.mhat.items()},
+        "m": {f"{i}|{j}|{k}": list(v) for (i, j, k), v in c.m.items()},
+        "mhat": {f"{i}|{j}|{k}": list(v) for (i, j, k), v in c.mhat.items()},
         "t": t,
     }
     if meta is not None:
         payload["meta"] = meta
     return payload
+
+
+# The head of a key whose first part names nothing: no key element, no index names.
+_NO_HEAD = (None, {})
 
 
 def _map_from_json(obj, name: str, arity: int, heads: dict, parse) -> dict:
@@ -203,9 +210,10 @@ def _map_from_json(obj, name: str, arity: int, heads: dict, parse) -> dict:
     out = {}
     for k, v in table.items():
         first, *rest = k.split("|")
-        head, names = heads.get(first, (None, {}))
-        key = (head, *[names.get(x) for x in rest])
-        _expect(len(key) == arity and None not in key, f"{name} key {k!r} names no site of the nerve")
+        head, names = heads.get(first, _NO_HEAD)
+        key = (head, *map(names.get, rest))
+        if len(key) != arity or None in key:
+            raise FormatError(f"{name} key {k!r} names no site of the nerve")
         out[key] = parse(v)
     return out
 

@@ -241,28 +241,46 @@ def first_violation(c: TDCocycle) -> dict | None:
     """The first failing cocycle condition with its location, or None.
 
     Per point in nerve order: conditions 1 and 2 at every index triple,
-    then 5 at every quadruple, on the numerators of `c.nums`: 1 and 2
-    over D_p, and 5 modulo B_p.
+    then 5 at the quadruples (i0, j, k, l) with i0 = cover[p][0], on the
+    numerators of `c.nums`: 1 and 2 over D_p, and 5 modulo B_p.
 
     Conditions 3 and 4 are implied and not checked.  Where 1 and 2 hold
     at p, m_ijk = a_ik - a_jk - a_ij, so m_ikl + m_ijk and m_ijl + m_jkl
     both equal a_il - a_ij - a_jk - a_kl at every quadruple of p's cover;
     mhat likewise with ahat.  1 and 2 are checked at all of p's triples
     before any of its quadruples, so 3 or 4 is never the first violation.
+
+    Condition 5 at the i0-quadruples implies it at all quadruples.  Let
+    s_ijkl = t_ikl + t_ijk - t_ijl - t_jkl - m_ijk . ahat_kl, so that 5
+    says s = 0 mod 1 and s = -(delta t + c) with c_ijkl = m_ijk . ahat_kl.
+    Condition 1 at the four faces gives delta m = 0, so
+    delta c (i, j, k, l, q) = m_ijk . (ahat_lq - ahat_kq + ahat_kl), which
+    by condition 2 is -m_ijk . mhat_klq, an integer; with delta delta t = 0,
+    delta s = 0 mod 1.  The cone identity delta s (i0, i, j, k, l) = 0
+    mod 1 gives s_ijkl = s_i0jkl - s_i0ikl + s_i0ijl - s_i0ijk mod 1, so
+    if s vanishes at every i0-quadruple it vanishes everywhere.  The
+    i0-quadruples come first in `product` order, so the first failing
+    quadruple of all is the first failing i0-quadruple.
     """
     m, mhat, view = c.m, c.mhat, c.nums
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
         d, big, wd, _, an, hn, tn = view[p]
-        for i, j, k in product(idx, repeat=3):
-            for cond, nums, mm in ((1, an, m), (2, hn, mhat)):
-                rhs = zip(mm[(i, j, k)], nums[(j, k)], nums[(i, j)])
-                if nums[(i, k)] != tuple([d * x + y + z for x, y, z in rhs]):
-                    return {"condition": cond, "point": p, "indices": (i, j, k)}
-        for i, j, k, l in product(idx, repeat=4):
-            twist = wd * sum(map(mul, m[(i, j, k)], hn[(k, l)]))
-            if (tn[(i, k, l)] + tn[(i, j, k)] - twist - tn[(i, j, l)] - tn[(j, k, l)]) % big:
-                return {"condition": 5, "point": p, "indices": (i, j, k, l)}
+        for i, j in product(idx, repeat=2):
+            a_ij, h_ij = an[(i, j)], hn[(i, j)]
+            for k in idx:
+                ijk = (i, j, k)
+                if an[(i, k)] != tuple([d * x + y + z for x, y, z in zip(m[ijk], an[(j, k)], a_ij)]):
+                    return {"condition": 1, "point": p, "indices": ijk}
+                if hn[(i, k)] != tuple([d * x + y + z for x, y, z in zip(mhat[ijk], hn[(j, k)], h_ij)]):
+                    return {"condition": 2, "point": p, "indices": ijk}
+        i = idx[0]
+        for j, k in product(idx, repeat=2):
+            m_ijk, t_ijk = m[(i, j, k)], tn[(i, j, k)]
+            for l in idx:
+                twist = wd * sum(map(mul, m_ijk, hn[(k, l)]))
+                if (tn[(i, k, l)] + t_ijk - twist - tn[(i, j, l)] - tn[(j, k, l)]) % big:
+                    return {"condition": 5, "point": p, "indices": (i, j, k, l)}
     return None
 
 

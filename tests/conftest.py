@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -272,6 +273,38 @@ def reference_first_violation(c: TDCocycle) -> dict | None:
                         if Phase(lhs) != Phase(c.t[(p, i, j, l)].frac + c.t[(p, j, k, l)].frac):
                             return {"condition": 5, "point": p, "indices": (i, j, k, l)}
     return None
+
+
+def reference_cocycle_to_json(c: TDCocycle, meta: dict | None = None) -> dict:
+    """The earlier cocycle writer: keys joined by a helper, pairs reduced by a helper."""
+
+    def key_join(*parts) -> str:
+        return "|".join(str(p) for p in parts)
+
+    def reduced(num: int, den: int) -> list[int]:
+        g = gcd(num, den)
+        return [num // g, den // g]
+
+    a, ahat, t = {}, {}, {}
+    for p, (d, big, _, _, an, hn, tn) in c.nums.items():
+        for ij, u in an.items():
+            a[key_join(p, *ij)] = [reduced(x, d) for x in u]
+            ahat[key_join(p, *ij)] = [reduced(x, d) for x in hn[ij]]
+        for ijk, x in tn.items():
+            t[key_join(p, *ijk)] = reduced(x, big)
+    payload = {
+        "n": c.n,
+        "points": list(c.nerve.points),
+        "cover": {p: list(c.nerve.cover[p]) for p in c.nerve.points},
+        "a": a,
+        "ahat": ahat,
+        "m": {key_join(*k): list(v) for k, v in c.m.items()},
+        "mhat": {key_join(*k): list(v) for k, v in c.mhat.items()},
+        "t": t,
+    }
+    if meta is not None:
+        payload["meta"] = meta
+    return payload
 
 
 def reference_cocycle_key(key: str, arity: int, nerve: NerveModel, with_point: bool):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from td2g import crossedmod, intlinalg, jsonio, kinvariant, tdcorr
+from td2g import cli, crossedmod, intlinalg, jsonio, kinvariant, tdcorr
 from td2g.cli import main
 from td2g.groups import (
     embed_so,
@@ -24,7 +25,9 @@ from td2g.tdcorr import (
     NerveModel, TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
 )
 from td2g.twogroup import beta_multiplicator, obj_unit, section
-from conftest import SPLIT_NERVE, WIDE_NERVE, reference_cocycle_key, words
+from conftest import (
+    SPLIT_NERVE, WIDE_NERVE, reference_cocycle_key, reference_cocycle_to_json, words
+)
 
 
 def write_json(path, payload):
@@ -138,6 +141,8 @@ UNDECODABLE_MATRICES = {
     "not-utf-8": b"\xff\xfe{",
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
 }
+# The same, plus a file that is not JSON and one that does not exist (None).
+UNDECODABLE_FILES = {**UNDECODABLE_MATRICES, "not-json": b"nope", "unreadable": None}
 
 
 def assert_input_error(capsys, code, out=None):
@@ -308,6 +313,59 @@ class TestJsonIO:
     def test_canonical_dumps_sorted(self):
         s = jsonio.canonical_dumps({"b": 1, "a": [1, 2]})
         assert s == '{"a":[1,2],"b":1}'
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "nerve",
+        [default_nerve(), SPLIT_NERVE, KEY_NERVE, WIDE_NERVE],
+        ids=["default", "split", "key", "wide"],
+    )
+    def test_writer_matches_reference(self, nerve, n):
+        c = random_cocycle(nerve, n, 457 + n)
+        # the same values loaded from unreduced pairs, over other denominators
+        scaled = jsonio.cocycle_to_json(c)
+        for member, factor in (("a", 2), ("ahat", 3)):
+            for pair in itertools.chain.from_iterable(scaled[member].values()):
+                pair[0], pair[1] = factor * pair[0], factor * pair[1]
+        for pair in scaled["t"].values():
+            pair[0], pair[1] = 7 * pair[0], 7 * pair[1]
+        loaded = jsonio.cocycle_from_json(scaled)
+        moved = act(section(words(n, 1, 461 + n)[0]), loaded)
+        meta = {"auto_sha256": "0" * 64, "cocycle_sha256": "f" * 64}
+        for x in (c, loaded, moved):
+            for m in (None, meta):
+                got = jsonio.canonical_dumps(jsonio.cocycle_to_json(x, meta=m))
+                assert got == jsonio.canonical_dumps(reference_cocycle_to_json(x, meta=m))
+
+    @pytest.mark.parametrize(
+        "member, key, value, message",
+        [
+            ("a", "p1|0|1", [[1, True], [0, 1]], "denominator must be an integer"),
+            ("a", "p1|0|1", [[False, 2], [0, 1]], "numerator must be an integer"),
+            ("a", "p1|0|1", [1, 2], "rational must be a two-element array"),
+            ("a", "p1|0|1", {"0": [1, 2]}, "vector must be an array"),
+            ("m", "0|1|2", [True, 0], "m entry must be an integer"),
+            ("m", "0|1|2", [0.5, 0], "m entry must be an integer"),
+            ("mhat", "0|1|2", "01", "mhat entry must be an array"),
+            ("t", "p1|0|1|2", [1, 2, 3], "rational must be a two-element array"),
+        ],
+        ids=[
+            "bool-denominator",
+            "bool-numerator",
+            "integer-for-pair",
+            "object-for-vector",
+            "bool-m-entry",
+            "float-m-entry",
+            "string-mhat-entry",
+            "three-element-pair",
+        ],
+    )
+    def test_cocycle_entry_messages(self, member, key, value, message):
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        payload[member][key] = value
+        with pytest.raises(jsonio.FormatError) as excinfo:
+            jsonio.cocycle_from_json(payload)
+        assert str(excinfo.value) == message
 
 
 class TestCheckCommand:
@@ -685,6 +743,50 @@ class TestActCommand:
         assert code == 2
         assert captured.err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        c = random_cocycle(default_nerve(), 1, 463)
+        auto, cfile, _ = self._write_inputs(tmp_path, obj_unit(1), c)
+        out = tmp_path / "no" / "out.json" if target == "missing-directory" else tmp_path
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {out}: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("member", ["auto", "cocycle"])
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE_FILES))
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, member, case):
+        c = random_cocycle(default_nerve(), 1, 467)
+        files = dict(zip(("auto", "cocycle"), self._write_inputs(tmp_path, obj_unit(1), c)))
+        bad = tmp_path / "bad.json"
+        if UNDECODABLE_FILES[case] is not None:
+            bad.write_bytes(UNDECODABLE_FILES[case])
+        files[member] = bad
+        out = tmp_path / "out.json"
+        code = main(["act", "--auto", str(files["auto"]), "--cocycle", str(files["cocycle"]), "-o", str(out)])
+        assert_input_error(capsys, code, out)
+
+    def test_meta_hashes_the_bytes_read_once(self, tmp_path, capsys, monkeypatch):
+        c = random_cocycle(default_nerve(), 1, 479)
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(1), c)
+        # bytes a canonical rewrite would change: CRLF line ends and spaces
+        cfile.write_bytes(json.dumps(jsonio.cocycle_to_json(c), indent=1).replace("\n", "\r\n").encode())
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(opened) == sorted([str(auto), str(cfile), str(out)])
+        meta = json.loads(out.read_text())["meta"]
+        assert meta == {
+            "auto_sha256": hashlib.sha256(auto.read_bytes()).hexdigest(),
+            "cocycle_sha256": hashlib.sha256(cfile.read_bytes()).hexdigest(),
+        }
 
 
 class TestConsoleScript:

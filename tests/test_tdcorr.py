@@ -320,6 +320,49 @@ class TestIntegerKernels:
         expected = {"a": {1}, "ahat": {2}, "m": {1}, "mhat": {2}, "t": {5}}[member]
         assert found - {None} == expected
 
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_phase_bump_off_the_first_chart_is_found_from_it(self, nerve):
+        # condition 5 is checked only at quadruples (i0, j, k, l), i0 = cover[p][0];
+        # a bad phase at a triple (j, k, l) without i0 first fails at (i0, j, k, l)
+        rng = XorShift64Star(487)
+        widths = set()
+        for n in (1, 2):
+            c = random_cocycle(NERVES[nerve], n, 491 + n)
+            for p in c.nerve.points:
+                idx = c.nerve.cover[p]
+                if len(idx) < 3:
+                    continue
+                widths.add(len(idx))
+                d, big, wd, w, an, hn, tn = c.nums[p]
+                rest = list(product(idx[1:], repeat=3))
+                for _ in range(2):
+                    jkl = rest[rng.below(len(rest))]
+                    bumped = {**tn, jkl: (tn[jkl] + 1 + rng.below(big - 1)) % big}
+                    nums = {**c.nums, p: (d, big, wd, w, an, hn, bumped)}
+                    bad = TDCocycle._new(c.nerve, n, c.m, c.mhat, nums)
+                    got = first_violation(bad)
+                    assert got == {"condition": 5, "point": p, "indices": (idx[0], *jkl)}
+                    assert got == reference_first_violation(bad)
+        assert widths == ({3} if nerve == "split" else {3, 4})
+
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_condition_5_reads_cubically_many_phases(self, nerve):
+        class CountingDict(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+        c = random_cocycle(NERVES[nerve], 2, 499)
+        p = max(c.nerve.points, key=lambda q: len(c.nerve.cover[q]))
+        width = len(c.nerve.cover[p])
+        counted = CountingDict(c.nums[p][6])
+        nums = {**c.nums, p: (*c.nums[p][:6], counted)}
+        assert first_violation(TDCocycle._new(c.nerve, 2, c.m, c.mhat, nums)) is None
+        # every quadruple would read 4 * width**4 phases
+        assert 0 < counted.reads <= 4 * width**3
+
 
 class TestGerbeCochains:
     def test_zero_cocycle_gives_zero(self, rng):
