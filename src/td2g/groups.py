@@ -10,6 +10,7 @@ and A^{-1} = iso(A) * I A^T I, which gives inversion without an adjugate.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, neg, sub
 from typing import Sequence
 
 from .intlinalg import IntMat, unimodular_inverse
@@ -78,11 +79,13 @@ class PseudoOrthogonal:
     """An element of O+-(n,n,Z) with its cached sign iso(A).
 
     `_b_split` holds (B_A, (B_A)_low) once `twogroup.b_split` has computed
-    them for this element, and `_inverse` the inverse once `inverse` has;
-    both are None before and take no part in equality, hashing or repr.
+    them for this element, `_inverse` the inverse once `inverse` has, and
+    `_columns` the nonzero entries of each column other than e_j once
+    `random_word` has read them; all three are None before and take no part in equality,
+    hashing or repr.
     """
 
-    __slots__ = ("n", "mat", "iso", "_b_split", "_inverse")
+    __slots__ = ("n", "mat", "iso", "_b_split", "_inverse", "_columns")
 
     def __init__(self, mat: IntMat, *, _iso: int | None = None):
         if not mat.is_square or mat.rows % 2 != 0:
@@ -95,6 +98,7 @@ class PseudoOrthogonal:
         object.__setattr__(self, "iso", _iso)
         object.__setattr__(self, "_b_split", None)
         object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonal is immutable")
@@ -218,25 +222,76 @@ def enumerate_n1() -> list[PseudoOrthogonal]:
     return [check_membership(IntMat(t)) for t in tables]
 
 
+def _columns(g: PseudoOrthogonal) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+    """Each column j of g that is not e_j, as (j, i, x, rest); kept on g.
+
+    (i, x) is the column's first nonzero entry (row, value) and `rest`
+    the others.
+    """
+    changes = g._columns
+    if changes is None:
+        changes = []
+        for j, col in enumerate(zip(*g.mat.data)):
+            (i, x), *rest = [(i, x) for i, x in enumerate(col) if x]
+            if (i, x) != (j, 1) or rest:
+                changes.append((j, i, x, tuple(rest)))
+        changes = tuple(changes)
+        object.__setattr__(g, "_columns", changes)
+    return changes
+
+
 def random_word(
     generators: Sequence[PseudoOrthogonal],
     length: int,
     seed: int | XorShift64Star,
 ) -> PseudoOrthogonal:
-    """Deterministic product of `length` uniform picks g or g^{-1} from `generators`."""
+    """Deterministic product of `length` uniform picks g or g^{-1} from `generators`.
+
+    The product is accumulated as a list of columns, and each letter g
+    acts on it by column operations: column j of M g is the sum of
+    value * (column row of M) over the nonzero entries (row, value) of
+    g's column j, so only the columns of g other than e_j change anything.
+    A transvection, shift, V_i or diag(-1, 1, ...) changes two columns,
+    and every changed column of a standard generator or its inverse has
+    one or two nonzeros.  A one-letter word is the letter itself and the
+    empty word the identity.
+    """
     if not generators:
         raise ValueError("empty generator list")
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise ValueError("generators of mixed rank")
     rng = seed if isinstance(seed, XorShift64Star) else XorShift64Star(seed)
-    acc = None
+    letters = []
     for _ in range(length):
         g = generators[rng.below(len(generators))]
         if rng.below(2):
             g = g.inverse()
-        acc = g if acc is None else acc * g
-    return PseudoOrthogonal.identity(n) if acc is None else acc
+        letters.append(g)
+    if len(letters) < 2:
+        return letters[0] if letters else PseudoOrthogonal.identity(n)
+    first = letters[0]
+    cols = tuple(zip(*first.mat.data))
+    iso = first.iso
+    for g in letters[1:]:
+        out = list(cols)
+        for j, i, x, rest in _columns(g):
+            col = cols[i]
+            if x == -1:
+                col = tuple(map(neg, col))
+            elif x != 1:
+                col = tuple([x * v for v in col])
+            for k, y in rest:
+                if y == 1:
+                    col = tuple(map(add, col, cols[k]))
+                elif y == -1:
+                    col = tuple(map(sub, col, cols[k]))
+                else:
+                    col = tuple([u + y * v for u, v in zip(col, cols[k])])
+            out[j] = col
+        cols = out
+        iso *= g.iso
+    return PseudoOrthogonal(IntMat._new(tuple(zip(*cols))), _iso=iso)
 
 
 def gl_generators(n: int) -> list[IntMat]:
@@ -260,11 +315,14 @@ def so_basis(n: int) -> list[IntMat]:
     ]
 
 
-def standard_generators(n: int) -> list[PseudoOrthogonal]:
+@lru_cache(maxsize=None)
+def standard_generators(n: int) -> tuple[PseudoOrthogonal, ...]:
     """Test-word generator set: GL transvections, elementary so shifts, V_i, I, -E (and R at n=1).
 
-    No claim is made that these generate all of O+-(n,n,Z); test coverage
-    is over the subgroup they generate.
+    Built once per rank and process; the elements are immutable, so every
+    caller shares them and the inverses and splits cached on them.  No
+    claim is made that these generate all of O+-(n,n,Z); test coverage is
+    over the subgroup they generate.
     """
     gens = [flip_element(n), minus_identity(n)]
     gens.extend(perm_v(n, i) for i in range(1, n + 1))
@@ -272,4 +330,4 @@ def standard_generators(n: int) -> list[PseudoOrthogonal]:
     gens.extend(embed_so(b) for b in so_basis(n))
     if n == 1:
         gens.append(rotation_n1())
-    return gens
+    return tuple(gens)

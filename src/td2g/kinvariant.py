@@ -1,35 +1,53 @@
 """The classifying 3-cocycle of the extension 1 -> Z^{2n} -> A -> O+-(n,n,Z) -> 1.
 
-Two independent evaluation paths are provided.  `k_eval` follows the
-associator defect of the canonical section through the quadratic
-multiplicator phases:
+Two evaluation paths are provided.  `k_eval` follows the associator
+defect of the canonical section through the quadratic multiplicator
+phases:
 
     xi(x) = beta_{A,BC}(y) + iso(A) beta_{B,C}(y)
             - beta_{A,B}(C y) - beta_{AB,C}(y),      y = (ABC)^{-1} x,
 
 which is a character xi(x) = m . x.  `k_cocycle` computes the integer
-vector m in closed form from form diagonals.  Write
-F(Q, P) = (P^T (B_Q)_low P)^diag; then
+vector m in closed form from one symmetric matrix.  With
+L_Q = (B_Q)_low, S = B^T L_A B and S_up the strict upper triangle of S,
 
-    m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4),
-    w1 = C^T F(A, B),   w2 = F(AB, C),   w3 = F(B, C),   w4 = F(A, BC),
+    H_{A,B} = S^diag + S_up + S_up^T,
+    m = -(ABC)^{-T} 1/2 [(C^T H_{A,B} C)^diag - C^T H_{A,B}^diag].
 
-and shares no intermediate formula with `k_eval`.  The half-integer
-prefactor divides evenly; this is asserted.  The coboundary of the
-2-cochain gamma_{A,B} = -(AB)^{-T} F(A, B) equals 2m under the twisted
-action (A, v) |-> I A I v, which exhibits the class as 2-torsion and
-yields the mod-2 double cover group law.
+H_{A,B} is the matrix of the multiplicator beta_{A,B}, so both paths
+read it, computed two ways: here from S, in `k_eval` as
+X_{A,B} - L_{AB} (`twogroup.h_matrix`).  The bracket is twice
+`twogroup.mor_hcompose`'s correction and is even; the half-prefactor is
+still asserted.  `_Chain.k` derives the formula from the four-form
+one, m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4) with
+w1 = C^T F(A, B), w2 = F(AB, C), w3 = F(B, C), w4 = F(A, BC) and the
+form diagonals F(Q, P) = (P^T L_Q P)^diag.
 
-Every form above pairs two consecutive pieces of one word: Q and P are
-products a_i...a_{j-1} and a_j...a_{l-1}.  A private product chain over
-the word builds each such product once, left to right, so the lower
-split cached on a product serves every term that uses it, and memoises
-each diagonal F by its (i, j, l).  A diagonal costs one product: its
-entries are the column dots of P with (B_Q)_low P.  `k_cocycle` and
-`gamma` read one 3- or 2-chain; `check_cocycle_identity` reads its five
-m terms (10 distinct diagonals) from one 4-chain and
-`check_two_torsion` its four gamma terms from one 3-chain, while its
-right side 2m stays a separate `k_cocycle` call.
+The 2-cochain gamma_{A,B} = -(AB)^{-T} F(A, B) reads form diagonals, not
+H.  Since I A I = iso(A) A^{-T}, its coboundary under the twisted action
+(A, v) |-> I A I v is (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4) for any F.
+So delta gamma = 2m, which exhibits the class as 2-torsion and yields
+the mod-2 double cover group law, compares four F with one H: the two
+sides agree by the lower-split identity L_{AB} = S - H_{A,B} + iso(A) L_B,
+and a wrong F or a wrong H breaks it.  `check_two_torsion` and the
+`n1-two-torsion` records make this comparison.  delta m = 0 reads m
+alone.  It follows from delta gamma = 2m, but it is no identity of the
+formula for an arbitrary symmetric H, so `check_cocycle_identity` tests
+H, the bracket and the products.
+
+Every H and F above pairs two consecutive pieces of one word: Q and P
+are products a_i...a_{j-1} and a_j...a_{l-1}.  A private product chain
+over the word builds each such product on first use, left to right, so
+the lower split cached on a product serves every term that uses it, and
+memoises each H and F by its (i, j, l).  An H costs two matrix
+products, each m term one more (H C, for the bracket), and an F one.
+(ABC)^{-T} is applied to a vector piece by piece, as
+iso(ABC) I A (B (C (I v))), so it builds no product.  `k_cocycle`
+builds no group product at all;
+`check_cocycle_identity` reads its five m terms (4 distinct H) from one
+4-chain and builds ab, bc and cd; `check_two_torsion` reads its four
+gamma terms (4 distinct F) from one 3-chain, building ab and bc, while
+its right side 2m is a separate `k_cocycle` call.
 
 On a finite group the chains repeat: every product is again one of the
 group's elements.  `finite_group_failures` therefore indexes the N
@@ -61,8 +79,8 @@ from .groups import (
 )
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
-from .twogroup import b_split, beta_multiplicator, eval_mor
+from .intlinalg import IntMat, Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
+from .twogroup import b_split, beta_multiplicator, correction_bracket, eval_mor
 
 __all__ = [
     "k_cocycle",
@@ -84,28 +102,53 @@ __all__ = [
 IntVec = tuple[int, ...]
 
 
-class _Chain:
-    """Each product a_i...a_{j-1} of one word, built once, and the form diagonals over them.
+class _Products(dict):
+    """prod[i, j] = a_i...a_{j-1} of one word, built on first lookup as prod[i, j-1] a_{j-1}."""
 
-    `prod[i, j]` is a_i...a_{j-1} for 0 <= i < j <= len(word); a
-    one-letter product is the letter itself, so caches on the word's
-    elements are shared with every other caller.
+    __slots__ = ("word",)
+
+    def __init__(self, word: Sequence[PseudoOrthogonal]):
+        super().__init__(((i, i + 1), g) for i, g in enumerate(word))
+        self.word = word
+
+    def __missing__(self, key: tuple[int, int]) -> PseudoOrthogonal:
+        i, j = key
+        p = self[key] = self[i, j - 1] * self.word[j - 1]
+        return p
+
+
+class _Chain:
+    """The products a_i...a_{j-1} of one word, and the matrices H and diagonals F over them.
+
+    `prod[i, j]` is a_i...a_{j-1} for 0 <= i < j <= len(word), built on
+    first lookup; a one-letter product is the letter itself, so caches on
+    the word's elements are shared with every other caller.  `h` and
+    `form` are memoised by (i, j, l), for Q = prod[i, j] and P = prod[j, l].
     """
 
-    __slots__ = ("prod", "_forms")
+    __slots__ = ("prod", "_h", "_forms")
 
     def __init__(self, word: Sequence[PseudoOrthogonal]):
         n = word[0].n
         if any(g.n != n for g in word):
             raise ValueError("rank mismatch")
-        prod = {}
-        for i, acc in enumerate(word):
-            prod[i, i + 1] = acc
-            for j in range(i + 1, len(word)):
-                acc = acc * word[j]
-                prod[i, j + 1] = acc
-        self.prod = prod
+        self.prod = _Products(word)
+        self._h: dict[tuple[int, int, int], IntMat] = {}
         self._forms: dict[tuple[int, int, int], IntVec] = {}
+
+    def h(self, i: int, j: int, l: int) -> IntMat:
+        """H_{Q,P} = S^diag + S_up + S_up^T, S = P^T (B_Q)_low P, for Q = prod[i, j] and P = prod[j, l].
+
+        Row r of H is column r of S up to the diagonal, then row r of S.
+        """
+        key = (i, j, l)
+        h = self._h.get(key)
+        if h is None:
+            p = self.prod[j, l].mat
+            s = (p.transpose() * (b_split(self.prod[i, j])[1] * p)).data
+            h = IntMat._new(tuple([col[:r] + row[r:] for r, (row, col) in enumerate(zip(s, zip(*s)))]))
+            self._h[key] = h
+        return h
 
     def form(self, i: int, j: int, l: int) -> IntVec:
         """F(Q, P) = (P^T (B_Q)_low P)^diag for Q = prod[i, j] and P = prod[j, l]."""
@@ -118,27 +161,56 @@ class _Chain:
             self._forms[key] = f
         return f
 
+    def inv_transpose(self, cuts: Sequence[int], v: Sequence[int]) -> IntVec:
+        """(prod[cuts[0], cuts[-1]])^{-T} v, one piece prod[p, q] between consecutive cuts at a time.
+
+        X^{-T} = iso(X) I X I, and I I = E, so for X = X_1...X_r this is
+        iso(X) I X_1 (... (X_r (I v))): the product X itself is never built,
+        and the halves are swapped twice in all, not twice per piece as
+        `twisted_action` per piece would.
+        """
+        n = len(v) // 2
+        v = tuple(v[n:]) + tuple(v[:n])
+        iso = 1
+        for p, q in reversed(list(zip(cuts, cuts[1:]))):
+            x = self.prod[p, q]
+            v = x.mat.mul_vec(v)
+            iso *= x.iso
+        v = v[n:] + v[:n]
+        return v if iso == 1 else tuple([-t for t in v])
+
     def k(self, i: int, j: int, l: int, m: int) -> IntVec:
-        """m_{A,B,C} for A = prod[i, j], B = prod[j, l], C = prod[l, m]."""
-        iso = self.prod[i, j].iso
-        w1 = self.prod[l, m].mat.transpose().mul_vec(self.form(i, j, l))
-        w2 = self.form(i, l, m)
-        w3 = self.form(j, l, m)
-        w4 = self.form(i, j, m)
-        w = [x1 + x2 - iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
-        m2 = self.prod[i, m].inv_transpose_mat().mul_vec(w)
-        if any(v % 2 for v in m2):
+        """m_{A,B,C} for A = prod[i, j], B = prod[j, l], C = prod[l, m], from H = H_{A,B} alone:
+
+            m = -(ABC)^{-T} 1/2 [(C^T H C)^diag - C^T H^diag].
+
+        Proof, from the four-form closed form
+        m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4) with F(Q, P) =
+        (P^T L_Q P)^diag, L_Q = (B_Q)_low, w1 = C^T F(A, B),
+        w2 = F(AB, C), w3 = F(B, C), w4 = F(A, BC).  Let S = B^T L_A B,
+        so S^diag = H^diag, w1 = C^T H^diag and w4 = (C^T S C)^diag.
+        `twogroup.obj_product` gives B_{AB} = B^T B_A B + iso(A) B_B, and
+        B^T B_A B = S - S^T as B_A = L_A - L_A^T.  The strictly lower part
+        of S - S^T is S_low - S_up^T = S - H, and that of iso(A) B_B is
+        iso(A) L_B, so L_{AB} = S - H + iso(A) L_B and
+        w2 = w4 - (C^T H C)^diag + iso(A) w3.  Hence
+        w1 + w2 - iso(A) w3 - w4 = C^T H^diag - (C^T H C)^diag.
+
+        The bracket is `correction_bracket(H, C)`, even as H is symmetric;
+        an odd entry is an internal fault and raises ArithmeticError.
+        """
+        twice = correction_bracket(self.h(i, j, l), self.prod[l, m].mat)
+        if any(v % 2 for v in twice):
             raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
-        return tuple(v // 2 for v in m2)
+        return self.inv_transpose((i, j, l, m), [-(v // 2) for v in twice])
 
     def gamma(self, i: int, j: int, l: int) -> IntVec:
-        """gamma_{A,B} for A = prod[i, j] and B = prod[j, l]."""
-        w = self.form(i, j, l)
-        return tuple(-v for v in self.prod[i, l].inv_transpose_mat().mul_vec(w))
+        """gamma_{A,B} = -(AB)^{-T} F(A, B) for A = prod[i, j] and B = prod[j, l]."""
+        return self.inv_transpose((i, j, l), [-v for v in self.form(i, j, l)])
 
 
 def k_cocycle(a: PseudoOrthogonal, b: PseudoOrthogonal, c: PseudoOrthogonal) -> IntVec:
-    """The k-invariant cocycle m_{A,B,C} in Z^{2n}; integrality asserted."""
+    """The k-invariant cocycle m_{A,B,C} in Z^{2n}, from H_{A,B}; integrality asserted."""
     return _Chain((a, b, c)).k(0, 1, 2, 3)
 
 
@@ -203,8 +275,10 @@ def check_two_torsion(
 ) -> bool:
     """delta gamma == 2 m, exactly.
 
-    The four gamma terms come from one chain; m comes from a separate
-    `k_cocycle` call, so the two sides are evaluated independently.
+    The four gamma terms come from one chain and read form diagonals F;
+    m comes from a separate `k_cocycle` call and reads H_{A,B}.  The two
+    sides are different formulas, equal by the lower-split identity of
+    the module docstring, so a wrong F or H fails here.
     """
     ch = _Chain((a, b, c))
     lhs = twisted_action(a, ch.gamma(1, 2, 3))

@@ -52,6 +52,7 @@ __all__ = [
     "mor_inverse",
     "mor_vcompose",
     "mor_hcompose",
+    "correction_bracket",
     "eval_mor",
     "quadratic_phase",
     "automorphism_to_int",
@@ -60,9 +61,15 @@ __all__ = [
 
 
 def b_matrix(a: PseudoOrthogonal) -> IntMat:
-    """B_A = iso(A) J - A^T J A; skew-symmetric for every group element."""
-    j = j_matrix(a.n)
-    return j.scale(a.iso) - a.mat.transpose() * j * a.mat
+    """B_A = iso(A) J - A^T J A; skew-symmetric for every group element.
+
+    J A is n zero rows over the upper half of A's rows, so
+    A^T J A = (lower half)^T (upper half): one product of half the depth.
+    """
+    n = a.n
+    rows = a.mat.data
+    aja = IntMat._new(tuple(zip(*rows[n:]))) * IntMat._new(rows[:n])
+    return j_matrix(n).scale(a.iso) - aja
 
 
 def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:
@@ -249,11 +256,7 @@ def mor_hcompose(m1: Mor, m2: Mor) -> Mor:
         raise ValueError("rank mismatch in horizontal composition")
     a2 = m2.src.g.mat
     iso1 = m1.src.g.iso
-    conj = a2.transpose() * m1.h * a2
-    twice_c = [
-        d - t
-        for d, t in zip(diag_vec(conj), a2.transpose().mul_vec(diag_vec(m1.h)))
-    ]
+    twice_c = correction_bracket(m1.h, a2)
     if any(v % 2 for v in twice_c):
         raise ArithmeticError(
             "horizontal composition produced a non-integral character correction"
@@ -263,6 +266,21 @@ def mor_hcompose(m1: Mor, m2: Mor) -> Mor:
         p + iso1 * q + c // 2 for p, q, c in zip(lin1_pulled, m2.lin, twice_c)
     )
     return Mor._new(obj_product(m1.src, m2.src), obj_product(m1.dst, m2.dst), lin)
+
+
+def correction_bracket(h: IntMat, a: IntMat) -> list[int]:
+    """(A^T H A)^diag - A^T H^diag: twice `mor_hcompose`'s correction; even for symmetric H.
+
+    Entry k is c^T H c - sum_i H_ii c_i over column c of A, and
+    c^T H c = sum_i H_ii c_i^2 + 2 sum_{i<j} H_ij c_i c_j for symmetric
+    H, so the entry is even, as c_i^2 - c_i is.  One product: entry k is
+    the dot of c with column k of H A, minus its dot with H^diag.
+    """
+    hd = diag_vec(h)
+    return [
+        sum(map(mul, c, hc)) - sum(map(mul, c, hd))
+        for c, hc in zip(zip(*a.data), zip(*(h * a).data))
+    ]
 
 
 def quadratic_phase(h: IntMat, lin: Sequence[int | Fraction], x: RatVec) -> Phase:

@@ -482,6 +482,29 @@ class TestVerifyCommand:
         assert code == 2
         assert out.out == "" and out.err.startswith("error:")
 
+    @pytest.mark.parametrize("n", [cli.MAX_N + 1, 10**9])
+    @pytest.mark.parametrize("suite", ["cocycle", "torsion", "subgroups", "ci-axioms", "tdcorr"])
+    def test_rejects_n_above_the_maximum_before_building(self, monkeypatch, capsys, suite, n):
+        # the generators are cached for the life of the process, so a large n
+        # must be refused before anything of that rank is built
+        def refuse(*args):
+            raise AssertionError(f"built something of rank {args}")
+
+        for name in ("standard_generators", "gl_generators", "so_basis"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(kinvariant, "subgroup_vanishing_failure", refuse)
+        code = main(["verify", "--suite", suite, "--n", str(n), "--trials", "1", "--seed", "1"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == "" and out.err == f"error: --n must lie in [1, {cli.MAX_N}]\n"
+
+    def test_accepts_n_at_the_maximum(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "standard_generators", lambda n: built.append(n) or ())
+        argv = ["verify", "--suite", "cocycle", "--n", str(cli.MAX_N), "--trials", "0", "--seed", "1"]
+        code, report = run_main(capsys, argv)
+        assert code == 0 and report["n"] == cli.MAX_N and built == [cli.MAX_N]
+
     @pytest.mark.parametrize(
         "suite, seed",
         [("torsion", "-1"), ("torsion", str(2**64)), ("n1-exhaustive", "-1")],
@@ -604,14 +627,18 @@ class TestSuiteFailureRecords:
             assert f["elements"] == self._trial_words(2, 7, 21, f["trial"], count)
 
     def test_ci_axioms(self, capsys, monkeypatch):
-        trial_of = {s: i for i, s in enumerate(substream_seeds(31, 6))}
+        # trials run in order and each calls the ci check first, so ci call k
+        # is trial k, and a ct call belongs to the trial of the last ci call
         ci_failing, ct_failing = {3}, {0, 3, 4}
+        trials = itertools.count()
+        current = []
 
-        def ci(obj, samples, seed):
-            return trial_of[seed] not in ci_failing
+        def ci(obj):
+            current.append(next(trials))
+            return current[-1] not in ci_failing
 
-        def ct(mor, samples, seed):
-            return trial_of[seed] not in ct_failing
+        def ct(mor):
+            return current[-1] not in ct_failing
 
         monkeypatch.setattr(crossedmod, "check_ci_axioms", ci)
         monkeypatch.setattr(crossedmod, "check_ct_axioms", ct)

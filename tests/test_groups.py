@@ -3,6 +3,7 @@ import pytest
 from td2g.groups import (
     MembershipError,
     PseudoOrthogonal,
+    _columns,
     check_membership,
     embed_gl,
     embed_so,
@@ -181,6 +182,58 @@ class TestRandomWord:
                 assert w == expected and w.iso == expected.iso
                 assert mine.next_u64() == ref.next_u64()
 
+    @pytest.mark.parametrize("seed", [3, 2**63 + 5])
+    def test_matches_reference_at_n6_up_to_length_12(self, seed):
+        gens = standard_generators(6)
+        for length in range(13):
+            mine, ref = XorShift64Star(seed + length), XorShift64Star(seed + length)
+            w = random_word(gens, length, mine)
+            expected = reference_random_word(gens, length, ref)
+            assert w == expected and w.iso == expected.iso
+            assert mine.next_u64() == ref.next_u64()
+
+    def test_dense_generators_match_reference(self):
+        # words as letters: columns with many nonzeros, and iso -1 letters at n=1
+        for n in (1, 3):
+            gens = words(n, 5, 40 + n, length=7)
+            for length in (2, 6, 11):
+                w = random_word(gens, length, 17 + length)
+                expected = reference_random_word(gens, length, 17 + length)
+                assert w == expected and w.iso == expected.iso
+
+    def test_forms_no_matrix_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("random_word multiplied two matrices")
+
+        gens = standard_generators(6)
+        expected = reference_random_word(gens, 12, 29)
+        monkeypatch.setattr(IntMat, "__mul__", refuse)
+        assert random_word(gens, 12, 29) == expected
+
+    def test_column_cache_is_invisible(self):
+        # every letter after the first leaves on itself the nonzero entries
+        # of each of its columns that is not e_j
+        for g in words(2, 3, 31) + list(standard_generators(2)):
+            before = (hash(g), repr(g))
+            random_word([g], 8, 0)
+            cached = [x for x in (g, g.inverse()) if x._columns is not None]
+            assert cached
+            for x in cached:
+                entries = [[(i, v) for i, v in enumerate(c) if v] for c in zip(*x.mat.data)]
+                expected = [(j, *e[0], tuple(e[1:])) for j, e in enumerate(entries) if e != [(j, 1)]]
+                assert list(x._columns) == expected
+            assert (hash(g), repr(g)) == before and g == PseudoOrthogonal(g.mat)
+
+    def test_standard_letters_change_at_most_two_columns(self):
+        # all but I and -E; and every changed column has one or two nonzeros
+        for n in (2, 6):
+            whole = (flip_element(n), minus_identity(n))
+            for g in standard_generators(n):
+                for x in (g, g.inverse()):
+                    changes = _columns(x)
+                    assert all(len(rest) <= 1 for _, _, _, rest in changes)
+                    assert len(changes) <= 2 or x in whole
+
     def test_inverse_is_memoised_outside_equality(self):
         for g in standard_generators(2):
             before = (hash(g), repr(g))
@@ -190,6 +243,20 @@ class TestRandomWord:
             assert (g * inv) == PseudoOrthogonal.identity(2)
             assert (hash(g), repr(g)) == before
             assert g == PseudoOrthogonal(g.mat)
+
+
+class TestStandardGenerators:
+    def test_built_once_per_rank(self):
+        gens = standard_generators(3)
+        assert isinstance(gens, tuple) and standard_generators(3) is gens
+        assert standard_generators(2) is not gens
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_matches_a_fresh_build(self, n):
+        fresh = standard_generators.__wrapped__(n)
+        assert fresh is not standard_generators(n)
+        assert [(g.mat, g.iso) for g in fresh] == [(g.mat, g.iso) for g in standard_generators(n)]
+        assert len(fresh) == 3 * n * (n - 1) // 2 + n + 3 + (n == 1)
 
 
 class TestGroupLaws:

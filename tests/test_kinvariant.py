@@ -35,7 +35,7 @@ from td2g.kinvariant import (
     z_elements,
 )
 from td2g.rng import XorShift64Star
-from td2g.twogroup import b_matrix, b_split, strict_lower_split
+from td2g.twogroup import b_matrix, b_split, h_matrix, strict_lower_split
 from td2g.intlinalg import diag_vec
 from conftest import (
     rand_intvec,
@@ -46,7 +46,7 @@ from conftest import (
     reference_subgroup_vanishing,
     words,
 )
-from td2g import kinvariant
+from td2g import jsonio, kinvariant
 from td2g.cli import main
 
 # Frozen by the k_eval integer-recovery oracle (balanced residues at
@@ -173,6 +173,97 @@ class TestAgainstReference:
                 lhs = tuple(x + sign * y for x, y in zip(lhs, t))
             assert lhs == tuple(2 * v for v in reference_k_cocycle(a, b, c))
             assert check_two_torsion(a, b, c)
+
+
+class TestOneFormM:
+    """m from H_{A,B} alone against the four-form reference, and controls that tell F from H."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_seeded_triples_up_to_length_12(self, n):
+        gens = standard_generators(n)
+        rng = XorShift64Star(401 + n)
+        for _ in range(180):
+            a, b, c = (random_word(gens, 1 + rng.below(12), rng) for _ in range(3))
+            assert k_cocycle(a, b, c) == reference_k_cocycle(a, b, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_every_chain_term(self, n):
+        # the five terms of 36 4-chains: 180 triples of products per rank
+        gens = standard_generators(n)
+        rng = XorShift64Star(431 + n)
+        for _ in range(36):
+            word = [random_word(gens, 1 + rng.below(12), rng) for _ in range(4)]
+            ch = kinvariant._Chain(word)
+            for i, j, l, m in ((1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 4), (0, 1, 2, 3)):
+                expected = reference_k_cocycle(ch.prod[i, j], ch.prod[j, l], ch.prod[l, m])
+                assert ch.k(i, j, l, m) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_h_is_the_multiplicators_matrix(self, n):
+        # both paths read H_{A,B}: here from S, in k_eval as X_{A,B} - (B_{AB})_low
+        for a, b in zip(*[iter(words(n, 12, 461 + n, length=9))] * 2):
+            assert kinvariant._Chain((a, b)).h(0, 1, 2) == h_matrix(a, b)
+
+    @staticmethod
+    def _arbitrary(chain, i, j, l):
+        """A generator seeded by the elements Q = prod[i, j] and P = prod[j, l], not by positions."""
+        q, p = chain.prod[i, j], chain.prod[j, l]
+        return XorShift64Star(hash((q.mat.data, p.mat.data)) % 2**64), 2 * q.n
+
+    def test_wrong_form_fails_torsion(self, monkeypatch, capsys):
+        # gamma reads F and m reads H: an arbitrary even F breaks delta gamma = 2m
+        def form(chain, i, j, l):
+            rng, dim = self._arbitrary(chain, i, j, l)
+            return tuple(2 * rng.int_in(-3, 3) for _ in range(dim))
+
+        monkeypatch.setattr(kinvariant._Chain, "form", form)
+        argv = ["verify", "--suite", "torsion", "--n", "2", "--trials", "20", "--seed", "5"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(f["trial"], f["check"]) for f in report["failures"]] == [(t, "two-torsion") for t in range(20)]
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 1
+        records = json.loads(capsys.readouterr().out)["failures"]
+        assert records and {f["check"] for f in records} == {"n1-two-torsion"}
+        # m and the cocycle identity read no form
+        argv = ["verify", "--suite", "cocycle", "--n", "2", "--trials", "20", "--seed", "5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+    def test_wrong_h_fails_the_cocycle_identity(self, monkeypatch, capsys):
+        # delta m = 0 is no identity of the formula for an arbitrary symmetric H
+        def h(chain, i, j, l):
+            rng, dim = self._arbitrary(chain, i, j, l)
+            up = [[rng.int_in(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            return IntMat([[up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)])
+
+        monkeypatch.setattr(kinvariant._Chain, "h", h)
+        argv = ["verify", "--suite", "cocycle", "--n", "2", "--trials", "20", "--seed", "5"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(f["trial"], f["check"]) for f in report["failures"]] == [(t, "cocycle-identity") for t in range(20)]
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 1
+        records = json.loads(capsys.readouterr().out)["failures"]
+        assert {f["check"] for f in records} == {"n1-vanishing", "cocycle-identity", "n1-two-torsion"}
+
+    def test_odd_bracket_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        real = kinvariant.correction_bracket
+
+        def odd(h, c):
+            twice = real(h, c)
+            return [twice[0] + 1] + twice[1:]
+
+        monkeypatch.setattr(kinvariant, "correction_bracket", odd)
+        e = PseudoOrthogonal.identity(2)
+        with pytest.raises(ArithmeticError, match="half-prefactor"):
+            k_cocycle(e, e, e)
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(jsonio.element_to_json(e)))
+        assert main(["kinv", "--a", str(path), "--b", str(path), "--c", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal error:")
+        assert main(["verify", "--suite", "torsion", "--n", "2", "--trials", "2", "--seed", "1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal error:")
 
 
 @pytest.mark.parametrize(
@@ -405,13 +496,16 @@ class TestFiniteGroupTables:
             finite_group_failures(enumerate_n1()[:3])
 
     def test_work_count(self, monkeypatch, capsys):
-        # Work, not time: the suite multiplies each pair of the 8 elements
-        # once for the Cayley table (64), then each k_cocycle builds the
-        # 3-chain a, ab, abc, b, bc (3 products) at 512 triples, and each
-        # gamma the 2-chain a, ab (1 product) at 64 pairs:
-        # 64 + 3 * 512 + 64 = 1664.  One chain per quadruple would be
-        # thousands more.
-        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "mul": 0}
+        # Work, not time.  Group products: the suite multiplies each pair of
+        # the 8 elements once for the Cayley table (64) and nowhere else,
+        # since chains build products on demand and k_cocycle and gamma read
+        # only the letters themselves: m from H_{A,B} with A, B and C, and
+        # each (..)^{-T} applied letter by letter.  Matrix products: 2 per
+        # element for its iso in enumerate_n1 (16), one per Cayley product
+        # (64), one per element for its B_A (8), three per k_cocycle (S from
+        # (B_A)_low B and B^T, then H C for the bracket; 3 * 512) and one per
+        # gamma (its form; 64): 1688.
+        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "mul": 0, "matmul": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -423,9 +517,15 @@ class TestFiniteGroupTables:
         for name in ("k_cocycle", "check_cocycle_identity"):
             monkeypatch.setattr(kinvariant, name, counted(name, getattr(kinvariant, name)))
         monkeypatch.setattr(PseudoOrthogonal, "__mul__", counted("mul", PseudoOrthogonal.__mul__))
+        monkeypatch.setattr(IntMat, "__mul__", counted("matmul", IntMat.__mul__))
         assert main(["verify", "--suite", "n1-exhaustive"]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
-        assert calls == {"k_cocycle": 512, "check_cocycle_identity": 0, "mul": 64 + 3 * 512 + 64}
+        assert calls == {
+            "k_cocycle": 512,
+            "check_cocycle_identity": 0,
+            "mul": 64,
+            "matmul": 16 + 64 + 8 + 3 * 512 + 64,
+        }
 
 
 class TestSubgroupVanishing:

@@ -22,6 +22,7 @@ from td2g.twogroup import (
     b_matrix,
     b_split,
     beta_multiplicator,
+    correction_bracket,
     eval_mor,
     h_matrix,
     mor_hcompose,
@@ -34,7 +35,9 @@ from td2g.twogroup import (
     section,
     x_matrix,
 )
-from conftest import rand_intvec, rand_ratvec, words
+from td2g.intlinalg import diag_vec
+from td2g.rng import XorShift64Star
+from conftest import rand_intvec, rand_ratvec, reference_matmul, words
 
 
 class TestSection:
@@ -82,6 +85,30 @@ class TestSection:
             uncached = PseudoOrthogonal(w.mat, _iso=w.iso)
             assert w == uncached and uncached == w
             assert (hash(w), repr(w)) == before == (hash(uncached), repr(uncached))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_b_matrix_matches_the_full_product(self, n):
+        j = j_matrix(n)
+        elems = enumerate_n1() if n == 1 else words(n, 6, 120 + n, length=9)
+        for w in elems:
+            aja = reference_matmul(reference_matmul(w.mat.transpose(), j), w.mat)
+            assert b_matrix(w) == j.scale(w.iso) - aja
+
+
+class TestCorrectionBracket:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_full_conjugate_and_is_even(self, n):
+        rng = XorShift64Star(140 + n)
+        for w in words(n, 6, 150 + n, length=8):
+            dim = 2 * n
+            up = [[rng.int_in(-4, 4) for _ in range(dim)] for _ in range(dim)]
+            h = IntMat([[up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)])
+            a = w.mat
+            conj = reference_matmul(reference_matmul(a.transpose(), h), a)
+            expected = [d - t for d, t in zip(diag_vec(conj), a.transpose().mul_vec(diag_vec(h)))]
+            twice = correction_bracket(h, a)
+            assert twice == expected and all(v % 2 == 0 for v in twice)
 
 
 class TestObj:
