@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -403,16 +403,21 @@ def unimodular_inverse(a: IntMat) -> IntMat:
 
 
 def strict_lower_split(b: IntMat) -> IntMat:
-    """Strictly lower-triangular L with b == L - L^T, for skew-symmetric b."""
+    """Strictly lower-triangular L with b == L - L^T, for skew-symmetric b.
+
+    One pass: row i is tested against column i up to the diagonal
+    (b_ij + b_ji == 0 for j <= i covers every pair) and cut there.
+    """
     if not b.is_square:
         raise ValueError("split of a non-square matrix")
-    if b != -b.transpose():
-        raise ValueError("split requires a skew-symmetric matrix")
-    return IntMat._new(
-        tuple(
-            [tuple([x if i > j else 0 for j, x in enumerate(row)]) for i, row in enumerate(b.data)]
-        )
-    )
+    rows = b.data
+    zeros = (0,) * b.cols
+    low = []
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if any(map(add, row[: i + 1], col[: i + 1])):
+            raise ValueError("split requires a skew-symmetric matrix")
+        low.append(row[:i] + zeros[i:])
+    return IntMat._new(tuple(low))
 
 
 def diag_vec(a: IntMat) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ Every H and F above pairs two consecutive pieces of one word: Q and P
 are products a_i...a_{j-1} and a_j...a_{l-1}.  A private product chain
 over the word builds each such product on first use, left to right, so
 the lower split cached on a product serves every term that uses it, and
-memoises each H and F by its (i, j, l).  An H costs two matrix
+memoises each H that an m term reads by its (i, j, l).  An H costs two matrix
 products, each m term one more (H C, for the bracket), and an F one.
 (ABC)^{-T} is applied to a vector piece by piece, as
 iso(ABC) I A (B (C (I v))), so it builds no product.  `k_cocycle`
@@ -51,10 +51,12 @@ its right side 2m is a separate `k_cocycle` call.
 
 On a finite group the chains repeat: every product is again one of the
 group's elements.  `finite_group_failures` therefore indexes the N
-elements, builds their Cayley table once, and fills one m table (N^3
-`k_cocycle` calls) and one gamma table (N^2 `gamma` calls); delta m = 0
-at every quadruple and delta gamma = 2m at every triple are then table
-reads.  The tables live for one call.
+elements, builds their Cayley table once, computes H_{A,B} once per
+ordered pair (N^2), fills one m table (N^3 `_Chain.k` calls, each handed
+its pair's H, so one matrix product each) and one gamma table (N^2
+`gamma` calls).  delta m = 0 at every quadruple and delta gamma = 2m at
+every triple are then table reads, with the twisted action computed
+once per element and distinct vector.  The tables live for one call.
 
 The splitting over the GL, SO, Z and V subgroups is decided without
 draws by `subgroup_vanishing_failure`: GL and SO by a certificate over
@@ -123,43 +125,35 @@ class _Chain:
     `prod[i, j]` is a_i...a_{j-1} for 0 <= i < j <= len(word), built on
     first lookup; a one-letter product is the letter itself, so caches on
     the word's elements are shared with every other caller.  `h` and
-    `form` are memoised by (i, j, l), for Q = prod[i, j] and P = prod[j, l].
+    `form` compute H and F for Q = prod[i, j] and P = prod[j, l].  `k`
+    memoises each H it reads by (i, j, l), so the five m terms of a
+    4-chain compute 4 H.  A caller that already holds H_{a_0, a_1} hands
+    it in as `h`, and `k` reads it at (0, 1, 2).
     """
 
-    __slots__ = ("prod", "_h", "_forms")
+    __slots__ = ("prod", "_h")
 
-    def __init__(self, word: Sequence[PseudoOrthogonal]):
+    def __init__(self, word: Sequence[PseudoOrthogonal], h: IntMat | None = None):
         n = word[0].n
         if any(g.n != n for g in word):
             raise ValueError("rank mismatch")
         self.prod = _Products(word)
-        self._h: dict[tuple[int, int, int], IntMat] = {}
-        self._forms: dict[tuple[int, int, int], IntVec] = {}
+        self._h: dict[tuple[int, int, int], IntMat] = {} if h is None else {(0, 1, 2): h}
 
     def h(self, i: int, j: int, l: int) -> IntMat:
         """H_{Q,P} = S^diag + S_up + S_up^T, S = P^T (B_Q)_low P, for Q = prod[i, j] and P = prod[j, l].
 
         Row r of H is column r of S up to the diagonal, then row r of S.
         """
-        key = (i, j, l)
-        h = self._h.get(key)
-        if h is None:
-            p = self.prod[j, l].mat
-            s = (p.transpose() * (b_split(self.prod[i, j])[1] * p)).data
-            h = IntMat._new(tuple([col[:r] + row[r:] for r, (row, col) in enumerate(zip(s, zip(*s)))]))
-            self._h[key] = h
-        return h
+        p = self.prod[j, l].mat
+        s = (p.transpose() * (b_split(self.prod[i, j])[1] * p)).data
+        return IntMat._new(tuple([col[:r] + row[r:] for r, (row, col) in enumerate(zip(s, zip(*s)))]))
 
     def form(self, i: int, j: int, l: int) -> IntVec:
         """F(Q, P) = (P^T (B_Q)_low P)^diag for Q = prod[i, j] and P = prod[j, l]."""
-        key = (i, j, l)
-        f = self._forms.get(key)
-        if f is None:
-            p = self.prod[j, l].mat
-            lp = b_split(self.prod[i, j])[1] * p
-            f = tuple([sum(map(mul, u, v)) for u, v in zip(zip(*p.data), zip(*lp.data))])
-            self._forms[key] = f
-        return f
+        p = self.prod[j, l].mat
+        lp = b_split(self.prod[i, j])[1] * p
+        return tuple([sum(map(mul, u, v)) for u, v in zip(zip(*p.data), zip(*lp.data))])
 
     def inv_transpose(self, cuts: Sequence[int], v: Sequence[int]) -> IntVec:
         """(prod[cuts[0], cuts[-1]])^{-T} v, one piece prod[p, q] between consecutive cuts at a time.
@@ -199,7 +193,10 @@ class _Chain:
         The bracket is `correction_bracket(H, C)`, even as H is symmetric;
         an odd entry is an internal fault and raises ArithmeticError.
         """
-        twice = correction_bracket(self.h(i, j, l), self.prod[l, m].mat)
+        h = self._h.get((i, j, l))
+        if h is None:
+            h = self._h[i, j, l] = self.h(i, j, l)
+        twice = correction_bracket(h, self.prod[l, m].mat)
         if any(v % 2 for v in twice):
             raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
         return self.inv_transpose((i, j, l, m), [-(v // 2) for v in twice])
@@ -239,6 +236,23 @@ def twisted_action(a: PseudoOrthogonal, v: Sequence[int]) -> IntVec:
     v = tuple(v)
     w = a.mat.mul_vec(v[n:] + v[:n])
     return w[n:] + w[:n]
+
+
+class _Actions(dict):
+    """acts[v] = I A I v for one element A, computed on first lookup.
+
+    The action is a function of (A, v) alone, so the memo is exact.
+    """
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: PseudoOrthogonal):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, v: IntVec) -> IntVec:
+        w = self[v] = twisted_action(self.a, v)
+        return w
 
 
 def _vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVec:
@@ -292,10 +306,10 @@ def check_two_torsion(
 def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     """Decide m = 0, delta m = 0 and delta gamma = 2m over a finite group, from tables.
 
-    `elems` must be closed under multiplication; a product outside the
-    list raises ValueError.  With a, b, c, d indices into `elems` and ab
-    the index of elems[a] * elems[b] (the Cayley table), the failure
-    records are, in this order:
+    `elems` must be non-empty and closed under multiplication; an empty
+    list or a product outside it raises ValueError.  With a, b, c, d
+    indices into `elems` and ab the index of elems[a] * elems[b] (the
+    Cayley table), the failure records are, in this order:
 
     - `n1-vanishing` at each triple (a, b, c) in lexicographic order with
       m_{a,b,c} != 0;
@@ -305,17 +319,24 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     - `n1-two-torsion` at each triple (a, b, c) in lexicographic order
       where I A I g_{b,c} - g_{ab,c} + g_{a,bc} - g_{a,b} != 2 m_{a,b,c}.
 
-    m is a table of `k_cocycle` at every triple and g one of `gamma` at
-    every pair, both looked up on this module at call time.
+    Each piece of work is done once.  H_{a,b} is `_Chain.h` once per
+    ordered pair; m_{a,b,c} is `_Chain.k` on the chain (a, b, c), handed
+    that H, once per triple; g_{a,b} is `gamma` once per pair; and
+    I A I v is `twisted_action` once per element a and distinct vector v,
+    kept for both identities.  `_Chain.h`, `_Chain.k`, `gamma` and
+    `twisted_action` are looked up at call time.
 
     The second list is `check_cocycle_identity` at every quadruple: each
     of its five terms is m at a triple of products of the 4-chain
     (a, b, c, d), and such a product equals the Cayley product as a
     group element, while m is a function of the element triple alone
-    (the chain reads nothing but the elements' matrices and signs).  The
-    third list is `check_two_torsion` at every triple, for the same
-    reason applied to its four gamma terms of the 3-chain (a, b, c).
+    (the chain reads nothing but the elements' matrices and signs), and
+    so is H_{A,B} of the pair.  The third list is `check_two_torsion` at
+    every triple, for the same reason applied to its four gamma terms
+    of the 3-chain (a, b, c).
     """
+    if not elems:
+        raise ValueError("no elements: a finite group has at least its identity")
     index = {g: i for i, g in enumerate(elems)}
     table = []
     for a in elems:
@@ -329,32 +350,42 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     idx = range(len(elems))
     zero = (0,) * (2 * elems[0].n)
     failures = []
-    m = {}
-    for ia, ib, ic in product(idx, repeat=3):
-        v = m[ia, ib, ic] = k_cocycle(elems[ia], elems[ib], elems[ic])
-        if v != zero:
-            failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
-    for ia, ib, ic, idd in product(idx, repeat=4):
-        terms = zip(
-            twisted_action(elems[ia], m[ib, ic, idd]),
-            m[table[ia][ib], ic, idd],
-            m[ia, table[ib][ic], idd],
-            m[ia, ib, table[ic][idd]],
-            m[ia, ib, ic],
-        )
-        if any(t0 - t1 + t2 - t3 + t4 for t0, t1, t2, t3, t4 in terms):
-            failures.append({"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]})
-    g = {(ia, ib): gamma(elems[ia], elems[ib]) for ia, ib in product(idx, repeat=2)}
-    for ia, ib, ic in product(idx, repeat=3):
-        terms = zip(
-            twisted_action(elems[ia], g[ib, ic]),
-            g[table[ia][ib], ic],
-            g[ia, table[ib][ic]],
-            g[ia, ib],
-            m[ia, ib, ic],
-        )
-        if any(t0 - t1 + t2 - t3 - 2 * t4 for t0, t1, t2, t3, t4 in terms):
-            failures.append({"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]})
+    # m[a][b][c] = m_{a,b,c}, each read from H_{a,b}, computed once for the pair
+    m = []
+    for ia, a in enumerate(elems):
+        m_a = []
+        for ib, b in enumerate(elems):
+            h = _Chain((a, b)).h(0, 1, 2)
+            m_a_b = [_Chain((a, b, c), h).k(0, 1, 2, 3) for c in elems]
+            for ic, v in enumerate(m_a_b):
+                if v != zero:
+                    failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
+            m_a.append(m_a_b)
+        m.append(m_a)
+    acted = [_Actions(a) for a in elems]
+    for ia in idx:
+        act_a, m_a, row_a = acted[ia], m[ia], table[ia]
+        for ib in idx:
+            m_a_b, m_b, m_ab = m_a[ib], m[ib], m[row_a[ib]]
+            for ic in idx:
+                # along d: m_{b,c,d}, m_{ab,c,d}, m_{a,bc,d} and cd; m_{a,b,c} is fixed
+                along_d = zip(idx, m_b[ic], m_ab[ic], m_a[table[ib][ic]], table[ic])
+                m_a_b_c = m_a_b[ic]
+                for idd, m_b_c_d, m_ab_c_d, m_a_bc_d, icd in along_d:
+                    terms = zip(act_a[m_b_c_d], m_ab_c_d, m_a_bc_d, m_a_b[icd], m_a_b_c)
+                    if any(t0 - t1 + t2 - t3 + t4 for t0, t1, t2, t3, t4 in terms):
+                        failures.append(
+                            {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
+                        )
+    g = [[gamma(a, b) for b in elems] for a in elems]
+    for ia in idx:
+        act_a, g_a, m_a, row_a = acted[ia], g[ia], m[ia], table[ia]
+        for ib in idx:
+            g_a_b, g_ab, m_a_b = g_a[ib], g[row_a[ib]], m_a[ib]
+            for ic, g_b_c, ibc in zip(idx, g[ib], table[ib]):
+                terms = zip(act_a[g_b_c], g_ab[ic], g_a[ibc], g_a_b, m_a_b[ic])
+                if any(t0 - t1 + t2 - t3 - 2 * t4 for t0, t1, t2, t3, t4 in terms):
+                    failures.append({"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]})
     return failures
 
 

@@ -34,7 +34,7 @@ from .intlinalg import (
     phase_bilinear,
     strict_lower_split,
 )
-from .groups import PseudoOrthogonal, j_matrix
+from .groups import PseudoOrthogonal
 
 __all__ = [
     "b_matrix",
@@ -64,12 +64,19 @@ def b_matrix(a: PseudoOrthogonal) -> IntMat:
     """B_A = iso(A) J - A^T J A; skew-symmetric for every group element.
 
     J A is n zero rows over the upper half of A's rows, so
-    A^T J A = (lower half)^T (upper half): one product of half the depth.
+    A^T J A = (lower half)^T (upper half): one product of half the depth,
+    taken with the left factor negated.  J's n entries, (n + i, i), then
+    get iso(A) added in place.
     """
     n = a.n
     rows = a.mat.data
-    aja = IntMat._new(tuple(zip(*rows[n:]))) * IntMat._new(rows[:n])
-    return j_matrix(n).scale(a.iso) - aja
+    neg_low_t = IntMat._new(tuple([tuple([-x for x in col]) for col in zip(*rows[n:])]))
+    b = list((neg_low_t * IntMat._new(rows[:n])).data)
+    iso = a.iso
+    for i in range(n):
+        r = b[n + i]
+        b[n + i] = r[:i] + (r[i] + iso,) + r[i + 1 :]
+    return IntMat._new(tuple(b))
 
 
 def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:

@@ -498,14 +498,16 @@ class TestFiniteGroupTables:
     def test_work_count(self, monkeypatch, capsys):
         # Work, not time.  Group products: the suite multiplies each pair of
         # the 8 elements once for the Cayley table (64) and nowhere else,
-        # since chains build products on demand and k_cocycle and gamma read
-        # only the letters themselves: m from H_{A,B} with A, B and C, and
-        # each (..)^{-T} applied letter by letter.  Matrix products: 2 per
-        # element for its iso in enumerate_n1 (16), one per Cayley product
-        # (64), one per element for its B_A (8), three per k_cocycle (S from
-        # (B_A)_low B and B^T, then H C for the bracket; 3 * 512) and one per
-        # gamma (its form; 64): 1688.
-        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "mul": 0, "matmul": 0}
+        # since chains build products on demand and m and gamma read only
+        # the letters themselves: m from H_{A,B} with A, B and C, and each
+        # (..)^{-T} applied letter by letter.  Matrix products: 2 per element
+        # for its iso in enumerate_n1 (16), one per Cayley product (64), one
+        # per element for its B_A (8), two per ordered pair for its H_{A,B}
+        # (S from (B_A)_low B and B^T; 2 * 64), one per triple for the
+        # bracket's H C (512) and one per gamma (its form; 64): 792.  Each m
+        # is one _Chain.k call on its triple, handed the pair's H; none goes
+        # through k_cocycle.
+        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "_Chain.k": 0, "mul": 0, "matmul": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -516,16 +518,44 @@ class TestFiniteGroupTables:
 
         for name in ("k_cocycle", "check_cocycle_identity"):
             monkeypatch.setattr(kinvariant, name, counted(name, getattr(kinvariant, name)))
+        monkeypatch.setattr(kinvariant._Chain, "k", counted("_Chain.k", kinvariant._Chain.k))
         monkeypatch.setattr(PseudoOrthogonal, "__mul__", counted("mul", PseudoOrthogonal.__mul__))
         monkeypatch.setattr(IntMat, "__mul__", counted("matmul", IntMat.__mul__))
         assert main(["verify", "--suite", "n1-exhaustive"]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
         assert calls == {
-            "k_cocycle": 512,
+            "k_cocycle": 0,
             "check_cocycle_identity": 0,
+            "_Chain.k": 512,
             "mul": 64,
-            "matmul": 16 + 64 + 8 + 3 * 512 + 64,
+            "matmul": 16 + 64 + 8 + 2 * 64 + 512 + 64,
         }
+
+    def test_each_h_and_action_is_computed_once(self, monkeypatch):
+        # H_{A,B} depends on the pair alone and I A I v on (A, v) alone, so
+        # the table path computes each once: 64 H, and on correct data, where
+        # every m and gamma is 0, one action per element (8, not 4096 + 512).
+        hs, acts = [], []
+        real_h, real_act = kinvariant._Chain.h, kinvariant.twisted_action
+
+        def h(chain, i, j, l):
+            hs.append((chain.prod[i, j], chain.prod[j, l]))
+            return real_h(chain, i, j, l)
+
+        def act(a, v):
+            acts.append((a, tuple(v)))
+            return real_act(a, v)
+
+        monkeypatch.setattr(kinvariant._Chain, "h", h)
+        monkeypatch.setattr(kinvariant, "twisted_action", act)
+        elems = enumerate_n1()
+        assert finite_group_failures(elems) == []
+        assert len(hs) == 64 and set(hs) == {(a, b) for a in elems for b in elems}
+        assert len(acts) == 8 and set(acts) == {(a, (0, 0)) for a in elems}
+
+    def test_no_elements_raises(self):
+        with pytest.raises(ValueError, match="no elements"):
+            finite_group_failures([])
 
 
 class TestSubgroupVanishing:
