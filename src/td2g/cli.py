@@ -48,9 +48,6 @@ SEED_LIMIT = 1 << 64
 # built in a quarter of a second.  The count and size grow as n^2 and n^4.
 MAX_N = 16
 
-SUITES = ("n1-exhaustive", "cocycle", "torsion", "subgroups", "ci-axioms", "tdcorr")
-
-
 def _print_json(payload) -> None:
     print(jsonio.canonical_dumps(payload))
 
@@ -191,6 +188,7 @@ _SUITE_BODIES = {
     "ci-axioms": _suite_ci_axioms,
     "tdcorr": _suite_tdcorr,
 }
+SUITES = tuple(_SUITE_BODIES)
 
 
 # -- commands ------------------------------------------------------------

@@ -78,6 +78,13 @@ def _scalar_multiple_of(m: IntMat, ref: IntMat) -> int | None:
 class PseudoOrthogonal:
     """An element of O+-(n,n,Z) with its cached sign iso(A).
 
+    The public constructor always checks the shape and membership and
+    computes iso(A).  `_new` trusts a matrix and sign that this module
+    built: a product, inverse or transpose of members, whose sign follows
+    from theirs (iso is a homomorphism and iso(A^T) = iso(A)), or an
+    element of closed form (E, I, -E, V_i, the rotation, and the GL and so
+    embeddings of their checked inputs), whose sign is known.
+
     `_b_split` holds (B_A, (B_A)_low) once `twogroup.b_split` has computed
     them for this element, `_inverse` the inverse once `inverse` has, and
     `_columns` the nonzero entries of each column other than e_j once
@@ -87,41 +94,38 @@ class PseudoOrthogonal:
 
     __slots__ = ("n", "mat", "iso", "_b_split", "_inverse", "_columns")
 
-    def __init__(self, mat: IntMat, *, _iso: int | None = None):
+    def __init__(self, mat: IntMat):
         if not mat.is_square or mat.rows % 2 != 0:
             raise MembershipError("matrix must be square of even size 2n")
-        n = mat.rows // 2
-        if _iso is None:
-            _iso = _compute_iso(mat, n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "iso", _iso)
-        object.__setattr__(self, "_b_split", None)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_columns", None)
+        _fill(self, mat, _compute_iso(mat, mat.rows // 2))
+
+    @classmethod
+    def _new(cls, mat: IntMat, iso: int) -> "PseudoOrthogonal":
+        """Unchecked constructor; `mat` must lie in O+-(n,n,Z) with sign `iso`."""
+        return _fill(object.__new__(cls), mat, iso)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonal is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "PseudoOrthogonal":
-        return cls(IntMat.identity(2 * n), _iso=1)
+        return cls._new(IntMat.identity(2 * n), 1)
 
     def __mul__(self, other: "PseudoOrthogonal") -> "PseudoOrthogonal":
         if not isinstance(other, PseudoOrthogonal):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return PseudoOrthogonal(self.mat * other.mat, _iso=self.iso * other.iso)
+        return PseudoOrthogonal._new(self.mat * other.mat, self.iso * other.iso)
 
     def inverse(self) -> "PseudoOrthogonal":
         if self._inverse is None:
             inv = _conj_pairing(self.mat.transpose()).scale(self.iso)
-            object.__setattr__(self, "_inverse", PseudoOrthogonal(inv, _iso=self.iso))
+            object.__setattr__(self, "_inverse", PseudoOrthogonal._new(inv, self.iso))
         return self._inverse
 
     def transpose(self) -> "PseudoOrthogonal":
-        return PseudoOrthogonal(self.mat.transpose(), _iso=self.iso)
+        return PseudoOrthogonal._new(self.mat.transpose(), self.iso)
 
     def inv_transpose_mat(self) -> IntMat:
         """(A^T)^{-1} = iso(A) * I A I, as a plain matrix."""
@@ -135,6 +139,16 @@ class PseudoOrthogonal:
 
     def __repr__(self) -> str:
         return f"PseudoOrthogonal(n={self.n}, iso={self.iso}, {self.mat!r})"
+
+
+def _fill(g: PseudoOrthogonal, mat: IntMat, iso: int) -> PseudoOrthogonal:
+    object.__setattr__(g, "n", mat.rows // 2)
+    object.__setattr__(g, "mat", mat)
+    object.__setattr__(g, "iso", iso)
+    object.__setattr__(g, "_b_split", None)
+    object.__setattr__(g, "_inverse", None)
+    object.__setattr__(g, "_columns", None)
+    return g
 
 
 def _conj_pairing(m: IntMat) -> IntMat:
@@ -170,7 +184,7 @@ def embed_gl(g: IntMat) -> PseudoOrthogonal:
         raise ValueError("GL embedding requires a square matrix")
     gti = unimodular_inverse(g.transpose())
     z = IntMat.zeros(g.rows)
-    return PseudoOrthogonal(IntMat.from_blocks(g, z, z, gti), _iso=1)
+    return PseudoOrthogonal._new(IntMat.from_blocks(g, z, z, gti), 1)
 
 
 def embed_so(b: IntMat) -> PseudoOrthogonal:
@@ -179,7 +193,7 @@ def embed_so(b: IntMat) -> PseudoOrthogonal:
         raise ValueError("so embedding requires a skew-symmetric matrix")
     e = IntMat.identity(b.rows)
     z = IntMat.zeros(b.rows)
-    return PseudoOrthogonal(IntMat.from_blocks(e, z, b, e), _iso=1)
+    return PseudoOrthogonal._new(IntMat.from_blocks(e, z, b, e), 1)
 
 
 def perm_v(n: int, i: int) -> PseudoOrthogonal:
@@ -190,21 +204,21 @@ def perm_v(n: int, i: int) -> PseudoOrthogonal:
     a, b = i - 1, i - 1 + n
     m[a][a] = m[b][b] = 0
     m[a][b] = m[b][a] = 1
-    return PseudoOrthogonal(IntMat(m), _iso=1)
+    return PseudoOrthogonal._new(IntMat(m), 1)
 
 
 def flip_element(n: int) -> PseudoOrthogonal:
     """The pairing matrix I itself, as a group element (iso = +1)."""
-    return PseudoOrthogonal(pairing_matrix(n), _iso=1)
+    return PseudoOrthogonal._new(pairing_matrix(n), 1)
 
 
 def minus_identity(n: int) -> PseudoOrthogonal:
-    return PseudoOrthogonal(IntMat.identity(2 * n).scale(-1), _iso=1)
+    return PseudoOrthogonal._new(IntMat.identity(2 * n).scale(-1), 1)
 
 
 def rotation_n1() -> PseudoOrthogonal:
     """The order-4 rotation [[0,-1],[1,0]] in O+-(1,1,Z); iso = -1."""
-    return PseudoOrthogonal(IntMat([[0, -1], [1, 0]]), _iso=-1)
+    return PseudoOrthogonal._new(IntMat([[0, -1], [1, 0]]), -1)
 
 
 def enumerate_n1() -> list[PseudoOrthogonal]:
@@ -291,7 +305,7 @@ def random_word(
             out[j] = col
         cols = out
         iso *= g.iso
-    return PseudoOrthogonal(IntMat._new(tuple(zip(*cols))), _iso=iso)
+    return PseudoOrthogonal._new(IntMat._new(tuple(zip(*cols))), iso)
 
 
 def gl_generators(n: int) -> list[IntMat]:

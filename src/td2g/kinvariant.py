@@ -334,6 +334,12 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     so is H_{A,B} of the pair.  The third list is `check_two_torsion` at
     every triple, for the same reason applied to its four gamma terms
     of the 3-chain (a, b, c).
+
+    Blind spot: at n=1 every column of an element has one nonzero entry,
+    so (C^T H C)^diag and C^T H^diag read only H's diagonal, and no record
+    here can see H's off-diagonal entries.  A wrong H that keeps the
+    diagonal passes this check; the seeded `cocycle` and `torsion` suites
+    at n=2 catch it (`tests/test_kinvariant.py` pins both).
     """
     if not elems:
         raise ValueError("no elements: a finite group has at least its identity")

@@ -86,6 +86,11 @@ MALFORMED_COCYCLES = {
     "m-entry-of-length-3": _set_entry("m", "0|1|2", [0, 0, 0]),
     "mhat-lacks-uncovered-key": _delete_entry("mhat", "0|1|3"),
     "m-lacks-uncovered-key": _delete_entry("m", "0|1|3"),
+    "a-lacks-covered-key": _delete_entry("a", "p1|0|1"),
+    "ahat-lacks-covered-key": _delete_entry("ahat", "p1|0|1"),
+    "m-lacks-covered-key": _delete_entry("m", "0|1|2"),
+    "mhat-lacks-covered-key": _delete_entry("mhat", "0|1|2"),
+    "t-lacks-covered-key": _delete_entry("t", "p1|0|1|2"),
     "duplicate-point": lambda payload: payload["points"].append("p1"),
     "no-points": lambda payload: payload.update(points=[]),
     "cover-repeats-an-index": lambda payload: payload["cover"].update(p3=[2, 2]),

@@ -16,6 +16,7 @@ from td2g.groups import (
     perm_v,
     random_word,
     rotation_n1,
+    so_basis,
     standard_generators,
 )
 from td2g.intlinalg import IntMat, unimodular_inverse
@@ -292,6 +293,19 @@ class TestGroupLaws:
         assert flip_element(2).iso == 1
         assert minus_identity(2).iso == 1
         assert rotation_n1().iso == -1
+        # every element that the unchecked constructor builds passes the
+        # checked one with the same sign
+        built = [rotation_n1()]
+        for n in (1, 2, 3):
+            ws = words(n, 6, 70 + n, length=5) + [random_word(standard_generators(n), k, n) for k in (0, 1)]
+            built += [PseudoOrthogonal.identity(n), flip_element(n), minus_identity(n)]
+            built += [perm_v(n, i) for i in range(1, n + 1)]
+            built += [embed_gl(g) for g in gl_generators(n)] + [embed_so(b) for b in so_basis(n)]
+            built += ws + [a * b for a, b in zip(ws, ws[1:])]
+            built += [w.inverse() for w in ws] + [w.transpose() for w in ws]
+        assert {x.iso for x in built} == {1, -1}
+        for x in built:
+            assert PseudoOrthogonal(x.mat).iso == x.iso
 
 
 class TestSubgroupStructure:

@@ -245,6 +245,26 @@ class TestOneFormM:
         records = json.loads(capsys.readouterr().out)["failures"]
         assert {f["check"] for f in records} == {"n1-vanishing", "cocycle-identity", "n1-two-torsion"}
 
+    def test_off_diagonal_h_is_invisible_at_n1(self, monkeypatch, capsys):
+        # the blind spot of n1-exhaustive: every column of an n=1 element has
+        # one nonzero entry, so m reads only H's diagonal there
+        real = kinvariant._Chain.h
+
+        def h(chain, i, j, l):
+            rng, dim = self._arbitrary(chain, i, j, l)
+            up = [[rng.int_in(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            bump = [[(r != c) * up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)]
+            return real(chain, i, j, l) + IntMat(bump)
+
+        monkeypatch.setattr(kinvariant._Chain, "h", h)
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        for suite, check in (("cocycle", "cocycle-identity"), ("torsion", "two-torsion")):
+            argv = ["verify", "--suite", suite, "--n", "2", "--trials", "20", "--seed", "5"]
+            assert main(argv) == 1
+            records = json.loads(capsys.readouterr().out)["failures"]
+            assert records and {f["check"] for f in records} == {check}
+
     def test_odd_bracket_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
         real = kinvariant.correction_bracket
 

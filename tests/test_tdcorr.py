@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -138,6 +139,41 @@ class TestValidate:
         with pytest.raises(ValueError, match=r"\(9, 9, 9\) is in one only"):
             TDCocycle(c.nerve, 2, c.a, c.ahat, c.m, mhat, c.t)
         assert act(obj_unit(2), TDCocycle(c.nerve, 2, c.a, c.ahat, m, mhat, c.t)).m[(9, 9, 9)] == (0, 0)
+
+    @pytest.mark.parametrize(
+        "removed, message",
+        [
+            (("a",), "a and ahat must have the same keys; ('q3', 4, 5) is in one only"),
+            (("ahat",), "a and ahat must have the same keys; ('q3', 4, 5) is in one only"),
+            (("m",), "m and mhat must have the same keys; (3, 4, 5) is in one only"),
+            (("mhat",), "m and mhat must have the same keys; (3, 4, 5) is in one only"),
+            (("t",), "missing phase data at ('q3', 3, 4, 5)"),
+            (("a", "ahat"), "missing transition data at ('q3', 4, 5)"),
+            (("m", "mhat"), "phase data at ('q2', 3, 4, 5) lacks its m entry"),
+        ],
+        ids=["a", "ahat", "m", "mhat", "t", "a-and-ahat", "m-and-mhat"],
+    )
+    def test_missing_entry_is_named(self, removed, message):
+        # the key sets of a, ahat and of m, mhat are compared before any site is read
+        c = random_cocycle(WIDE_NERVE, 2, 11)
+        data = {name: dict(getattr(c, name)) for name in MEMBERS}
+        keys = {"a": ("q3", 4, 5), "m": (3, 4, 5), "t": ("q3", 3, 4, 5)}
+        for name in removed:
+            del data[name][keys[name[0]]]
+        with pytest.raises(ValueError) as err:
+            TDCocycle(c.nerve, 2, *[data[name] for name in MEMBERS])
+        # a triple without m is named by its first phase site, q2 being the first point over 3, 4, 5
+        assert str(err.value) == message
+
+    def test_first_differing_key_is_named(self):
+        # keys are compared in insertion order, so string hashing does not pick the one named
+        c = random_cocycle(default_nerve(), 1, 3)
+        ahat = dict(c.ahat)
+        gone = list(ahat)[:6]
+        for key in gone:
+            del ahat[key]
+        with pytest.raises(ValueError, match=f"same keys; {re.escape(str(gone[0]))} is in one only"):
+            TDCocycle(c.nerve, 1, c.a, ahat, c.m, c.mhat, c.t)
 
     def test_t_entry_without_a_entries_rejected(self):
         # act reads a at (p, i, j) and (p, j, k) and m at (i, j, k) for each t entry
@@ -465,7 +501,7 @@ class TestSoShift:
         c = random_cocycle(default_nerve(), 2, 97)
         b = IntMat.zeros(2)
         assert act(section(embed_so(b)), c) == c
-        assert check_so_shift_identities(c, b, samples=10, seed=1)
+        assert check_so_shift_identities(c, b)
 
     def test_data_and_gerbes_hold(self):
         for n, seed in ((2, 101), (3, 103)):

@@ -82,7 +82,7 @@ class TestSection:
             assert b_a == b_matrix(w)
             assert b_low == strict_lower_split(b_matrix(w))
             # the cache is invisible to equality, hashing and repr
-            uncached = PseudoOrthogonal(w.mat, _iso=w.iso)
+            uncached = PseudoOrthogonal(w.mat)
             assert w == uncached and uncached == w
             assert (hash(w), repr(w)) == before == (hash(uncached), repr(uncached))
 
