@@ -20,11 +20,10 @@ and `ct_axiom_failures`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .groups import j_matrix
-from .intlinalg import IntMat, Phase, RatVec, phase_bilinear
+from .intlinalg import IntMat, Phase, RatVec, Record, phase_bilinear
 from .rng import XorShift64Star
 from .twogroup import Mor, Obj
 
@@ -49,25 +48,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TDGroupElement:
+class TDGroupElement(Record):
     """A point of the base group R^{2n}, restricted to rational coordinates."""
 
+    __slots__ = ("a",)
     a: RatVec
 
 
-@dataclass(frozen=True)
-class TDHElement:
+class TDHElement(Record):
     """An element (m, s) of Z^{2n} x U(1)."""
 
+    __slots__ = ("m", "s")
     m: tuple[int, ...]
     s: Phase
 
 
-@dataclass(frozen=True)
-class TDMorphism:
+class TDMorphism(Record):
     """Groupoid morphism (h, g): g -> t(h) + g."""
 
+    __slots__ = ("h", "g")
     h: TDHElement
     g: TDGroupElement
 

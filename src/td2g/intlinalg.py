@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 Rational = int | Fraction
 
 __all__ = [
+    "Record",
     "IntMat",
     "RatVec",
     "Phase",
@@ -53,6 +54,60 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"int or Fraction entry required, got {x!r}")
     return Fraction(x)
+
+
+class Record:
+    """Immutable record over the field names in a subclass's `__slots__`.
+
+    Construction is positional or by keyword; equality and hash go by
+    the fields, and only a record of the same class is equal; the repr is
+    `Name(field=value, ...)`.  Assignment raises AttributeError.  A
+    subclass validates, and may normalise, its fields in `_check`, which
+    the constructor runs last.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self).__name__
+        names = self.__slots__
+        rest = names[len(args) :]
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in rest:
+                what = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls}() got {what} argument {name!r}")
+        for name in rest:
+            if name not in kwargs:
+                raise TypeError(f"{cls}() missing argument {name!r}")
+        for name, value in zip(names, args + tuple([kwargs[name] for name in rest])):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class IntMat:
@@ -376,30 +431,36 @@ _set_frac = Phase.frac.__set__
 def unimodular_inverse(a: IntMat) -> IntMat:
     """Exact integer inverse of a matrix with determinant +-1.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [A | E]: every
-    division is exact, and the elimination ends at [p E | p A^{-1}] with
-    p = +-det(A) = +-1, so A^{-1} = p times the right block.
+    One fraction-free Gauss-Jordan pass (Bareiss) on [A | E]: every
+    division is exact, and the elimination ends at [p E | p A^{-1}] with p,
+    the last pivot, equal to +-det(A).  So A is unimodular exactly when
+    p = +-1, and then A^{-1} = p times the right block.  A row with a zero
+    in the pivot column is left alone when the pivot equals the previous
+    one, since the update would not change it.  `det` runs only to name
+    the determinant of a refused matrix.
     """
     if not a.is_square:
         raise ValueError("inverse of a non-square matrix")
-    d = a.det()
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
     k = a.rows
     m = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(a.data)]
     prev = 1
     for c in range(k):
         if m[c][c] == 0:
-            swap = next(r for r in range(c + 1, k) if m[r][c] != 0)
+            swap = next((r for r in range(c + 1, k) if m[r][c] != 0), None)
+            if swap is None:
+                break
             m[c], m[swap] = m[swap], m[c]
         row_c = m[c]
         pivot = row_c[c]
         for r in range(k):
-            if r != c:
-                f = m[r][c]
+            f = m[r][c]
+            if r != c and (f or pivot != prev):
                 m[r] = [(x * pivot - f * y) // prev for x, y in zip(m[r], row_c)]
         prev = pivot
-    return IntMat._new(tuple([tuple([prev * x for x in row[k:]]) for row in m]))
+    else:
+        if prev in (1, -1):
+            return IntMat._new(tuple([tuple([prev * x for x in row[k:]]) for row in m]))
+    raise ValueError(f"matrix is not unimodular (det = {a.det()})")
 
 
 def strict_lower_split(b: IntMat) -> IntMat:

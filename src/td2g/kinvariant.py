@@ -65,7 +65,6 @@ their generators, Z and V by reduction to the 8 triples at n=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from typing import Sequence
@@ -81,7 +80,7 @@ from .groups import (
 )
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import IntMat, Phase, RatVec, _as_int, strict_lower_split  # noqa: F401
+from .intlinalg import IntMat, Phase, RatVec, Record, _as_int, strict_lower_split  # noqa: F401
 from .twogroup import b_split, beta_multiplicator, correction_bracket, eval_mor
 
 __all__ = [
@@ -470,14 +469,14 @@ def check_vanishing_on_subgroup(tag: str, n: int, trials: int = 0, seed: int = 0
 # -- the mod-2 double cover -------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleCoverElement:
+class DoubleCoverElement(Record):
     """Element (u, A) of the extension of O+-(n,n,Z) by (Z/2Z)^{2n}."""
 
+    __slots__ = ("u", "a")
     u: IntVec
     a: PseudoOrthogonal
 
-    def __post_init__(self):
+    def _check(self):
         u = tuple(_as_int(v) for v in self.u)
         if len(u) != 2 * self.a.n or any(v not in (0, 1) for v in u):
             raise ValueError("cover component must be a 0/1 vector of length 2n")

@@ -26,7 +26,6 @@ ordered index tuples, which `validate` checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -36,7 +35,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .groups import embed_gl, embed_so, flip_element, rotation_n1
 from .intlinalg import (
-    IntMat, Phase, RatVec, strict_lower_split, unimodular_inverse
+    IntMat, Phase, RatVec, Record, strict_lower_split, unimodular_inverse
 )
 from .rng import XorShift64Star
 from .twogroup import Obj, section
@@ -69,14 +68,14 @@ TripleKey = tuple[int, int, int]
 TKey = tuple[str, int, int, int]
 
 
-@dataclass(frozen=True)
-class NerveModel:
+class NerveModel(Record):
     """Finite point set with, per point, the set of cover indices containing it."""
 
+    __slots__ = ("points", "cover")
     points: tuple[str, ...]
     cover: Mapping[str, tuple[int, ...]]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.points:
             raise ValueError("nerve needs at least one point")
         for p in self.points:

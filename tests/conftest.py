@@ -101,6 +101,30 @@ def fraction_inverse(m: IntMat) -> list[list[Fraction]]:
     return [row[k:] for row in aug]
 
 
+def reference_unimodular_inverse(a: IntMat) -> IntMat:
+    """The earlier two-pass inverse: a Bareiss `det` first, then Gauss-Jordan on [A | E]."""
+    if not a.is_square:
+        raise ValueError("inverse of a non-square matrix")
+    d = a.det()
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {d})")
+    k = a.rows
+    m = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(a.data)]
+    prev = 1
+    for c in range(k):
+        if m[c][c] == 0:
+            swap = next(r for r in range(c + 1, k) if m[r][c] != 0)
+            m[c], m[swap] = m[swap], m[c]
+        row_c = m[c]
+        pivot = row_c[c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(x * pivot - f * y) // prev for x, y in zip(m[r], row_c)]
+        prev = pivot
+    return IntMat(tuple(tuple(prev * x for x in row[k:]) for row in m))
+
+
 def reference_matmul(a: IntMat, b: IntMat) -> IntMat:
     """The earlier dense product: every entry is the full dot product of a row and a column."""
     bt = tuple(zip(*b.data))

@@ -28,6 +28,7 @@ from td2g.twogroup import beta_multiplicator, obj_unit, section
 from conftest import (
     SPLIT_NERVE, WIDE_NERVE, reference_cocycle_key, reference_cocycle_to_json, words
 )
+from test_bench_contract import TRACED
 
 
 def write_json(path, payload):
@@ -400,6 +401,20 @@ class TestCheckCommand:
         code, _ = run_main(capsys, ["check", str(f)])
         assert code == 2
 
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"b": 1, "a": 1, "a": 2, "b": 2}', "a"),
+            ('{"x": {"b": 1, "b": 2}, "a": 1, "a": 2}', "b"),
+            ('[{"a": 1}, {"a": 1, "c": 2, "c": 3}]', "c"),
+        ],
+    )
+    def test_repeated_key_error_names_the_first_repeat(self, tmp_path, text, key):
+        f = tmp_path / "m.json"
+        f.write_text(text)
+        with pytest.raises(jsonio.FormatError, match=f"repeated key '{key}'$"):
+            cli._load_json(str(f))
 
     @pytest.mark.parametrize("case", sorted(UNDECODABLE_MATRICES))
     def test_undecodable_file_exits_2(self, tmp_path, capsys, case):
@@ -830,6 +845,18 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["failures"] == []
+
+    def test_cli_import_loads_traced_modules_but_not_dataclasses_or_hashlib(self):
+        # The tracer looks its names up in sys.modules after `import td2g.cli`.
+        code = (
+            "import json, sys; before = set(sys.modules); import td2g.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert {modname for _, modname, _ in TRACED} <= loaded
+        assert not {"dataclasses", "hashlib"} & loaded
 
     def test_cli_import_skips_thread_pool_modules(self):
         proc = subprocess.run(

@@ -14,13 +14,14 @@ from td2g.intlinalg import (
     strict_lower_split,
     unimodular_inverse,
 )
-from td2g.groups import j_matrix, pairing_matrix, perm_v, embed_gl
+from td2g.groups import embed_gl, gl_generators, j_matrix, pairing_matrix, perm_v, standard_generators
 from td2g.twogroup import b_split, quadratic_phase
 from conftest import (
     fraction_inverse,
     reference_matmul,
     reference_phase_bilinear,
     reference_quadratic_phase,
+    reference_unimodular_inverse,
     words,
 )
 
@@ -164,6 +165,50 @@ class TestUnimodularInverse:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             unimodular_inverse(IntMat([[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_two_pass_reference_on_generators_and_words(self, n):
+        mats = [g.mat for g in standard_generators(n)]
+        mats += [g.transpose() for g in gl_generators(n)]
+        mats += [w.mat for w in words(n, 6, 1_000 + n, length=8)]
+        for m in mats:
+            assert unimodular_inverse(m) == reference_unimodular_inverse(m)
+
+    @pytest.mark.parametrize(
+        "rows, inverse",
+        [
+            # pivot 2 at the first column, final pivot 1
+            ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+            # zero pivot at the first column
+            ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+            # zero pivot at the second column, after the first was eliminated; det = -1
+            ([[1, 2, 0], [1, 2, 1], [0, 1, 0]], [[1, 0, -2], [0, 0, 1], [-1, 1, 0]]),
+        ],
+    )
+    def test_mid_elimination_pivot_and_row_swap(self, rows, inverse):
+        m = IntMat(rows)
+        inv = unimodular_inverse(m)
+        assert inv == IntMat(inverse) == reference_unimodular_inverse(m)
+        assert m * inv == IntMat.identity(m.rows) == inv * m
+        assert [[Fraction(x) for x in row] for row in inv.data] == fraction_inverse(m)
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([[1, 1], [1, 1]], 0),
+            ([[0, 0], [0, 1]], 0),
+            ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0),
+            ([[2, 0], [0, 1]], 2),
+            ([[0, 1], [2, 0]], -2),
+        ],
+    )
+    def test_refusal_messages_name_the_determinant(self, rows, det):
+        m = IntMat(rows)
+        message = f"matrix is not unimodular (det = {det})"
+        for inverse in (unimodular_inverse, reference_unimodular_inverse):
+            with pytest.raises(ValueError) as exc:
+                inverse(m)
+            assert str(exc.value) == message
 
     @given(st.lists(small_ints, min_size=3, max_size=3))
     def test_two_sided_inverse(self, params):
