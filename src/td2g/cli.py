@@ -63,20 +63,18 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _load_json(path: str) -> tuple[object, str]:
-    """Decode a JSON file read once, with the sha256 of the bytes decoded.
+def _load_json(path: str) -> tuple[object, bytes]:
+    """Decode a JSON file read once; return the value and the bytes decoded.
 
     The bytes are decoded as text-mode `open` decodes them (UTF-8,
     universal newlines).  Every failure, repeated object keys included,
     is a FormatError.
     """
-    import hashlib  # here, not at the top: its import would slow every start
-
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        return json.load(text, object_pairs_hook=_unique_keys), hashlib.sha256(data).hexdigest()
+        return json.load(text, object_pairs_hook=_unique_keys), data
     except (OSError, ValueError, RecursionError) as exc:
         raise jsonio.FormatError(f"{path}: {exc}") from exc
 
@@ -288,9 +286,9 @@ def _report_violation(c, message: str) -> bool:
 
 def cmd_act(args) -> int:
     try:
-        auto, auto_sha256 = _load_json(args.auto)
+        auto, auto_bytes = _load_json(args.auto)
         obj = jsonio.obj_from_json(auto)
-        cocycle, cocycle_sha256 = _load_json(args.cocycle)
+        cocycle, cocycle_bytes = _load_json(args.cocycle)
         coc = jsonio.cocycle_from_json(cocycle)
         if obj.n != coc.n:
             raise jsonio.FormatError("object and cocycle rank differ")
@@ -302,7 +300,12 @@ def cmd_act(args) -> int:
     result = tdcorr.act(obj, coc)
     if _report_violation(result, "internal error: transformed cocycle failed validation"):
         return EXIT_INTERNAL
-    meta = {"auto_sha256": auto_sha256, "cocycle_sha256": cocycle_sha256}
+    import hashlib  # here, not at the top: only act hashes, and the import would slow every start
+
+    meta = {
+        "auto_sha256": hashlib.sha256(auto_bytes).hexdigest(),
+        "cocycle_sha256": hashlib.sha256(cocycle_bytes).hexdigest(),
+    }
     text = jsonio.canonical_dumps(jsonio.cocycle_to_json(result, meta=meta)) + "\n"
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

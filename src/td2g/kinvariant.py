@@ -52,11 +52,14 @@ its right side 2m is a separate `k_cocycle` call.
 On a finite group the chains repeat: every product is again one of the
 group's elements.  `finite_group_failures` therefore indexes the N
 elements, builds their Cayley table once, computes H_{A,B} once per
-ordered pair (N^2), fills one m table (N^3 `_Chain.k` calls, each handed
-its pair's H, so one matrix product each) and one gamma table (N^2
-`gamma` calls).  delta m = 0 at every quadruple and delta gamma = 2m at
-every triple are then table reads, with the twisted action computed
-once per element and distinct vector.  The tables live for one call.
+ordered pair (N^2) and fills one m table and one gamma table (N^2
+`gamma` calls).  The m table calls no `_Chain.k`: as X^{-T} = iso(X) I X I,
+m_{A,B,C} is the twisted action of the Cayley product X = ABC on
+-iso(X) 1/2 bracket(H_{A,B}, C), and the bracket, one matrix product,
+is computed once per distinct H value and C (3 H values at n=1).
+delta m = 0 at every quadruple and delta gamma = 2m at every triple are
+then table reads, with the twisted action computed once per element and
+distinct vector.  The tables live for one call.
 
 The splitting over the GL, SO, Z and V subgroups is decided without
 draws by `subgroup_vanishing_failure`: GL and SO by a certificate over
@@ -126,18 +129,17 @@ class _Chain:
     the word's elements are shared with every other caller.  `h` and
     `form` compute H and F for Q = prod[i, j] and P = prod[j, l].  `k`
     memoises each H it reads by (i, j, l), so the five m terms of a
-    4-chain compute 4 H.  A caller that already holds H_{a_0, a_1} hands
-    it in as `h`, and `k` reads it at (0, 1, 2).
+    4-chain compute 4 H.
     """
 
     __slots__ = ("prod", "_h")
 
-    def __init__(self, word: Sequence[PseudoOrthogonal], h: IntMat | None = None):
+    def __init__(self, word: Sequence[PseudoOrthogonal]):
         n = word[0].n
         if any(g.n != n for g in word):
             raise ValueError("rank mismatch")
         self.prod = _Products(word)
-        self._h: dict[tuple[int, int, int], IntMat] = {} if h is None else {(0, 1, 2): h}
+        self._h: dict[tuple[int, int, int], IntMat] = {}
 
     def h(self, i: int, j: int, l: int) -> IntMat:
         """H_{Q,P} = S^diag + S_up + S_up^T, S = P^T (B_Q)_low P, for Q = prod[i, j] and P = prod[j, l].
@@ -302,6 +304,54 @@ def check_two_torsion(
     return lhs == rhs
 
 
+def _cayley_table(elems: Sequence[PseudoOrthogonal]) -> list[list[int]]:
+    """table[a][b] = the index of elems[a] * elems[b]; ValueError if it is not in `elems`."""
+    index = {g: i for i, g in enumerate(elems)}
+    table = []
+    for a in elems:
+        row = []
+        for b in elems:
+            ab = index.get(a * b)
+            if ab is None:
+                raise ValueError("elements are not closed under multiplication")
+            row.append(ab)
+        table.append(row)
+    return table
+
+
+def _m_table(
+    elems: Sequence[PseudoOrthogonal], table: list[list[int]], acted: list[_Actions]
+) -> list[list[list[IntVec]]]:
+    """m[a][b][c] = m_{a,b,c} over a finite group with Cayley table `table`.
+
+    One half-bracket per distinct (H_{a,b} value, c), each m read from
+    `acted` of the Cayley product abc; `finite_group_failures` proves it.
+    """
+    brackets: dict[IntMat, list[tuple[IntVec, IntVec]]] = {}
+    m = []
+    for ia, a in enumerate(elems):
+        m_a = []
+        for ib, b in enumerate(elems):
+            h = _Chain((a, b)).h(0, 1, 2)
+            signed = brackets.get(h)
+            if signed is None:
+                signed = brackets[h] = []
+                for c in elems:
+                    twice = correction_bracket(h, c.mat)
+                    if any(v % 2 for v in twice):
+                        raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
+                    # (-h, h): the vector I X I is applied to when iso(X) is 1, -1
+                    signed.append((tuple([-(v // 2) for v in twice]), tuple([v // 2 for v in twice])))
+            m_a.append(
+                [
+                    acted[x][neg if elems[x].iso == 1 else pos]
+                    for x, (neg, pos) in zip(table[table[ia][ib]], signed)
+                ]
+            )
+        m.append(m_a)
+    return m
+
+
 def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     """Decide m = 0, delta m = 0 and delta gamma = 2m over a finite group, from tables.
 
@@ -319,11 +369,21 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
       where I A I g_{b,c} - g_{ab,c} + g_{a,bc} - g_{a,b} != 2 m_{a,b,c}.
 
     Each piece of work is done once.  H_{a,b} is `_Chain.h` once per
-    ordered pair; m_{a,b,c} is `_Chain.k` on the chain (a, b, c), handed
-    that H, once per triple; g_{a,b} is `gamma` once per pair; and
-    I A I v is `twisted_action` once per element a and distinct vector v,
-    kept for both identities.  `_Chain.h`, `_Chain.k`, `gamma` and
-    `twisted_action` are looked up at call time.
+    ordered pair, g_{a,b} is `gamma` once per pair, and I A I v is
+    `twisted_action` once per element a and distinct vector v, kept for
+    the m table and both identities.  m_{a,b,c} (`_m_table`) depends on
+    the triple only through the value of H = H_{a,b}, through c and
+    through X = abc, the Cayley product: by `_Chain.k`'s formula
+    m = -X^{-T} h with h = 1/2 bracket(H, C), and X^{-T} = iso(X) I X I
+    (`_Chain.inv_transpose`), so m = I X I (-iso(X) h), read from the
+    twisted-action memo of X.  The bracket reads nothing but H and C's
+    matrix, so keeping it by (H value, c) is exact; the memo of I X I v
+    is keyed by (element, vector), so it is exact too.  The brackets of
+    a new H value are computed, and checked to be even, for every c at
+    the first pair that has it, so an odd one raises ArithmeticError at
+    the same first triple as a check per triple.  `_Chain.h`,
+    `correction_bracket`, `gamma` and `twisted_action` are looked up at
+    call time.
 
     The second list is `check_cocycle_identity` at every quadruple: each
     of its five terms is m at a triple of products of the 4-chain
@@ -342,32 +402,18 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     """
     if not elems:
         raise ValueError("no elements: a finite group has at least its identity")
-    index = {g: i for i, g in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            ab = index.get(a * b)
-            if ab is None:
-                raise ValueError("elements are not closed under multiplication")
-            row.append(ab)
-        table.append(row)
+    table = _cayley_table(elems)
     idx = range(len(elems))
     zero = (0,) * (2 * elems[0].n)
-    failures = []
-    # m[a][b][c] = m_{a,b,c}, each read from H_{a,b}, computed once for the pair
-    m = []
-    for ia, a in enumerate(elems):
-        m_a = []
-        for ib, b in enumerate(elems):
-            h = _Chain((a, b)).h(0, 1, 2)
-            m_a_b = [_Chain((a, b, c), h).k(0, 1, 2, 3) for c in elems]
-            for ic, v in enumerate(m_a_b):
-                if v != zero:
-                    failures.append({"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]})
-            m_a.append(m_a_b)
-        m.append(m_a)
     acted = [_Actions(a) for a in elems]
+    m = _m_table(elems, table, acted)
+    failures = [
+        {"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]}
+        for ia in idx
+        for ib in idx
+        for ic in idx
+        if m[ia][ib][ic] != zero
+    ]
     for ia in idx:
         act_a, m_a, row_a = acted[ia], m[ia], table[ia]
         for ib in idx:

@@ -35,6 +35,15 @@ def write_json(path, payload):
     path.write_text(json.dumps(payload))
 
 
+def refuse_hashing(monkeypatch):
+    """Make every sha256 raise: only `act` writes digests, so no other command may hash."""
+
+    def sha256(*args, **kwargs):
+        raise AssertionError("hashed an input whose digest no output carries")
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+
+
 def run_main(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
@@ -401,6 +410,13 @@ class TestCheckCommand:
         code, _ = run_main(capsys, ["check", str(f)])
         assert code == 2
 
+    def test_hashes_nothing(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "R.json"
+        write_json(f, jsonio.mat_to_json(rotation_n1().mat))
+        refuse_hashing(monkeypatch)
+        code, out = run_main(capsys, ["check", str(f)])
+        assert code == 0 and out == {"iso": -1, "member": True, "n": 1}
+
 
     @pytest.mark.parametrize(
         "text, key",
@@ -461,6 +477,17 @@ class TestKinvCommand:
             capsys, ["kinv", "--a", paths[2], "--b", paths[1], "--c", paths[0]]
         )
         assert code == 0 and out == [0, 0]
+
+    def test_hashes_nothing(self, tmp_path, capsys, monkeypatch):
+        ws = words(2, 3, 317)
+        paths = []
+        for i, w in enumerate(ws):
+            p = tmp_path / f"w{i}.json"
+            write_json(p, jsonio.element_to_json(w))
+            paths.append(str(p))
+        refuse_hashing(monkeypatch)
+        code, out = run_main(capsys, ["kinv", "--a", paths[0], "--b", paths[1], "--c", paths[2]])
+        assert code == 0 and tuple(out) == k_cocycle(*ws)
 
     def test_rank_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -210,6 +210,13 @@ class TestOneFormM:
         q, p = chain.prod[i, j], chain.prod[j, l]
         return XorShift64Star(hash((q.mat.data, p.mat.data)) % 2**64), 2 * q.n
 
+    @staticmethod
+    def _arbitrary_h(chain, i, j, l):
+        """An arbitrary symmetric H with entries in [-3, 3], seeded by the element pair."""
+        rng, dim = TestOneFormM._arbitrary(chain, i, j, l)
+        up = [[rng.int_in(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        return IntMat([[up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)])
+
     def test_wrong_form_fails_torsion(self, monkeypatch, capsys):
         # gamma reads F and m reads H: an arbitrary even F breaks delta gamma = 2m
         def form(chain, i, j, l):
@@ -231,12 +238,7 @@ class TestOneFormM:
 
     def test_wrong_h_fails_the_cocycle_identity(self, monkeypatch, capsys):
         # delta m = 0 is no identity of the formula for an arbitrary symmetric H
-        def h(chain, i, j, l):
-            rng, dim = self._arbitrary(chain, i, j, l)
-            up = [[rng.int_in(-3, 3) for _ in range(dim)] for _ in range(dim)]
-            return IntMat([[up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)])
-
-        monkeypatch.setattr(kinvariant._Chain, "h", h)
+        monkeypatch.setattr(kinvariant._Chain, "h", self._arbitrary_h)
         argv = ["verify", "--suite", "cocycle", "--n", "2", "--trials", "20", "--seed", "5"]
         assert main(argv) == 1
         report = json.loads(capsys.readouterr().out)
@@ -440,11 +442,13 @@ class TestFiniteGroupTables:
     def _bump(monkeypatch, method, *at):
         """Add 1 to the first entry of `_Chain.<method>` where it reads the elements enumerate_n1()[i], i in `at`.
 
-        The fault is keyed on elements, as m and gamma are functions of
-        elements.  A fault keyed on chain positions (say, only k(0, 1, 2, 3))
-        would not be a fair comparison: the table path computes every m at
-        positions (0, 1, 2, 3) through k_cocycle, whereas
-        check_cocycle_identity reads four of its five terms at other
+        For `h` the entry is H[0, 0]: the bracket then moves by
+        c_0^2 - c_0 in each column c of C, which stays even, and it moves
+        at every C with a -1 in its first row.  The fault is keyed on
+        elements, as H, m and gamma are functions of elements.  A fault
+        keyed on chain positions (say, only h(0, 1, 2)) would not be a
+        fair comparison: the table path reads every H at positions
+        (0, 1, 2), whereas check_cocycle_identity reads its H at other
         positions, so the two paths would see different functions and
         rightly disagree.
         """
@@ -454,9 +458,11 @@ class TestFiniteGroupTables:
 
         def faulty(self, *pos):
             v = real(self, *pos)
-            if tuple(self.prod[p, q] for p, q in zip(pos, pos[1:])) == target:
-                return (v[0] + 1,) + v[1:]
-            return v
+            if tuple(self.prod[p, q] for p, q in zip(pos, pos[1:])) != target:
+                return v
+            if isinstance(v, IntMat):
+                return v + IntMat([[1, 0], [0, 0]])
+            return (v[0] + 1,) + v[1:]
 
         monkeypatch.setattr(kinvariant._Chain, method, faulty)
 
@@ -479,23 +485,44 @@ class TestFiniteGroupTables:
     def test_other_finite_groups_pass(self, elems):
         assert finite_group_failures(elems) == []
 
-    # Indices into enumerate_n1(): 0 is E, 2 the flip and 4 a rotation of
-    # order 4.  The group is dihedral of order 8; with the second triple,
-    # whose elements are not central, a table read that swapped the
-    # factors of a product would land on another m entry.
-    @pytest.mark.parametrize("triple", [(2, 0, 0), (4, 2, 4)])
-    def test_m_fault_gives_the_same_records(self, monkeypatch, triple):
-        self._bump(monkeypatch, "k", *triple)
+    # Indices into enumerate_n1(): 0 is E and 1 is -E, the centre of this
+    # dihedral group of order 8; 2 is the flip and 4 a rotation of order 4
+    # with iso -1, and their product is not central.  At both pairs the c
+    # whose m moves (a -1 in the first row) have both isos, so a table that
+    # dropped the factor -iso(X) of m = I X I (-iso(X) h), X = abc, fails
+    # here; at (4, 2) so does one that read X as c ab.  A sign flip of every
+    # m, or X read as ba c (= -abc at (4, 2)), keeps every record; the
+    # comparison with k_cocycle at every triple below catches those.
+    @pytest.mark.parametrize("pair", [(1, 0), (4, 2)])
+    def test_m_fault_gives_the_same_records(self, monkeypatch, pair):
+        self._bump(monkeypatch, "h", *pair)
         got = finite_group_failures(enumerate_n1())
         ref = reference_n1_exhaustive(1, 0, 0)
         checks = {r["check"] for r in ref}
         assert checks == {"n1-vanishing", "cocycle-identity"}
         assert [r for r in got if r["check"] in checks] == ref
         # The torsion records are exactly the triples where the chain
-        # check, with its own k_cocycle call on the right, fails.
+        # check, with its own k_cocycle call on the right, fails: those
+        # where the faulted H moves m away from 0, all at the faulted pair.
         torsion = self._failing_torsion_triples()
-        assert torsion == [list(triple)]
+        vanishing = [r["triple"] for r in ref if r["check"] == "n1-vanishing"]
+        assert torsion and torsion == vanishing and all(t[:2] == list(pair) for t in torsion)
         assert got == ref + [{"trial": 0, "check": "n1-two-torsion", "triple": t} for t in torsion]
+
+    @pytest.mark.parametrize("h", ["correct", "arbitrary"])
+    def test_m_table_is_k_cocycle_at_every_triple(self, monkeypatch, h):
+        # On correct data every m is 0, so a table of zeros would pass every
+        # golden; under an arbitrary element-seeded H, m is nonzero at many
+        # triples and the table must still equal k_cocycle at each.
+        if h == "arbitrary":
+            monkeypatch.setattr(kinvariant._Chain, "h", TestOneFormM._arbitrary_h)
+        elems = enumerate_n1()
+        table = kinvariant._cayley_table(elems)
+        got = kinvariant._m_table(elems, table, [kinvariant._Actions(a) for a in elems])
+        expected = [[[k_cocycle(a, b, c) for c in elems] for b in elems] for a in elems]
+        assert got == expected
+        nonzero = sum(v != (0, 0) for m_a in expected for m_a_b in m_a for v in m_a_b)
+        assert nonzero == 0 if h == "correct" else nonzero > 64
 
     @pytest.mark.parametrize("pair", [(2, 2), (2, 4)])
     def test_gamma_fault_fails_torsion_only(self, monkeypatch, pair):
@@ -506,10 +533,30 @@ class TestFiniteGroupTables:
         assert got == [{"trial": 0, "check": "n1-two-torsion", "triple": t} for t in torsion]
 
     def test_suite_reports_the_fault(self, monkeypatch, capsys):
-        self._bump(monkeypatch, "k", 2, 0, 0)
+        self._bump(monkeypatch, "h", 2, 0)
         assert main(["verify", "--suite", "n1-exhaustive"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["failures"][0] == {"trial": 0, "check": "n1-vanishing", "triple": [2, 0, 0]}
+        # -E is the first element with a -1 in its first row
+        assert report["failures"][0] == {"trial": 0, "check": "n1-vanishing", "triple": [2, 0, 1]}
+
+    def test_odd_bracket_is_an_internal_error(self, monkeypatch, capsys):
+        # an odd bracket at one C: raised at the first pair's H, with that C last read
+        real, seen = kinvariant.correction_bracket, []
+        odd_c = enumerate_n1()[5].mat
+
+        def odd(h, c):
+            seen.append((h, c))
+            twice = real(h, c)
+            return [twice[0] + 1] + twice[1:] if c == odd_c else twice
+
+        monkeypatch.setattr(kinvariant, "correction_bracket", odd)
+        with pytest.raises(ArithmeticError, match="half-prefactor"):
+            finite_group_failures(enumerate_n1())
+        e = enumerate_n1()[0]
+        assert seen[-1] == (kinvariant._Chain((e, e)).h(0, 1, 2), odd_c)
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal error:")
 
     def test_not_closed_raises(self):
         with pytest.raises(ValueError, match="not closed"):
@@ -517,16 +564,15 @@ class TestFiniteGroupTables:
 
     def test_work_count(self, monkeypatch, capsys):
         # Work, not time.  Group products: the suite multiplies each pair of
-        # the 8 elements once for the Cayley table (64) and nowhere else,
-        # since chains build products on demand and m and gamma read only
-        # the letters themselves: m from H_{A,B} with A, B and C, and each
-        # (..)^{-T} applied letter by letter.  Matrix products: 2 per element
-        # for its iso in enumerate_n1 (16), one per Cayley product (64), one
-        # per element for its B_A (8), two per ordered pair for its H_{A,B}
-        # (S from (B_A)_low B and B^T; 2 * 64), one per triple for the
-        # bracket's H C (512) and one per gamma (its form; 64): 792.  Each m
-        # is one _Chain.k call on its triple, handed the pair's H; none goes
-        # through k_cocycle.
+        # the 8 elements once for the Cayley table (64) and nowhere else:
+        # m reads H_{A,B}, C and the Cayley product ABC, and gamma applies
+        # (AB)^{-T} letter by letter.  Matrix products: 2 per element for
+        # its iso in enumerate_n1 (16), one per Cayley product (64), one per
+        # element for its B_A (8), two per ordered pair for its H_{A,B} (S
+        # from (B_A)_low B and B^T; 2 * 64), one bracket H C per distinct
+        # H value and C (3 * 8 = 24) and one per gamma (its form; 64): 304.
+        # No m goes through _Chain.k or k_cocycle: each is the twisted
+        # action of ABC on a signed half-bracket.
         calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "_Chain.k": 0, "mul": 0, "matmul": 0}
 
         def counted(name, fn):
@@ -546,9 +592,9 @@ class TestFiniteGroupTables:
         assert calls == {
             "k_cocycle": 0,
             "check_cocycle_identity": 0,
-            "_Chain.k": 512,
+            "_Chain.k": 0,
             "mul": 64,
-            "matmul": 16 + 64 + 8 + 2 * 64 + 512 + 64,
+            "matmul": 16 + 64 + 8 + 2 * 64 + 24 + 64,
         }
 
     def test_each_h_and_action_is_computed_once(self, monkeypatch):
