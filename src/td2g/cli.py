@@ -292,7 +292,7 @@ def cmd_act(args) -> int:
         coc = jsonio.cocycle_from_json(cocycle)
         if obj.n != coc.n:
             raise jsonio.FormatError("object and cocycle rank differ")
-    except (jsonio.FormatError, MembershipError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and MembershipError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if _report_violation(coc, "error: cocycle fails validation"):

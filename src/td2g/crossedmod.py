@@ -32,7 +32,6 @@ __all__ = [
     "TDHElement",
     "TDMorphism",
     "pairing",
-    "td_t",
     "td_alpha",
     "td_h_mul",
     "td_source",
@@ -71,10 +70,6 @@ class TDMorphism(Record):
     g: TDGroupElement
 
 
-def td_t(h: TDHElement) -> tuple[int, ...]:
-    return h.m
-
-
 def pairing(n: int, a: RatVec, b: RatVec) -> Phase:
     """[a, b] = a^T J b mod 1."""
     return phase_bilinear(j_matrix(n), a, b)
@@ -108,7 +103,7 @@ def td_compose(m2: TDMorphism, m1: TDMorphism) -> TDMorphism:
     return TDMorphism(td_h_mul(m2.h, m1.h), m1.g)
 
 
-class CrossedIntertwiner:
+class CrossedIntertwiner(Record):
     """Evaluator triple (phi, f, eta) over the T-duality crossed module.
 
     Built from a matrix A with sign epsilon and a bilinear phase matrix X.
@@ -117,8 +112,12 @@ class CrossedIntertwiner:
     """
 
     __slots__ = ("amat", "eps", "xmat")
+    amat: IntMat
+    eps: int
+    xmat: IntMat
 
-    def __init__(self, amat: IntMat, eps: int, xmat: IntMat):
+    def _check(self):
+        amat, eps, xmat = self.amat, self.eps, self.xmat
         dim = amat.rows
         if amat.cols != dim or xmat.rows != xmat.cols:
             raise ValueError("intertwiner matrices must be square")
@@ -128,12 +127,6 @@ class CrossedIntertwiner:
             raise ValueError("intertwiner dimension must be even")
         if type(eps) is not int or eps not in (1, -1):
             raise ValueError("intertwiner sign must be 1 or -1")
-        object.__setattr__(self, "amat", amat)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "xmat", xmat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CrossedIntertwiner is immutable")
 
     @property
     def dim(self) -> int:

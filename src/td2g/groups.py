@@ -107,6 +107,9 @@ class PseudoOrthogonal:
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonal is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("PseudoOrthogonal is immutable")
+
     @classmethod
     def identity(cls, n: int) -> "PseudoOrthogonal":
         return cls._new(IntMat.identity(2 * n), 1)
@@ -126,10 +129,6 @@ class PseudoOrthogonal:
 
     def transpose(self) -> "PseudoOrthogonal":
         return PseudoOrthogonal._new(self.mat.transpose(), self.iso)
-
-    def inv_transpose_mat(self) -> IntMat:
-        """(A^T)^{-1} = iso(A) * I A I, as a plain matrix."""
-        return _conj_pairing(self.mat).scale(self.iso)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PseudoOrthogonal) and self.mat == other.mat

@@ -61,9 +61,10 @@ class Record:
 
     Construction is positional or by keyword; equality and hash go by
     the fields, and only a record of the same class is equal; the repr is
-    `Name(field=value, ...)`.  Assignment raises AttributeError.  A
-    subclass validates, and may normalise, its fields in `_check`, which
-    the constructor runs last.
+    `Name(field=value, ...)`.  Assignment and deletion raise
+    AttributeError.  A subclass validates, and may normalise, its fields
+    in `_check`, which the constructor runs last.  `_new` is the trusted
+    constructor: it takes every field in slot order and runs no `_check`.
     """
 
     __slots__ = ()
@@ -81,9 +82,18 @@ class Record:
         for name in rest:
             if name not in kwargs:
                 raise TypeError(f"{cls}() missing argument {name!r}")
-        for name, value in zip(names, args + tuple([kwargs[name] for name in rest])):
-            object.__setattr__(self, name, value)
+        self._write(args + tuple([kwargs[name] for name in rest]))
         self._check()
+
+    @classmethod
+    def _new(cls, *values):
+        """Unchecked constructor; `values` are every field, in slot order."""
+        return object.__new__(cls)._write(values)
+
+    def _write(self, values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _check(self) -> None:
         pass
@@ -140,6 +150,9 @@ class IntMat:
         return m
 
     def __setattr__(self, name, value):
+        raise AttributeError("IntMat is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("IntMat is immutable")
 
     # -- constructors ------------------------------------------------
@@ -306,6 +319,9 @@ class RatVec:
     def __setattr__(self, name, value):
         raise AttributeError("RatVec is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RatVec is immutable")
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -341,9 +357,6 @@ class RatVec:
         if len(entries) != self.dim:
             raise ValueError("dimension mismatch")
         return sum((x * _as_fraction(y) for x, y in zip(self.entries, entries)), Fraction(0))
-
-    def concat(self, other: "RatVec") -> "RatVec":
-        return RatVec._new(self.entries + other.entries)
 
     def split(self, k: int) -> tuple["RatVec", "RatVec"]:
         head, tail = self.entries[:k], self.entries[k:]
@@ -381,6 +394,9 @@ class Phase:
         return p
 
     def __setattr__(self, name, value):
+        raise AttributeError("Phase is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Phase is immutable")
 
     def is_zero(self) -> bool:

@@ -16,10 +16,10 @@ L_Q = (B_Q)_low, S = B^T L_A B and S_up the strict upper triangle of S,
 
 H_{A,B} is the matrix of the multiplicator beta_{A,B}, so both paths
 read it, computed two ways: here from S, in `k_eval` as
-X_{A,B} - L_{AB} (`twogroup.h_matrix`).  The bracket is twice
-`twogroup.mor_hcompose`'s correction and is even; the half-prefactor is
-still asserted.  `_Chain.k` derives the formula from the four-form
-one, m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4) with
+X_{A,B} - L_{AB} (`twogroup.beta_multiplicator(a, b).h`).  The bracket
+is twice `twogroup.mor_hcompose`'s correction and is even; the
+half-prefactor is still asserted.  `_Chain.k` derives the formula from
+the four-form one, m = 1/2 (ABC)^{-T} (w1 + w2 - iso(A) w3 - w4) with
 w1 = C^T F(A, B), w2 = F(AB, C), w3 = F(B, C), w4 = F(A, BC) and the
 form diagonals F(Q, P) = (P^T L_Q P)^diag.
 

@@ -184,7 +184,7 @@ def cocycle_numerators(
     return nerve, n, m, mhat, nums
 
 
-class TDCocycle:
+class TDCocycle(Record):
     """Local T-duality data (a, ahat, m, mhat, t) over a nerve model.
 
     The rational data is stored once, in `nums`: per point p the tuple
@@ -215,24 +215,11 @@ class TDCocycle:
             {k: [f.as_integer_ratio() for f in v.entries] for k, v in x.items()} for x in (a, ahat)
         ]
         t = {k: ph.frac.as_integer_ratio() for k, ph in t.items()}
-        self._fill(*cocycle_numerators(nerve, n, a, ahat, m, mhat, t))
-
-    @classmethod
-    def _new(cls, nerve: NerveModel, n: int, m: dict, mhat: dict, nums: dict) -> TDCocycle:
-        """Unchecked constructor; `nums` must have the stored form described above."""
-        return object.__new__(cls)._fill(nerve, n, m, mhat, nums)
-
-    def _fill(self, *values) -> TDCocycle:
-        for name, value in zip(_FIELDS, values):
-            object.__setattr__(self, name, value)
-        return self
+        self._write(cocycle_numerators(nerve, n, a, ahat, m, mhat, t))
 
     a = property(lambda self: _Entries(self.nums, 0), doc="(p, i, j) -> RatVec, read-only")
     ahat = property(lambda self: _Entries(self.nums, 1), doc="(p, i, j) -> RatVec, read-only")
     t = property(lambda self: _Entries(self.nums, 2), doc="(p, i, j, k) -> Phase, read-only")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TDCocycle is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TDCocycle) and all(

@@ -29,6 +29,7 @@ from .intlinalg import (
     IntMat,
     Phase,
     RatVec,
+    Record,
     common_denominator,
     diag_vec,
     phase_bilinear,
@@ -45,8 +46,6 @@ __all__ = [
     "obj_inverse",
     "obj_unit",
     "section",
-    "x_matrix",
-    "h_matrix",
     "beta_multiplicator",
     "mor_identity",
     "mor_inverse",
@@ -89,30 +88,19 @@ def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:
     return split
 
 
-def _fill(self, **fields):
-    for name, value in fields.items():
-        object.__setattr__(self, name, value)
-    return self
-
-
-class Obj:
+class Obj(Record):
     """Object (A, X) with X - X^T == B_A; the constructor checks it, `_new` trusts it."""
 
     __slots__ = ("g", "x")
+    g: PseudoOrthogonal
+    x: IntMat
 
-    def __init__(self, g: PseudoOrthogonal, x: IntMat):
+    def _check(self):
+        g, x = self.g, self.x
         if x.rows != 2 * g.n or x.cols != 2 * g.n:
             raise ValueError("phase matrix has wrong shape")
         if x - x.transpose() != b_split(g)[0]:
             raise ValueError("phase matrix violates X - X^T == B_A")
-        _fill(self, g=g, x=x)
-
-    @classmethod
-    def _new(cls, g: PseudoOrthogonal, x: IntMat) -> Obj:
-        return _fill(object.__new__(cls), g=g, x=x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Obj is immutable")
 
     @property
     def n(self) -> int:
@@ -120,15 +108,6 @@ class Obj:
 
     def eta(self, a: RatVec, b: RatVec) -> Phase:
         return phase_bilinear(self.x, a, b)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Obj) and self.g == other.g and self.x == other.x
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.x))
-
-    def __repr__(self) -> str:
-        return f"Obj({self.g!r}, x={self.x!r})"
 
 
 def obj_unit(n: int) -> Obj:
@@ -158,20 +137,7 @@ def section(a: PseudoOrthogonal) -> Obj:
     return Obj._new(a, b_split(a)[1])
 
 
-def x_matrix(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntMat:
-    """Phase matrix of section(a) * section(b): B^T (B_A)_low B + iso(A) (B_B)_low."""
-    if a.n != b.n:
-        raise ValueError("rank mismatch")
-    bm = b.mat
-    return bm.transpose() * b_split(a)[1] * bm + b_split(b)[1].scale(a.iso)
-
-
-def h_matrix(a: PseudoOrthogonal, b: PseudoOrthogonal) -> IntMat:
-    """H_{A,B} = X_{A,B} - (B_{AB})_low; symmetric by construction."""
-    return x_matrix(a, b) - b_split(a * b)[1]
-
-
-class Mor:
+class Mor(Record):
     """Morphism (H, lin): src -> dst between objects sharing the same group element.
 
     H is determined by the endpoints (H = src.x - dst.x) and must be
@@ -182,6 +148,10 @@ class Mor:
     """
 
     __slots__ = ("src", "dst", "h", "lin")
+    src: Obj
+    dst: Obj
+    h: IntMat
+    lin: tuple[int, ...]
 
     def __init__(self, src: Obj, dst: Obj, lin: Sequence[int] | None = None):
         if src.g != dst.g:
@@ -197,32 +167,15 @@ class Mor:
         lin = tuple(lin)
         if len(lin) != dim:
             raise ValueError("character has wrong length")
-        _fill(self, src=src, dst=dst, h=h, lin=lin)
+        self._write((src, dst, h, lin))
 
     @classmethod
     def _new(cls, src: Obj, dst: Obj, lin: tuple[int, ...]) -> Mor:
-        return _fill(object.__new__(cls), src=src, dst=dst, h=src.x - dst.x, lin=lin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mor is immutable")
+        return super()._new(src, dst, src.x - dst.x, lin)
 
     @property
     def n(self) -> int:
         return self.src.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mor)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.lin == other.lin
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.src, self.dst, self.lin))
-
-    def __repr__(self) -> str:
-        return f"Mor(h={self.h!r}, lin={self.lin})"
 
 
 def beta_multiplicator(a: PseudoOrthogonal, b: PseudoOrthogonal) -> Mor:

@@ -144,7 +144,7 @@ def reference_k_cocycle(a, b, c) -> tuple[int, ...]:
     w3 = diag_vec(ct * b_split(b)[1] * cm)
     w4 = diag_vec(ct * p * cm)
     w = [x1 + x2 - a.iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
-    m2 = (ab * c).inv_transpose_mat().mul_vec(w)
+    m2 = (ab * c).inverse().mat.transpose().mul_vec(w)
     if any(v % 2 for v in m2):
         raise ArithmeticError("k-invariant half-prefactor did not divide evenly")
     return tuple(v // 2 for v in m2)
@@ -156,7 +156,7 @@ def reference_gamma(a, b) -> tuple[int, ...]:
         raise ValueError("rank mismatch")
     bm = b.mat
     w = diag_vec(bm.transpose() * b_split(a)[1] * bm)
-    return tuple(-v for v in (a * b).inv_transpose_mat().mul_vec(w))
+    return tuple(-v for v in (a * b).inverse().mat.transpose().mul_vec(w))
 
 
 def reference_n1_exhaustive(_n, _trials, _seed) -> list[dict]:

@@ -278,14 +278,14 @@ class TestGroupLaws:
 
     def test_inv_transpose_mat(self):
         for w in words(2, 8, 17):
-            assert w.inv_transpose_mat() == unimodular_inverse(w.mat.transpose())
+            assert w.inverse().mat.transpose() == unimodular_inverse(w.mat.transpose())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_block_swap_matches_pairing_products(self, n):
-        # inverse and inv_transpose_mat conjugate by I with a block swap
+        # inverse and its transpose conjugate by I with a block swap
         i = pairing_matrix(n)
         for w in words(n, 6, 500 + n, length=8):
-            assert w.inv_transpose_mat() == (i * w.mat * i).scale(w.iso)
+            assert w.inverse().mat.transpose() == (i * w.mat * i).scale(w.iso)
             assert w.inverse().mat == (i * w.mat.transpose() * i).scale(w.iso)
             assert w.inverse().mat == unimodular_inverse(w.mat)
 

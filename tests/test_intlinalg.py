@@ -409,7 +409,7 @@ class TestPhase:
         x = IntMat([[2, -1, 0, 3], [0, 1, 1, 0], [5, 0, -2, 1], [0, 0, 7, 1]])
         h = x + x.transpose()
         vectors = (
-            u + v, u - v, -u, u.scale(Fraction(k, 7)), u.scale(k), u.concat(v),
+            u + v, u - v, -u, u.scale(Fraction(k, 7)), u.scale(k), RatVec(u.entries + v.entries),
             *u.split(1), x.mul_ratvec(u),
         )
         for w in vectors:

@@ -35,7 +35,7 @@ from td2g.kinvariant import (
     z_elements,
 )
 from td2g.rng import XorShift64Star
-from td2g.twogroup import b_matrix, b_split, h_matrix, strict_lower_split
+from td2g.twogroup import b_matrix, b_split, beta_multiplicator, strict_lower_split
 from td2g.intlinalg import diag_vec
 from conftest import (
     rand_intvec,
@@ -202,7 +202,7 @@ class TestOneFormM:
     def test_h_is_the_multiplicators_matrix(self, n):
         # both paths read H_{A,B}: here from S, in k_eval as X_{A,B} - (B_{AB})_low
         for a, b in zip(*[iter(words(n, 12, 461 + n, length=9))] * 2):
-            assert kinvariant._Chain((a, b)).h(0, 1, 2) == h_matrix(a, b)
+            assert kinvariant._Chain((a, b)).h(0, 1, 2) == beta_multiplicator(a, b).h
 
     @staticmethod
     def _arbitrary(chain, i, j, l):
@@ -414,7 +414,7 @@ class TestGammaStructure:
         ws = words(2, 8, 143)
         for a, b in zip(ws[::2], ws[1::2]):
             inner = strict_lower_part(a.mat.transpose() * j_matrix(2) * a.mat)
-            alt = (a * b).inv_transpose_mat().mul_vec(
+            alt = (a * b).inverse().mat.transpose().mul_vec(
                 diag_vec(b.mat.transpose() * inner * b.mat)
             )
             assert gamma(a, b) == alt

@@ -1,20 +1,28 @@
-"""The five immutable records built on `td2g.intlinalg.Record`.
+"""The immutable value types of td2g.
 
-`NerveModel`, `DoubleCoverElement`, `TDGroupElement`, `TDHElement` and
-`TDMorphism` are built positionally or by keyword, compare and hash by
-their fields, print as `Name(field=value, ...)`, refuse assignment, and
-are never equal to a tuple.
+`Obj`, `CrossedIntertwiner`, `NerveModel`, `DoubleCoverElement`,
+`TDGroupElement`, `TDHElement` and `TDMorphism` are plain records on
+`td2g.intlinalg.Record`: built positionally or by keyword, they compare
+and hash by their fields, print as `Name(field=value, ...)`, refuse
+assignment and deletion, and are never equal to a tuple.  Every other
+slotted value type refuses assignment and deletion too.
 """
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from td2g.crossedmod import TDGroupElement, TDHElement, TDMorphism
+import td2g
+from td2g.crossedmod import CrossedIntertwiner, TDGroupElement, TDHElement, TDMorphism
 from td2g.groups import PseudoOrthogonal, flip_element
-from td2g.intlinalg import Phase, RatVec, Record
+from td2g.intlinalg import IntMat, Phase, RatVec, Record
 from td2g.kinvariant import DoubleCoverElement
-from td2g.tdcorr import NerveModel
+from td2g.rng import XorShift64Star
+from td2g.tdcorr import NerveModel, TDCocycle, _Entries, default_nerve, random_cocycle
+from td2g.twogroup import Mor, Obj, mor_identity, obj_unit, section
 
 G = TDGroupElement(RatVec([1, Fraction(1, 2)]))
 H = TDHElement((1, -2), Phase(Fraction(1, 3)))
@@ -22,6 +30,16 @@ E1 = PseudoOrthogonal.identity(1)
 
 # class -> (field values, different field values, repr of the first)
 CASES = {
+    Obj: (
+        (E1, IntMat.zeros(2)),
+        (flip_element(1), section(flip_element(1)).x),
+        "Obj(g=PseudoOrthogonal(n=1, iso=1, IntMat([[1, 0], [0, 1]])), x=IntMat([[0, 0], [0, 0]]))",
+    ),
+    CrossedIntertwiner: (
+        (IntMat.identity(2), 1, IntMat.zeros(2)),
+        (IntMat.identity(2), -1, IntMat.zeros(2)),
+        "CrossedIntertwiner(amat=IntMat([[1, 0], [0, 1]]), eps=1, xmat=IntMat([[0, 0], [0, 0]]))",
+    ),
     TDGroupElement: ((G.a,), (RatVec([0, 0]),), "TDGroupElement(a=RatVec(['1', '1/2']))"),
     TDHElement: (
         ((1, -2), Phase(Fraction(1, 3))),
@@ -157,3 +175,49 @@ def test_double_cover_stores_u_as_a_tuple():
     x = DoubleCoverElement(u=[1, 0], a=E1)
     assert x.u == (1, 0) and type(x.u) is tuple
     assert x == DoubleCoverElement((1, 0), E1)
+
+
+# slotted classes whose instances are meant to change: a generator's state
+# and the per-call memos and views of the k-invariant and tdcorr kernels
+MUTABLE = {
+    XorShift64Star,
+    td2g.kinvariant._Products,
+    td2g.kinvariant._Chain,
+    td2g.kinvariant._Actions,
+    _Entries,
+}
+
+# one instance of every slotted value type that is not a plain record
+VALUES = {
+    IntMat: IntMat([[1]]),
+    RatVec: RatVec([1, Fraction(1, 2)]),
+    Phase: Phase(Fraction(1, 3)),
+    PseudoOrthogonal: PseudoOrthogonal.identity(1),
+    Mor: mor_identity(obj_unit(1)),
+    TDCocycle: random_cocycle(default_nerve(), 1, 3),
+}
+VALUES.update({cls: cls(*CASES[cls][0]) for cls in CASES})
+
+
+def _slotted_classes():
+    for info in pkgutil.iter_modules(td2g.__path__):
+        module = importlib.import_module(f"td2g.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and cls.__dict__.get("__slots__"):
+                yield cls
+
+
+def test_every_slotted_class_is_listed():
+    assert set(_slotted_classes()) == set(VALUES) | MUTABLE
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_value_types_refuse_assignment_and_deletion(cls):
+    x = VALUES[cls]
+    before = {name: getattr(x, name) for name in cls.__slots__}
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert all(getattr(x, name) is value for name, value in before.items())

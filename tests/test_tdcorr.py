@@ -245,11 +245,12 @@ class TestAct:
 
         for (p, i, j, k), tv in via_product.t.items():
             mvec = RatVec.from_ints(c.m[(i, j, k)] + c.mhat[(i, j, k)])
-            u = (c.a[(p, j, k)] + c.a[(p, i, j)]).concat(
-                c.ahat[(p, j, k)] + c.ahat[(p, i, j)]
+            u = RatVec(
+                (c.a[(p, j, k)] + c.a[(p, i, j)]).entries
+                + (c.ahat[(p, j, k)] + c.ahat[(p, i, j)]).entries
             )
-            v_jk = c.a[(p, j, k)].concat(c.ahat[(p, j, k)])
-            v_ij = c.a[(p, i, j)].concat(c.ahat[(p, i, j)])
+            v_jk = RatVec(c.a[(p, j, k)].entries + c.ahat[(p, j, k)].entries)
+            v_ij = RatVec(c.a[(p, i, j)].entries + c.ahat[(p, i, j)].entries)
             correction = defect(mvec, u) + defect(v_jk, v_ij)
             assert via_section.t[(p, i, j, k)] == tv + correction
 

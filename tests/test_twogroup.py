@@ -24,7 +24,6 @@ from td2g.twogroup import (
     beta_multiplicator,
     correction_bracket,
     eval_mor,
-    h_matrix,
     mor_hcompose,
     mor_identity,
     mor_inverse,
@@ -33,7 +32,6 @@ from td2g.twogroup import (
     obj_product,
     obj_unit,
     section,
-    x_matrix,
 )
 from td2g.intlinalg import diag_vec
 from td2g.rng import XorShift64Star
@@ -217,9 +215,10 @@ class TestMultiplicator:
     def test_h_symmetric_on_words(self):
         ws = words(2, 12, 53)
         for a, b in zip(ws[::2], ws[1::2]):
-            h = h_matrix(a, b)
+            h = beta_multiplicator(a, b).h
             assert h == h.transpose()
-            assert h == x_matrix(a, b) - strict_lower_split(b_matrix(a * b))
+            x = obj_product(section(a), section(b)).x
+            assert h == x - strict_lower_split(b_matrix(a * b))
 
     def test_endpoints(self):
         a, b = words(2, 2, 59)
@@ -235,12 +234,11 @@ class TestMultiplicatorIdentities:
         ws = words(2, 9, 193)
         for a, b, c in zip(ws[::3], ws[1::3], ws[2::3]):
             cm = c.mat
-            lhs = (
-                cm.transpose() * h_matrix(a, b) * cm
-                + h_matrix(a * b, c)
-                - h_matrix(b, c).scale(a.iso)
-                - h_matrix(a, b * c)
-            )
+
+            def h(p, q):
+                return beta_multiplicator(p, q).h
+
+            lhs = cm.transpose() * h(a, b) * cm + h(a * b, c) - h(b, c).scale(a.iso) - h(a, b * c)
             assert lhs == IntMat.zeros(4)
 
     def test_flip_square_phase_is_isometry_invariant(self, rng):
