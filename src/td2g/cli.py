@@ -48,6 +48,16 @@ SEED_LIMIT = 1 << 64
 # size grow as n^2 and n^4.
 MAX_N = 16
 
+# Bounds on input, refused with exit 2 before any arithmetic on it: bytes
+# per file (every command), and for `act` also ranks (MAX_N), points of the
+# nerve, cover indices per point and bits per integer entry.  The benchmark's
+# act-io files and outputs (28 KB, 12 points, covers of 3-4, 12-bit entries) fit.
+MAX_FILE_BYTES = 1 << 22
+MAX_POINTS = 64
+MAX_COVER = 8
+MAX_ENTRY_BITS = 256
+
+
 def _print_json(payload) -> None:
     print(jsonio.canonical_dumps(payload))
 
@@ -68,11 +78,14 @@ def _load_json(path: str) -> tuple[object, bytes]:
 
     The bytes are decoded as text-mode `open` decodes them (UTF-8,
     universal newlines).  Every failure, repeated object keys included,
-    is a FormatError.
+    is a FormatError, and so is a file over MAX_FILE_BYTES, of which no
+    more than one byte past the bound is read.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(MAX_FILE_BYTES + 1)
+        if len(data) > MAX_FILE_BYTES:
+            raise jsonio.FormatError(f"file is over the bound of {MAX_FILE_BYTES} bytes")
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         return json.load(text, object_pairs_hook=_unique_keys), data
     except (OSError, ValueError, RecursionError) as exc:
@@ -287,9 +300,11 @@ def _report_violation(c, message: str) -> bool:
 def cmd_act(args) -> int:
     try:
         auto, auto_bytes = _load_json(args.auto)
-        obj = jsonio.obj_from_json(auto)
+        obj = jsonio.obj_from_json(auto, max_n=MAX_N)
         cocycle, cocycle_bytes = _load_json(args.cocycle)
-        coc = jsonio.cocycle_from_json(cocycle)
+        coc = jsonio.cocycle_from_json(
+            cocycle, max_n=MAX_N, max_points=MAX_POINTS, max_cover=MAX_COVER, max_bits=MAX_ENTRY_BITS
+        )
         if obj.n != coc.n:
             raise jsonio.FormatError("object and cocycle rank differ")
     except ValueError as exc:  # FormatError and MembershipError included

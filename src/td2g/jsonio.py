@@ -26,7 +26,8 @@ rest once and turns the pairs into stored numerators.
 from __future__ import annotations
 
 import json
-from math import gcd
+from functools import partial
+from math import gcd, inf
 
 from .groups import PseudoOrthogonal, check_membership
 from .intlinalg import IntMat
@@ -68,6 +69,10 @@ def _expect_int(x, what: str) -> int:
     return x
 
 
+def _bound(value: int, bound: float, what: str) -> None:
+    _expect(value <= bound, f"{what} is {value}, over the bound {bound}")
+
+
 def _build(make, *args):
     """make(*args), with a ValueError from its own checks raised as FormatError."""
     try:
@@ -96,28 +101,42 @@ def mat_from_json(obj) -> IntMat:
     return IntMat._new(tuple(map(tuple, data)))
 
 
-def _ints(obj, what: str) -> tuple[int, ...]:
+def _entry_error(what: str, x, bits) -> FormatError:
+    must = "be an integer" if type(x) is not int else f"have at most {bits} bits"
+    return FormatError(f"{what} must {must}")
+
+
+def _ints(what: str, bits: float, obj) -> tuple[int, ...]:
     _expect(isinstance(obj, list), f"{what} must be an array")
     for x in obj:
-        if type(x) is not int:
-            raise FormatError(f"{what} must be an integer")
+        if type(x) is not int or x.bit_length() > bits:
+            raise _entry_error(what, x, bits)
     return tuple(obj)
 
 
-def _pair(obj) -> list[int]:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise FormatError("rational must be a two-element array")
-    num, den = obj
-    if type(num) is not int:
-        raise FormatError("numerator must be an integer")
-    if type(den) is not int:
-        raise FormatError("denominator must be an integer")
+def _rationals(bits: float, obj) -> list[list[int]]:
+    # each pair checked inline, as `_rational` checks a phase
+    _expect(isinstance(obj, list), "vector must be an array")
+    for pair in obj:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FormatError("rational must be a two-element array")
+        num, den = pair
+        if type(num) is not int or num.bit_length() > bits:
+            raise _entry_error("numerator", num, bits)
+        if type(den) is not int or den.bit_length() > bits:
+            raise _entry_error("denominator", den, bits)
     return obj
 
 
-def _pairs(obj) -> list[list[int]]:
-    _expect(isinstance(obj, list), "vector must be an array")
-    return [_pair(x) for x in obj]
+def _rational(bits: float, obj) -> list[int]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise FormatError("rational must be a two-element array")
+    num, den = obj
+    if type(num) is not int or num.bit_length() > bits:
+        raise _entry_error("numerator", num, bits)
+    if type(den) is not int or den.bit_length() > bits:
+        raise _entry_error("denominator", den, bits)
+    return obj
 
 
 def element_to_json(a: PseudoOrthogonal) -> dict:
@@ -136,12 +155,15 @@ def obj_to_json(o: Obj) -> dict:
     return {"matrix": mat_to_json(o.g.mat), "eta": mat_to_json(o.x)}
 
 
-def obj_from_json(obj) -> Obj:
+def obj_from_json(obj, max_n: float = inf) -> Obj:
+    """The object `obj` encodes; a rank over `max_n` is refused before the membership check."""
     _expect(
         isinstance(obj, dict) and "matrix" in obj and "eta" in obj,
         "object must carry matrix and eta",
     )
-    g = check_membership(mat_from_json(obj["matrix"]))
+    mat = mat_from_json(obj["matrix"])
+    _bound((mat.rows + 1) // 2, max_n, "rank")
+    g = check_membership(mat)
     return _build(Obj, g, mat_from_json(obj["eta"]))
 
 
@@ -160,7 +182,7 @@ def mor_from_json(obj) -> Mor:
         _expect(key in obj, f"morphism missing {key!r}")
     src = obj_from_json(obj["src"])
     dst = obj_from_json(obj["dst"])
-    m = _build(Mor, src, dst, _ints(obj["lin"], "character entry"))
+    m = _build(Mor, src, dst, _ints("character entry", inf, obj["lin"]))
     if "H" in obj:
         _expect(mat_from_json(obj["H"]) == m.h, "declared H disagrees with endpoints")
     return m
@@ -199,36 +221,48 @@ _NO_HEAD = (None, {})
 
 
 def _map_from_json(obj, name: str, arity: int, heads: dict, parse) -> dict:
-    """Parse the map member `name`, whose keys join `arity` parts with "|".
+    """Parse the map member `name`, whose keys join `arity` (3 or 4) parts with "|".
 
     `heads` maps each allowed first part to the first key element and the
-    names of the indices allowed after it.  Each key is split once and
-    every part looked up; a part that is not a name is refused.
+    names of the indices allowed after it.  One walk over the entries:
+    each key is split once and every part looked up (a part that is not a
+    name is refused), then `parse` checks its value.
     """
     table = obj[name]
     _expect(isinstance(table, dict), f"{name!r} must be an object")
     out = {}
     for k, v in table.items():
-        first, *rest = k.split("|")
-        head, names = heads.get(first, _NO_HEAD)
-        key = (head, *map(names.get, rest))
-        if len(key) != arity or None in key:
+        parts = k.split("|")
+        head, names = heads.get(parts[0], _NO_HEAD)
+        if len(parts) != arity:
+            key = (None,)
+        elif arity == 3:
+            key = (head, names.get(parts[1]), names.get(parts[2]))
+        else:
+            key = (head, names.get(parts[1]), names.get(parts[2]), names.get(parts[3]))
+        if None in key:
             raise FormatError(f"{name} key {k!r} names no site of the nerve")
         out[key] = parse(v)
     return out
 
 
-def cocycle_from_json(obj) -> TDCocycle:
+def cocycle_from_json(
+    obj, *, max_n: float = inf, max_points: float = inf, max_cover: float = inf, max_bits: float = inf
+) -> TDCocycle:
+    """The cocycle `obj` encodes.  A rank, point count, cover size or integer
+    entry's bit length over its bound is refused before any numerator is built."""
     _expect(isinstance(obj, dict), "cocycle must be an object")
     for key in ("n", "points", "cover", "a", "ahat", "m", "mhat", "t"):
         _expect(key in obj, f"cocycle missing {key!r}")
     n = _expect_int(obj["n"], "n")
     _expect(n >= 1, "rank must be positive")
+    _bound(n, max_n, "rank")
     points = obj["points"]
     _expect(
         isinstance(points, list) and all(isinstance(p, str) for p in points),
         "points must be an array of strings",
     )
+    _bound(len(points), max_points, "point count")
     _expect(all("|" not in p for p in points), "point ids must not contain '|'")
     _expect(len(set(points)) == len(points), "point ids must be distinct")
     cover_raw = obj["cover"]
@@ -238,6 +272,7 @@ def cocycle_from_json(obj) -> TDCocycle:
         _expect(p in cover_raw, f"cover missing point {p!r}")
         idx = cover_raw[p]
         _expect(isinstance(idx, list) and idx, f"cover of {p!r} must be non-empty")
+        _bound(len(idx), max_cover, f"cover size of {p!r}")
         cover[p] = tuple(_expect_int(i, "cover index") for i in idx)
     nerve = _build(NerveModel, tuple(points), cover)
     # Index names as str() writes them: one table per point's cover and
@@ -245,9 +280,9 @@ def cocycle_from_json(obj) -> TDCocycle:
     point_heads = {p: (p, {str(i): i for i in cover[p]}) for p in points}
     nerve_names = {str(i): i for i in nerve.indices()}
     index_heads = {x: (i, nerve_names) for x, i in nerve_names.items()}
-    a = _map_from_json(obj, "a", 3, point_heads, _pairs)
-    ahat = _map_from_json(obj, "ahat", 3, point_heads, _pairs)
-    m = _map_from_json(obj, "m", 3, index_heads, lambda v: _ints(v, "m entry"))
-    mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _ints(v, "mhat entry"))
-    t = _map_from_json(obj, "t", 4, point_heads, _pair)
+    a = _map_from_json(obj, "a", 3, point_heads, partial(_rationals, max_bits))
+    ahat = _map_from_json(obj, "ahat", 3, point_heads, partial(_rationals, max_bits))
+    m = _map_from_json(obj, "m", 3, index_heads, partial(_ints, "m entry", max_bits))
+    mhat = _map_from_json(obj, "mhat", 3, index_heads, partial(_ints, "mhat entry", max_bits))
+    t = _map_from_json(obj, "t", 4, point_heads, partial(_rational, max_bits))
     return TDCocycle._new(*_build(cocycle_numerators, nerve, n, a, ahat, m, mhat, t))

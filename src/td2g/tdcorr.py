@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Mapping, Sequence
 
 from .groups import embed_gl, embed_so, flip_element, rotation_n1
@@ -119,35 +119,51 @@ class _Entries(Mapping):
 _FIELDS = ("nerve", "n", "m", "mhat", "nums")
 
 
+def _over_least_denominator(pairs: list, base: int) -> tuple[int, list[int]]:
+    """(D, [x D / y, ...]) for the least multiple D of `base` with every x/y of `pairs` in Z/D;
+    over B = lcm(base, y, ...) with numerators N, that is lcm(base, B / gcd(B, N, ...))."""
+    b = lcm(base, *{y for _, y in pairs})
+    nums = [x * (b // y) for x, y in pairs]
+    d = lcm(base, b // gcd(b, *nums))
+    if d != b:
+        nums = [x // (b // d) for x in nums]
+    return d, nums
+
+
 def cocycle_numerators(
     nerve: NerveModel, n: int, a: Mapping, ahat: Mapping, m: Mapping, mhat: Mapping, t: Mapping
 ) -> tuple:
     """The stored form (nerve, n, m, mhat, nums) of a cocycle with its rationals as (num, den).
 
     The one place where rationals become numerators.  It checks each fact
-    once: every a, ahat, m and mhat entry has length n and every denominator
-    is positive; a and ahat share their keys, as m and mhat do, so no
-    ahat or mhat entry is looked up again; every site (p, i, j) and
-    (p, i, j, k) of the nerve has its a and t entry; every t entry at
-    (p, i, j, k), also off the cover, lies in [0, 1) and has a entries at
-    (p, i, j) and (p, j, k) and an m entry at (i, j, k), which `act` reads.
-    The m entry is tested once per triple, however many points share it;
-    since every site has a t entry, that covers every triple on the cover.
-    Pairs are reduced first, so [2, 4] stores as [1, 2].
+    once, in this order: every a, ahat, m and mhat entry has length n and
+    every denominator is positive; a and ahat share their keys, as m and
+    mhat do; every site (p, i, j) and (p, i, j, k) of the nerve has its a
+    and t entry; every t entry, also off the cover, has a entries at
+    (p, i, j) and (p, j, k) (tested only if t has entries off the cover,
+    as the site walk covers the rest) and lies in [0, 1); every t entry
+    has the m entry at (i, j, k) that `act` reads.  Then one pass per point
+    takes its pairs to their least common denominator D and its phases to
+    the least multiple B of D^2, so [2, 4] stores as [1, 2].
     """
     m, mhat = dict(m), dict(mhat)
-    for name, table in (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat)):
-        for key, v in table.items():
-            if len(v) != n:
-                raise ValueError(f"{name} entry at {key} must have length {n}")
-            if name[0] == "a" and any(y <= 0 for _, y in v):
-                raise ValueError(f"{name} entry at {key} must have positive denominators")
+    tables = (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat))
+    dens = map(itemgetter(1), chain.from_iterable(chain(a.values(), ahat.values())))
+    if not all({n}.issuperset(map(len, x.values())) for _, x in tables) or min(dens, default=1) <= 0:
+        for name, table in tables:  # name the first faulty entry
+            for key, v in table.items():
+                if len(v) != n:
+                    raise ValueError(f"{name} entry at {key} must have length {n}")
+                if name[0] == "a" and any(y <= 0 for _, y in v):
+                    raise ValueError(f"{name} entry at {key} must have positive denominators")
     for name, x, xhat in (("a", a, ahat), ("m", m, mhat)):
         if x.keys() != xhat.keys():
             key = next(k for k in [*x, *xhat] if k not in x or k not in xhat)
             raise ValueError(f"{name} and {name}hat must have the same keys; {key} is in one only")
+    sites = 0
     for p in nerve.points:
         idx = nerve.cover[p]
+        sites += len(idx) ** 3
         for i in idx:
             for j in idx:
                 if (p, i, j) not in a:
@@ -155,32 +171,34 @@ def cocycle_numerators(
                 for k in idx:
                     if (p, i, j, k) not in t:
                         raise ValueError(f"missing phase data at {(p, i, j, k)}")
-    keys: dict[str, tuple[list, list]] = {}
-    for key in a:
-        keys.setdefault(key[0], ([], []))[0].append(key)
-    triples: dict[TripleKey, TKey] = {}
-    for key, (num, den) in t.items():
+    # per point: the (i, j) keys, their a and ahat pairs, the (i, j, k) keys and their t pairs
+    rows: dict[str, tuple[list, list, list, list]] = {}
+    for key, v in a.items():
+        row = rows.get(key[0]) or rows.setdefault(key[0], ([], [], [], []))
+        row[0].append(key[1:])
+        row[1].extend(v)
+        row[1].extend(ahat[key])
+    off_cover = len(t) > sites
+    for key, v in t.items():
         p, i, j, k = key
-        if (p, i, j) not in a or (p, j, k) not in a:
+        if off_cover and ((p, i, j) not in a or (p, j, k) not in a):
             raise ValueError(f"phase data at {key} lacks its a entries")
+        num, den = v
         if not 0 <= num < den:
             raise ValueError(f"phase at {key} must be reduced into [0,1)")
-        g = gcd(num, den)
-        keys[p][1].append((key[1:], num // g, den // g))
-        triples.setdefault(key[1:], key)
-    for ijk, key in triples.items():
-        if ijk not in m:
-            raise ValueError(f"phase data at {key} lacks its m entry")
+        row = rows[p]
+        row[2].append(key[1:])
+        row[3].append(v)
+    if not all(all(map(m.__contains__, row[2])) for row in rows.values()):
+        key = next(k for k in t if k[1:] not in m)
+        raise ValueError(f"phase data at {key} lacks its m entry")
     nums = {}
-    for p, (pairs, phases) in keys.items():
-        rows = [(*a[k], *ahat[k]) for k in pairs]
-        d = lcm(*[y // gcd(x, y) for row in rows for x, y in row])
-        rows = [tuple([x * d // y for x, y in row]) for row in rows]
-        big = lcm(d * d, *[y for _, _, y in phases])
-        an = {k[1:]: r[:n] for k, r in zip(pairs, rows)}
-        hn = {k[1:]: r[n:] for k, r in zip(pairs, rows)}
-        tn = {k: x * (big // y) for k, x, y in phases}
-        nums[p] = (d, big, big // d, big // (d * d), an, hn, tn)
+    for p, (pair_keys, pairs, phase_keys, phases) in rows.items():
+        d, flat = _over_least_denominator(pairs, 1)
+        big, tn = _over_least_denominator(phases, d * d)
+        vecs = list(zip(*[iter(flat)] * n))
+        an, hn = dict(zip(pair_keys, vecs[::2])), dict(zip(pair_keys, vecs[1::2]))
+        nums[p] = (d, big, big // d, big // (d * d), an, hn, dict(zip(phase_keys, tn)))
     return nerve, n, m, mhat, nums
 
 
@@ -377,14 +395,16 @@ def act(o: Obj, c: TDCocycle) -> TDCocycle:
     concatenated transition vectors.  Acting by the unit object is the
     identity, and act(o1 * o2, c) == act(o1, act(o2, c)) exactly.
 
-    The v_pq and t at p are numerators over D_p and B_p (`c.nums`); with
-    A v_pq and X v_pq computed once per pair, the correction times D_p^2
-    is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  The result is
-    stored over the same D_p and B_p.
+    The v_pq and t at p are numerators over D_p and B_p (`c.nums`).  A v_pq
+    and X v_pq are computed once per pair at each point, and m + mhat once
+    per triple, for every point and for the new m and mhat.  The correction
+    times D_p^2 is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  The
+    result is stored over the same D_p and B_p.
     """
     if o.n != c.n:
         raise ValueError("rank mismatch")
     amat, x, iso, n = o.g.mat, o.x, o.g.iso, c.n
+    mm = {ijk: u + c.mhat[ijk] for ijk, u in c.m.items()}
     nums = {}
     for p, (d, big, wd, w, an, hn, tn) in c.nums.items():
         v = {ij: an[ij] + hn[ij] for ij in an}
@@ -393,16 +413,17 @@ def act(o: Obj, c: TDCocycle) -> TDCocycle:
         for ij, u in v.items():
             both = amat.mul_vec(u)
             an2[ij], hn2[ij] = both[:n], both[n:]
-        for (i, j, k), tv in tn.items():
-            xv_ij, mm = xv[(i, j)], c.m[(i, j, k)] + c.mhat[(i, j, k)]
-            corr = d * sum(map(mul, mm, map(add, xv[(j, k)], xv_ij)))
+        for ijk, tv in tn.items():
+            i, j, k = ijk
+            xv_ij = xv[(i, j)]
+            corr = d * sum(map(mul, mm[ijk], map(add, xv[(j, k)], xv_ij)))
             corr += sum(map(mul, v[(j, k)], xv_ij))
-            tn2[(i, j, k)] = (iso * tv - w * corr) % big
+            tn2[ijk] = (iso * tv - w * corr) % big
         nums[p] = (d, big, wd, w, an2, hn2, tn2)
     new_m, new_mhat = {}, {}
-    for key, mv in c.m.items():
-        both_i = amat.mul_vec(mv + c.mhat[key])
-        new_m[key], new_mhat[key] = both_i[:n], both_i[n:]
+    for ijk, u in mm.items():
+        both = amat.mul_vec(u)
+        new_m[ijk], new_mhat[ijk] = both[:n], both[n:]
     return TDCocycle._new(c.nerve, n, new_m, new_mhat, nums)
 
 

@@ -24,7 +24,7 @@ from td2g.rng import XorShift64Star, substream_seeds
 from td2g.tdcorr import (
     NerveModel, TDCocycle, act, default_nerve, first_violation, random_cocycle, validate
 )
-from td2g.twogroup import beta_multiplicator, obj_unit, section
+from td2g.twogroup import beta_multiplicator, obj_inverse, obj_unit, section
 from conftest import (
     SPLIT_NERVE, WIDE_NERVE, reference_cocycle_key, reference_cocycle_to_json, words
 )
@@ -861,6 +861,152 @@ class TestActCommand:
             "auto_sha256": hashlib.sha256(auto.read_bytes()).hexdigest(),
             "cocycle_sha256": hashlib.sha256(cfile.read_bytes()).hexdigest(),
         }
+
+
+def refuse_arithmetic(monkeypatch, *targets):
+    """Make building numerators, validating, acting and each of `targets` raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed on an input that a bound refuses")
+
+    for owner, name in ((jsonio, "cocycle_numerators"), (tdcorr, "validate"), (tdcorr, "act"), *targets):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+class TestActBounds:
+    """Each bound beside `cli.MAX_N` is refused with exit 2 before any arithmetic."""
+
+    def _act(self, tmp_path, capsys, auto_payload=None, cocycle_payload=None, cocycle_bytes=None):
+        auto, cfile, out = tmp_path / "auto.json", tmp_path / "c.json", tmp_path / "out.json"
+        write_json(auto, auto_payload or jsonio.obj_to_json(obj_unit(2)))
+        if cocycle_bytes is None:
+            write_json(cfile, cocycle_payload or jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353)))
+        else:
+            cfile.write_bytes(cocycle_bytes)
+        out.unlink(missing_ok=True)
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and out.exists() == (code == 0)
+        return code, captured.err, cfile
+
+    def test_file_bytes(self, tmp_path, capsys, monkeypatch):
+        text = jsonio.canonical_dumps(jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353)))
+        padded = text.encode().ljust(cli.MAX_FILE_BYTES, b" ")
+        assert self._act(tmp_path, capsys, cocycle_bytes=padded)[0] == 0
+        refuse_arithmetic(monkeypatch)
+        code, err, cfile = self._act(tmp_path, capsys, cocycle_bytes=padded + b" ")
+        assert code == 2 and err == f"error: {cfile}: file is over the bound of {cli.MAX_FILE_BYTES} bytes\n"
+
+    def test_cocycle_rank(self, tmp_path, capsys, monkeypatch):
+        refuse_arithmetic(monkeypatch)
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        payload["n"] = cli.MAX_N + 1
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        assert code == 2 and err == f"error: rank is {cli.MAX_N + 1}, over the bound {cli.MAX_N}\n"
+
+    def test_object_rank(self, tmp_path, capsys, monkeypatch):
+        refuse_arithmetic(monkeypatch, (jsonio, "check_membership"))
+        size = 2 * cli.MAX_N + 1
+        zero = {"rows": size, "cols": size, "data": [[0] * size for _ in range(size)]}
+        code, err, _ = self._act(tmp_path, capsys, auto_payload={"matrix": zero, "eta": zero})
+        assert code == 2 and err == f"error: rank is {cli.MAX_N + 1}, over the bound {cli.MAX_N}\n"
+
+    def test_point_count(self, tmp_path, capsys, monkeypatch):
+        refuse_arithmetic(monkeypatch)
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        for k in range(cli.MAX_POINTS + 1 - len(payload["points"])):
+            payload["points"].append(f"x{k}")
+            payload["cover"][f"x{k}"] = [0]
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        assert code == 2 and err == f"error: point count is {cli.MAX_POINTS + 1}, over the bound {cli.MAX_POINTS}\n"
+
+    def test_cover_size(self, tmp_path, capsys, monkeypatch):
+        refuse_arithmetic(monkeypatch)
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        payload["cover"]["p2"] = list(range(cli.MAX_COVER + 1))
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        assert code == 2 and err == f"error: cover size of 'p2' is {cli.MAX_COVER + 1}, over the bound {cli.MAX_COVER}\n"
+
+    @pytest.mark.parametrize(
+        "member, key, edit, what",
+        [
+            ("a", "p1|0|1", lambda v: [[v[0][0], 2**256], *v[1:]], "denominator"),
+            ("ahat", "p2|1|2", lambda v: [[-(2**256), 1], *v[1:]], "numerator"),
+            ("m", "0|1|3", lambda v: [2**256, *v[1:]], "m entry"),
+            ("mhat", "0|1|3", lambda v: [v[0], -(2**256)], "mhat entry"),
+            ("t", "p1|0|1|2", lambda v: [2**256, 2**256 + 1], "numerator"),
+        ],
+        ids=["a", "ahat", "m", "mhat", "t"],
+    )
+    def test_entry_bits(self, tmp_path, capsys, monkeypatch, member, key, edit, what):
+        bits = cli.MAX_ENTRY_BITS
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        # the same values over denominators of exactly `bits` bits load unchanged
+        wide = json.loads(json.dumps(payload))
+        for pair in wide["a"]["p1|0|1"]:
+            scale = 2 ** (bits - max(abs(pair[0]), pair[1]).bit_length())
+            pair[0], pair[1] = pair[0] * scale, pair[1] * scale
+        assert jsonio.cocycle_from_json(wide, max_bits=bits) == jsonio.cocycle_from_json(payload)
+        refuse_arithmetic(monkeypatch)
+        payload[member][key] = edit(payload[member][key])
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        assert code == 2 and err == f"error: {what} must have at most {bits} bits\n"
+
+
+# Files with two faults, and the one that `act` reports: the loader reads
+# every key and entry before the checks of `cocycle_numerators`, and those
+# run in a fixed order (lengths and denominators, key sets, sites, phases).
+TWO_FAULTS = {
+    "bad-t-pair-and-missing-a-site": (
+        lambda p: (p["t"].update({"p1|0|1|2": [1, 2, 3]}), p["a"].pop("p1|0|1"), p["ahat"].pop("p1|0|1")),
+        "rational must be a two-element array",
+    ),
+    "ahat-only-key-and-zero-denominator": (
+        lambda p: (p["a"].pop("p1|0|1"), p["ahat"].update({"p3|2|2": [[1, 0], [0, 1]]})),
+        "ahat entry at ('p3', 2, 2) must have positive denominators",
+    ),
+    "a-of-wrong-length-and-off-cover-t-key": (
+        lambda p: (p["a"].update({"p1|0|1": [[0, 1]] * 3}), p["t"].update({"p3|2|2|1": [0, 1]})),
+        "t key 'p3|2|2|1' names no site of the nerve",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_act_reports_the_first_of_two_faults(tmp_path, capsys, case):
+    edit, message = TWO_FAULTS[case]
+    payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+    edit(payload)
+    auto, cfile, out = tmp_path / "auto.json", tmp_path / "c.json", tmp_path / "out.json"
+    write_json(auto, jsonio.obj_to_json(obj_unit(2)))
+    write_json(cfile, payload)
+    code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_act_io_outputs_are_pinned(tmp_path, capsys):
+    # An act-io-shaped input (rank 3 on the 12-point WIDE_NERVE), acted on
+    # forward and back by the inverse object; the sha256 of each output
+    # was recorded before the loader and `act` were rewritten.
+    obj = section(random_word(standard_generators(3), 7, 2207))
+    files = {
+        "auto": jsonio.obj_to_json(obj),
+        "inverse": jsonio.obj_to_json(obj_inverse(obj)),
+        "cocycle": jsonio.cocycle_to_json(random_cocycle(WIDE_NERVE, 3, 2203)),
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(jsonio.canonical_dumps(payload) + "\n")
+    path = {name: str(tmp_path / f"{name}.json") for name in ("auto", "inverse", "cocycle", "out", "back")}
+    assert main(["act", "--auto", path["auto"], "--cocycle", path["cocycle"], "-o", path["out"]]) == 0
+    assert main(["act", "--auto", path["inverse"], "--cocycle", path["out"], "-o", path["back"]]) == 0
+    assert capsys.readouterr() == ("", "")
+    digest = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest() for name in path}
+    assert digest["cocycle"] == "c93f0f97add51e19ee96f2dd4f80bb0645a79612b78d7d08cdf4cb2b763597f6"
+    assert digest["out"] == "8c36238fc647547c96062f55eacc46d9e04bf63b77877f524e27066b39438194"
+    assert digest["back"] == "e7f62451be5c5bf387fec1dc5312aabf73d18484838eccdc4e7853999708a7d9"
+    back = json.loads((tmp_path / "back.json").read_text())
+    back.pop("meta")
+    assert back == files["cocycle"]
 
 
 class TestConsoleScript:
