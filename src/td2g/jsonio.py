@@ -19,8 +19,11 @@ Formats:
 All loads validate shape and integrality; `canonical_dumps` produces a
 byte-stable serialization (sorted keys, no whitespace).  The cocycle
 loader checks keys, the nerve and that each entry is an array of integers
-or of [num, den] integer pairs; `tdcorr.cocycle_numerators` checks the
-rest once and turns the pairs into stored numerators.
+or of [num, den] integer pairs, in one walk per member;
+`tdcorr.cocycle_numerators` checks the rest once and turns the pairs into
+stored numerators.  `obj_from_json` and `cocycle_from_json` refuse a rank,
+point count, cover size or integer bit length over the bounds they are
+given (none by default; `td2g act` passes the `cli` constants).
 """
 
 from __future__ import annotations
