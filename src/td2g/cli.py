@@ -28,6 +28,7 @@ from .groups import (
     so_basis,
     standard_generators,
 )
+from .jsonio import MAX_N
 from .rng import XorShift64Star, substream_seeds
 from .twogroup import beta_multiplicator, section
 
@@ -41,21 +42,8 @@ EXIT_INTERNAL = 3
 # Seeds are 64-bit: the generator would silently reduce a larger one.
 SEED_LIMIT = 1 << 64
 
-# The largest rank `verify` accepts.  The suites build
-# `standard_generators(n)`, 3n(n-1)/2 + n + 3 elements of (2n)^2 entries
-# kept for the life of the process: at n = 16, 379 elements, about 7 MB,
-# built in about 70 ms (Python 3.11, 2-core x86-64 VM).  The count and
-# size grow as n^2 and n^4.
-MAX_N = 16
-
-# Bounds on input, refused with exit 2 before any arithmetic on it: bytes
-# per file (every command), and for `act` also ranks (MAX_N), points of the
-# nerve, cover indices per point and bits per integer entry.  The benchmark's
-# act-io files and outputs (28 KB, 12 points, covers of 3-4, 12-bit entries) fit.
+# The most bytes of an input file any command reads; `jsonio` bounds the rest.
 MAX_FILE_BYTES = 1 << 22
-MAX_POINTS = 64
-MAX_COVER = 8
-MAX_ENTRY_BITS = 256
 
 
 def _print_json(payload) -> None:
@@ -300,11 +288,9 @@ def _report_violation(c, message: str) -> bool:
 def cmd_act(args) -> int:
     try:
         auto, auto_bytes = _load_json(args.auto)
-        obj = jsonio.obj_from_json(auto, max_n=MAX_N)
+        obj = jsonio.obj_from_json(auto)
         cocycle, cocycle_bytes = _load_json(args.cocycle)
-        coc = jsonio.cocycle_from_json(
-            cocycle, max_n=MAX_N, max_points=MAX_POINTS, max_cover=MAX_COVER, max_bits=MAX_ENTRY_BITS
-        )
+        coc = jsonio.cocycle_from_json(cocycle)
         if obj.n != coc.n:
             raise jsonio.FormatError("object and cocycle rank differ")
     except ValueError as exc:  # FormatError and MembershipError included

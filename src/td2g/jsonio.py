@@ -21,16 +21,14 @@ byte-stable serialization (sorted keys, no whitespace).  The cocycle
 loader checks keys, the nerve and that each entry is an array of integers
 or of [num, den] integer pairs, in one walk per member;
 `tdcorr.cocycle_numerators` checks the rest once and turns the pairs into
-stored numerators.  `obj_from_json` and `cocycle_from_json` refuse a rank,
-point count, cover size or integer bit length over the bounds they are
-given (none by default; `td2g act` passes the `cli` constants).
+stored numerators.  Every load refuses a rank, nerve or integer entry
+over the bounds below before any arithmetic on it.
 """
 
 from __future__ import annotations
 
 import json
-from functools import partial
-from math import gcd, inf
+from math import gcd
 
 from .groups import PseudoOrthogonal, check_membership
 from .intlinalg import IntMat
@@ -52,6 +50,15 @@ __all__ = [
     "cocycle_from_json",
 ]
 
+# Bounds on every load.  MAX_N also bounds `verify --n`, whose suites keep
+# `standard_generators(n)` for the life of the process: at n = 16, 379
+# elements of 32x32 entries, about 7 MB, built in about 70 ms (Python 3.11,
+# 2-core x86-64 VM); their count and size grow as n^2 and n^4.
+MAX_N = 16
+MAX_POINTS = 64
+MAX_COVER = 8
+MAX_ENTRY_BITS = 256
+
 
 class FormatError(ValueError):
     """Malformed JSON payload."""
@@ -72,7 +79,7 @@ def _expect_int(x, what: str) -> int:
     return x
 
 
-def _bound(value: int, bound: float, what: str) -> None:
+def _bound(value: int, bound: int, what: str) -> None:
     _expect(value <= bound, f"{what} is {value}, over the bound {bound}")
 
 
@@ -95,50 +102,45 @@ def mat_from_json(obj) -> IntMat:
     rows = _expect_int(obj["rows"], "rows")
     cols = _expect_int(obj["cols"], "cols")
     _expect(rows >= 1 and cols >= 1, "matrix must have at least one row and column")
+    _bound((max(rows, cols) + 1) // 2, MAX_N, "rank")
     data = obj["data"]
     _expect(isinstance(data, list) and len(data) == rows, "matrix data has wrong row count")
     for r in data:
         _expect(isinstance(r, list) and len(r) == cols, "matrix data has wrong column count")
         for x in r:
-            _expect_int(x, "matrix entry")
+            if type(x) is not int or x.bit_length() > MAX_ENTRY_BITS:
+                raise _entry_error(x, "matrix entry")
     return IntMat._new(tuple(map(tuple, data)))
 
 
-def _entry_error(what: str, x, bits) -> FormatError:
-    must = "be an integer" if type(x) is not int else f"have at most {bits} bits"
+def _entry_error(x, what: str) -> FormatError:
+    must = "be an integer" if type(x) is not int else f"have at most {MAX_ENTRY_BITS} bits"
     return FormatError(f"{what} must {must}")
 
 
-def _ints(what: str, bits: float, obj) -> tuple[int, ...]:
+def _ints(what: str, obj) -> tuple[int, ...]:
     _expect(isinstance(obj, list), f"{what} must be an array")
     for x in obj:
-        if type(x) is not int or x.bit_length() > bits:
-            raise _entry_error(what, x, bits)
+        if type(x) is not int or x.bit_length() > MAX_ENTRY_BITS:
+            raise _entry_error(x, what)
     return tuple(obj)
 
 
-def _rationals(bits: float, obj) -> list[list[int]]:
-    # each pair checked inline, as `_rational` checks a phase
-    _expect(isinstance(obj, list), "vector must be an array")
-    for pair in obj:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError("rational must be a two-element array")
-        num, den = pair
-        if type(num) is not int or num.bit_length() > bits:
-            raise _entry_error("numerator", num, bits)
-        if type(den) is not int or den.bit_length() > bits:
-            raise _entry_error("denominator", den, bits)
-    return obj
-
-
-def _rational(bits: float, obj) -> list[int]:
+def _rational(obj) -> list[int]:
     if not isinstance(obj, list) or len(obj) != 2:
         raise FormatError("rational must be a two-element array")
     num, den = obj
-    if type(num) is not int or num.bit_length() > bits:
-        raise _entry_error("numerator", num, bits)
-    if type(den) is not int or den.bit_length() > bits:
-        raise _entry_error("denominator", den, bits)
+    if type(num) is not int or num.bit_length() > MAX_ENTRY_BITS:
+        raise _entry_error(num, "numerator")
+    if type(den) is not int or den.bit_length() > MAX_ENTRY_BITS:
+        raise _entry_error(den, "denominator")
+    return obj
+
+
+def _rationals(obj) -> list[list[int]]:
+    _expect(isinstance(obj, list), "vector must be an array")
+    for pair in obj:
+        _rational(pair)
     return obj
 
 
@@ -158,16 +160,13 @@ def obj_to_json(o: Obj) -> dict:
     return {"matrix": mat_to_json(o.g.mat), "eta": mat_to_json(o.x)}
 
 
-def obj_from_json(obj, max_n: float = inf) -> Obj:
-    """The object `obj` encodes; a rank over `max_n` is refused before the membership check."""
+def obj_from_json(obj) -> Obj:
     _expect(
         isinstance(obj, dict) and "matrix" in obj and "eta" in obj,
         "object must carry matrix and eta",
     )
-    mat = mat_from_json(obj["matrix"])
-    _bound((mat.rows + 1) // 2, max_n, "rank")
-    g = check_membership(mat)
-    return _build(Obj, g, mat_from_json(obj["eta"]))
+    mat, eta = mat_from_json(obj["matrix"]), mat_from_json(obj["eta"])
+    return _build(Obj, check_membership(mat), eta)
 
 
 def mor_to_json(m: Mor) -> dict:
@@ -185,7 +184,7 @@ def mor_from_json(obj) -> Mor:
         _expect(key in obj, f"morphism missing {key!r}")
     src = obj_from_json(obj["src"])
     dst = obj_from_json(obj["dst"])
-    m = _build(Mor, src, dst, _ints("character entry", inf, obj["lin"]))
+    m = _build(Mor, src, dst, _ints("character entry", obj["lin"]))
     if "H" in obj:
         _expect(mat_from_json(obj["H"]) == m.h, "declared H disagrees with endpoints")
     return m
@@ -249,23 +248,19 @@ def _map_from_json(obj, name: str, arity: int, heads: dict, parse) -> dict:
     return out
 
 
-def cocycle_from_json(
-    obj, *, max_n: float = inf, max_points: float = inf, max_cover: float = inf, max_bits: float = inf
-) -> TDCocycle:
-    """The cocycle `obj` encodes.  A rank, point count, cover size or integer
-    entry's bit length over its bound is refused before any numerator is built."""
+def cocycle_from_json(obj) -> TDCocycle:
     _expect(isinstance(obj, dict), "cocycle must be an object")
     for key in ("n", "points", "cover", "a", "ahat", "m", "mhat", "t"):
         _expect(key in obj, f"cocycle missing {key!r}")
     n = _expect_int(obj["n"], "n")
     _expect(n >= 1, "rank must be positive")
-    _bound(n, max_n, "rank")
+    _bound(n, MAX_N, "rank")
     points = obj["points"]
     _expect(
         isinstance(points, list) and all(isinstance(p, str) for p in points),
         "points must be an array of strings",
     )
-    _bound(len(points), max_points, "point count")
+    _bound(len(points), MAX_POINTS, "point count")
     _expect(all("|" not in p for p in points), "point ids must not contain '|'")
     _expect(len(set(points)) == len(points), "point ids must be distinct")
     cover_raw = obj["cover"]
@@ -275,7 +270,7 @@ def cocycle_from_json(
         _expect(p in cover_raw, f"cover missing point {p!r}")
         idx = cover_raw[p]
         _expect(isinstance(idx, list) and idx, f"cover of {p!r} must be non-empty")
-        _bound(len(idx), max_cover, f"cover size of {p!r}")
+        _bound(len(idx), MAX_COVER, f"cover size of {p!r}")
         cover[p] = tuple(_expect_int(i, "cover index") for i in idx)
     nerve = _build(NerveModel, tuple(points), cover)
     # Index names as str() writes them: one table per point's cover and
@@ -283,9 +278,9 @@ def cocycle_from_json(
     point_heads = {p: (p, {str(i): i for i in cover[p]}) for p in points}
     nerve_names = {str(i): i for i in nerve.indices()}
     index_heads = {x: (i, nerve_names) for x, i in nerve_names.items()}
-    a = _map_from_json(obj, "a", 3, point_heads, partial(_rationals, max_bits))
-    ahat = _map_from_json(obj, "ahat", 3, point_heads, partial(_rationals, max_bits))
-    m = _map_from_json(obj, "m", 3, index_heads, partial(_ints, "m entry", max_bits))
-    mhat = _map_from_json(obj, "mhat", 3, index_heads, partial(_ints, "mhat entry", max_bits))
-    t = _map_from_json(obj, "t", 4, point_heads, partial(_rational, max_bits))
+    a = _map_from_json(obj, "a", 3, point_heads, _rationals)
+    ahat = _map_from_json(obj, "ahat", 3, point_heads, _rationals)
+    m = _map_from_json(obj, "m", 3, index_heads, lambda v: _ints("m entry", v))
+    mhat = _map_from_json(obj, "mhat", 3, index_heads, lambda v: _ints("mhat entry", v))
+    t = _map_from_json(obj, "t", 4, point_heads, _rational)
     return TDCocycle._new(*_build(cocycle_numerators, nerve, n, a, ahat, m, mhat, t))

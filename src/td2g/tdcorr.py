@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from .groups import embed_gl, embed_so, flip_element, rotation_n1
@@ -147,15 +147,12 @@ def cocycle_numerators(
     the least multiple B of D^2, so [2, 4] stores as [1, 2].
     """
     m, mhat = dict(m), dict(mhat)
-    tables = (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat))
-    dens = map(itemgetter(1), chain.from_iterable(chain(a.values(), ahat.values())))
-    if not all({n}.issuperset(map(len, x.values())) for _, x in tables) or min(dens, default=1) <= 0:
-        for name, table in tables:  # name the first faulty entry
-            for key, v in table.items():
-                if len(v) != n:
-                    raise ValueError(f"{name} entry at {key} must have length {n}")
-                if name[0] == "a" and any(y <= 0 for _, y in v):
-                    raise ValueError(f"{name} entry at {key} must have positive denominators")
+    for name, table in (("a", a), ("ahat", ahat), ("m", m), ("mhat", mhat)):
+        for key, v in table.items():
+            if len(v) != n:
+                raise ValueError(f"{name} entry at {key} must have length {n}")
+            if name[0] == "a" and any(y <= 0 for _, y in v):
+                raise ValueError(f"{name} entry at {key} must have positive denominators")
     for name, x, xhat in (("a", a, ahat), ("m", m, mhat)):
         if x.keys() != xhat.keys():
             key = next(k for k in [*x, *xhat] if k not in x or k not in xhat)

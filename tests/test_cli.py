@@ -874,7 +874,7 @@ def refuse_arithmetic(monkeypatch, *targets):
 
 
 class TestActBounds:
-    """Each bound beside `cli.MAX_N` is refused with exit 2 before any arithmetic."""
+    """Each input bound is refused with exit 2 before any arithmetic."""
 
     def _act(self, tmp_path, capsys, auto_payload=None, cocycle_payload=None, cocycle_bytes=None):
         auto, cfile, out = tmp_path / "auto.json", tmp_path / "c.json", tmp_path / "out.json"
@@ -900,32 +900,40 @@ class TestActBounds:
     def test_cocycle_rank(self, tmp_path, capsys, monkeypatch):
         refuse_arithmetic(monkeypatch)
         payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
-        payload["n"] = cli.MAX_N + 1
+        payload["n"] = jsonio.MAX_N + 1
         code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
-        assert code == 2 and err == f"error: rank is {cli.MAX_N + 1}, over the bound {cli.MAX_N}\n"
+        assert code == 2 and err == f"error: rank is {jsonio.MAX_N + 1}, over the bound {jsonio.MAX_N}\n"
 
     def test_object_rank(self, tmp_path, capsys, monkeypatch):
         refuse_arithmetic(monkeypatch, (jsonio, "check_membership"))
-        size = 2 * cli.MAX_N + 1
+        size = 2 * jsonio.MAX_N + 1
         zero = {"rows": size, "cols": size, "data": [[0] * size for _ in range(size)]}
         code, err, _ = self._act(tmp_path, capsys, auto_payload={"matrix": zero, "eta": zero})
-        assert code == 2 and err == f"error: rank is {cli.MAX_N + 1}, over the bound {cli.MAX_N}\n"
+        assert code == 2 and err == f"error: rank is {jsonio.MAX_N + 1}, over the bound {jsonio.MAX_N}\n"
+
+    @pytest.mark.parametrize("member", ["matrix", "eta"])
+    def test_object_entry_bits(self, tmp_path, capsys, monkeypatch, member):
+        refuse_arithmetic(monkeypatch, (jsonio, "check_membership"))
+        payload = jsonio.obj_to_json(obj_unit(2))
+        payload[member]["data"][1][2] = 2**jsonio.MAX_ENTRY_BITS
+        code, err, _ = self._act(tmp_path, capsys, auto_payload=payload)
+        assert code == 2 and err == f"error: matrix entry must have at most {jsonio.MAX_ENTRY_BITS} bits\n"
 
     def test_point_count(self, tmp_path, capsys, monkeypatch):
         refuse_arithmetic(monkeypatch)
         payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
-        for k in range(cli.MAX_POINTS + 1 - len(payload["points"])):
+        for k in range(jsonio.MAX_POINTS + 1 - len(payload["points"])):
             payload["points"].append(f"x{k}")
             payload["cover"][f"x{k}"] = [0]
         code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
-        assert code == 2 and err == f"error: point count is {cli.MAX_POINTS + 1}, over the bound {cli.MAX_POINTS}\n"
+        assert code == 2 and err == f"error: point count is {jsonio.MAX_POINTS + 1}, over the bound {jsonio.MAX_POINTS}\n"
 
     def test_cover_size(self, tmp_path, capsys, monkeypatch):
         refuse_arithmetic(monkeypatch)
         payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
-        payload["cover"]["p2"] = list(range(cli.MAX_COVER + 1))
+        payload["cover"]["p2"] = list(range(jsonio.MAX_COVER + 1))
         code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
-        assert code == 2 and err == f"error: cover size of 'p2' is {cli.MAX_COVER + 1}, over the bound {cli.MAX_COVER}\n"
+        assert code == 2 and err == f"error: cover size of 'p2' is {jsonio.MAX_COVER + 1}, over the bound {jsonio.MAX_COVER}\n"
 
     @pytest.mark.parametrize(
         "member, key, edit, what",
@@ -939,18 +947,35 @@ class TestActBounds:
         ids=["a", "ahat", "m", "mhat", "t"],
     )
     def test_entry_bits(self, tmp_path, capsys, monkeypatch, member, key, edit, what):
-        bits = cli.MAX_ENTRY_BITS
+        bits = jsonio.MAX_ENTRY_BITS
         payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
         # the same values over denominators of exactly `bits` bits load unchanged
         wide = json.loads(json.dumps(payload))
         for pair in wide["a"]["p1|0|1"]:
             scale = 2 ** (bits - max(abs(pair[0]), pair[1]).bit_length())
             pair[0], pair[1] = pair[0] * scale, pair[1] * scale
-        assert jsonio.cocycle_from_json(wide, max_bits=bits) == jsonio.cocycle_from_json(payload)
+        assert jsonio.cocycle_from_json(wide) == jsonio.cocycle_from_json(payload)
         refuse_arithmetic(monkeypatch)
         payload[member][key] = edit(payload[member][key])
         code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
         assert code == 2 and err == f"error: {what} must have at most {bits} bits\n"
+
+
+@pytest.mark.parametrize("command", ["check", "kinv"])
+def test_every_command_bounds_rank_and_entries(tmp_path, capsys, monkeypatch, command):
+    for owner in (jsonio, cli):
+        monkeypatch.setattr(owner, "check_membership", None)  # calling it would raise
+    size = 2 * jsonio.MAX_N + 1
+    wide = {"rows": size, "cols": size, "data": [[0] * size for _ in range(size)]}
+    deep = {"rows": 2, "cols": 2, "data": [[1, -(2**jsonio.MAX_ENTRY_BITS)], [0, 1]]}
+    for payload, message in (
+        (wide, f"rank is {jsonio.MAX_N + 1}, over the bound {jsonio.MAX_N}"),
+        (deep, f"matrix entry must have at most {jsonio.MAX_ENTRY_BITS} bits"),
+    ):
+        f = tmp_path / "m.json"
+        write_json(f, payload if command == "check" else {"matrix": payload})
+        argv = ["check", str(f)] if command == "check" else ["kinv", "--a", str(f), "--b", str(f), "--c", str(f)]
+        assert main(argv) == 2 and capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Files with two faults, and the one that `act` reports: the loader reads
