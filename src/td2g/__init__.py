@@ -6,7 +6,8 @@ Subpackages:
   twogroup    objects, morphisms, the canonical section and multiplicators
   kinvariant  the classifying 3-cocycle, its 2-torsion witness, double cover
   crossedmod  the T-duality crossed module and axiom checkers
-  tdcorr      T-duality local cocycle data and the action on it
+  tdcocycle   T-duality local cocycle data and the action on it
+  tdcorr      the identities of that data, checked at every site
   cli         command-line verification front end
 """
 

@@ -20,9 +20,10 @@ All loads validate shape and integrality; `canonical_dumps` produces a
 byte-stable serialization (sorted keys, no whitespace).  The cocycle
 loader checks keys, the nerve and that each entry is an array of integers
 or of [num, den] integer pairs, in one walk per member;
-`tdcorr.cocycle_numerators` checks the rest once and turns the pairs into
+`tdcocycle.cocycle_numerators` checks the rest once and turns the pairs into
 stored numerators.  Every load refuses a rank, nerve or integer entry
-over the bounds below before any arithmetic on it.
+over the bounds below before any arithmetic on it, and a cocycle with
+a point's common denominator over its bound before any validation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 
 from .groups import PseudoOrthogonal, check_membership
 from .intlinalg import IntMat
-from .tdcorr import NerveModel, TDCocycle, cocycle_numerators
+from .tdcocycle import NerveModel, TDCocycle, cocycle_numerators
 from .twogroup import Mor, Obj
 
 __all__ = [
@@ -58,6 +59,9 @@ MAX_N = 16
 MAX_POINTS = 64
 MAX_COVER = 8
 MAX_ENTRY_BITS = 256
+# Each point's common denominators D_p and B_p have their own bound,
+# `tdcocycle.MAX_DENOMINATOR_BITS`, refused where `cocycle_numerators`
+# computes them.
 
 
 class FormatError(ValueError):

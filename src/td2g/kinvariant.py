@@ -61,6 +61,22 @@ delta m = 0 at every quadruple and delta gamma = 2m at every triple are
 then table reads, with the twisted action computed once per element and
 distinct vector.  The tables live for one call.
 
+Those reads compare integer codes, not vectors.  Let M >= 1 be the
+largest absolute entry of any m value, any gamma value and any twisted
+image I A I v of either, base = 12 M + 1, and code(v) = sum_i v_i base^i
+for a vector v of length 2n.  Codes add as vectors do, so an identity's
+signed sum of codes is the code of its defect vector.  The cocycle
+defect I A I m_{b,c,d} - m_{ab,c,d} + m_{a,bc,d} - m_{a,b,cd} + m_{a,b,c}
+sums one twisted image and four m values, so its entries have size at
+most 5 M; the torsion defect
+I A I g_{b,c} - g_{ab,c} + g_{a,bc} - g_{a,b} - 2 m_{a,b,c} sums one
+twisted image, three gamma values and 2m, at most 6 M; an m value's
+entries are at most M.  Each is at most 6 M = (base - 1)/2, and such a
+vector v has code 0 only if v = 0: otherwise let j be the least index
+with v_j != 0; then code(v) = base^j (v_j + base r) for an integer r,
+and 0 < |v_j| < base, so v_j + base r != 0.  So a code equals 0 exactly
+when its vector does, and a quadruple costs four integer operations.
+
 The splitting over the GL, SO, Z and V subgroups is decided without
 draws by `subgroup_vanishing_failure`: GL and SO by a certificate over
 their generators, Z and V by reduction to the 8 triples at n=1.
@@ -68,8 +84,8 @@ their generators, Z and V by reduction to the 8 triples at n=1.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import mul
+from itertools import chain, product
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .groups import (
@@ -352,6 +368,32 @@ def _m_table(
     return m
 
 
+def _gather(ix: Sequence[int]):
+    """s -> (s[ix[0]], s[ix[1]], ...) as one C call; `itemgetter` returns a bare item for one index."""
+    if len(ix) == 1:
+        i = ix[0]
+        return lambda s: (s[i],)
+    return itemgetter(*ix)
+
+
+def _codes(vecs: list[IntVec], images: list[list[IntVec]]) -> tuple[list[int], list[list[int]]]:
+    """The codes sum_i v_i base^i of `vecs` and of each element's `images` of them, base = 12 M + 1.
+
+    M is the largest absolute entry, at least 1, of any vector of `vecs`
+    or `images`; the module docstring proves that this base is exact.
+    """
+    big = max(max(map(abs, v), default=0) for v in chain(vecs, *images))
+    base = 12 * max(big, 1) + 1
+
+    def code(v: IntVec) -> int:
+        c = 0
+        for x in reversed(v):
+            c = c * base + x
+        return c
+
+    return [code(v) for v in vecs], [[code(w) for w in img] for img in images]
+
+
 def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     """Decide m = 0, delta m = 0 and delta gamma = 2m over a finite group, from tables.
 
@@ -394,6 +436,10 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     every triple, for the same reason applied to its four gamma terms
     of the 3-chain (a, b, c).
 
+    Each table is coded once, as the module docstring sets out, and the
+    three scans compare integer codes; the proof there that a code is 0
+    exactly when its vector is makes each record exact.
+
     Blind spot: at n=1 every column of an element has one nonzero entry,
     so (C^T H C)^diag and C^T H^diag read only H's diagonal, and no record
     here can see H's off-diagonal entries.  A wrong H that keeps the
@@ -403,40 +449,59 @@ def finite_group_failures(elems: Sequence[PseudoOrthogonal]) -> list[dict]:
     if not elems:
         raise ValueError("no elements: a finite group has at least its identity")
     table = _cayley_table(elems)
-    idx = range(len(elems))
-    zero = (0,) * (2 * elems[0].n)
+    count = len(elems)
+    idx = range(count)
     acted = [_Actions(a) for a in elems]
     m = _m_table(elems, table, acted)
+    g = [[gamma(a, b) for b in elems] for a in elems]
+    # each distinct m or gamma vector once, by its index in `vecs`
+    ids: dict[IntVec, int] = {}
+    m_ids = [[[ids.setdefault(v, len(ids)) for v in m_a_b] for m_a_b in m_a] for m_a in m]
+    g_ids = [[ids.setdefault(v, len(ids)) for v in g_a] for g_a in g]
+    vecs = list(ids)
+    codes, acted_codes = _codes(vecs, [[act_a[v] for v in vecs] for act_a in acted])
+    cm = [[[codes[i] for i in m_a_b] for m_a_b in m_a] for m_a in m_ids]
+    cg = [[codes[i] for i in g_a] for g_a in g_ids]
     failures = [
         {"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]}
         for ia in idx
         for ib in idx
         for ic in idx
-        if m[ia][ib][ic] != zero
+        if cm[ia][ib][ic]
     ]
+    # by_row[c](s) = (s[cd] for each d); m_by_id[b][c](s) = (s[id of m_{b,c,d}] for each d)
+    by_row = [_gather(row) for row in table]
+    m_by_id = [[_gather(m_b_c) for m_b_c in m_b] for m_b in m_ids]
     for ia in idx:
-        act_a, m_a, row_a = acted[ia], m[ia], table[ia]
+        act_a, cm_a, row_a = acted_codes[ia], cm[ia], table[ia]
         for ib in idx:
-            m_a_b, m_b, m_ab = m_a[ib], m[ib], m[row_a[ib]]
+            cm_a_b, cm_ab, row_b, m_b = cm_a[ib], cm[row_a[ib]], table[ib], m_by_id[ib]
             for ic in idx:
-                # along d: m_{b,c,d}, m_{ab,c,d}, m_{a,bc,d} and cd; m_{a,b,c} is fixed
-                along_d = zip(idx, m_b[ic], m_ab[ic], m_a[table[ib][ic]], table[ic])
-                m_a_b_c = m_a_b[ic]
-                for idd, m_b_c_d, m_ab_c_d, m_a_bc_d, icd in along_d:
-                    terms = zip(act_a[m_b_c_d], m_ab_c_d, m_a_bc_d, m_a_b[icd], m_a_b_c)
-                    if any(t0 - t1 + t2 - t3 + t4 for t0, t1, t2, t3, t4 in terms):
-                        failures.append(
-                            {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
-                        )
-    g = [[gamma(a, b) for b in elems] for a in elems]
+                # along d: I A I m_{b,c,d} + m_{a,bc,d} - m_{ab,c,d} - m_{a,b,cd} = -m_{a,b,c}
+                plus = map(add, m_b[ic](act_a), cm_a[row_b[ic]])
+                lhs = list(map(sub, plus, map(add, cm_ab[ic], by_row[ic](cm_a_b))))
+                want = -cm_a_b[ic]
+                if lhs.count(want) != count:
+                    failures.extend(
+                        {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
+                        for idd, x in enumerate(lhs)
+                        if x != want
+                    )
+    g_by_id = [_gather(g_b) for g_b in g_ids]  # g_by_id[b](s) = (s[id of g_{b,c}] for each c)
     for ia in idx:
-        act_a, g_a, m_a, row_a = acted[ia], g[ia], m[ia], table[ia]
+        act_a, cg_a, cm_a, row_a = acted_codes[ia], cg[ia], cm[ia], table[ia]
         for ib in idx:
-            g_a_b, g_ab, m_a_b = g_a[ib], g[row_a[ib]], m_a[ib]
-            for ic, g_b_c, ibc in zip(idx, g[ib], table[ib]):
-                terms = zip(act_a[g_b_c], g_ab[ic], g_a[ibc], g_a_b, m_a_b[ic])
-                if any(t0 - t1 + t2 - t3 - 2 * t4 for t0, t1, t2, t3, t4 in terms):
-                    failures.append({"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]})
+            # along c: I A I g_{b,c} + g_{a,bc} - g_{ab,c} - 2 m_{a,b,c} = g_{a,b}
+            twice_m = [2 * x for x in cm_a[ib]]
+            plus = map(add, g_by_id[ib](act_a), by_row[ib](cg_a))
+            lhs = list(map(sub, plus, map(add, cg[row_a[ib]], twice_m)))
+            want = cg_a[ib]
+            if lhs.count(want) != count:
+                failures.extend(
+                    {"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]}
+                    for ic, x in enumerate(lhs)
+                    if x != want
+                )
     return failures
 
 

@@ -30,6 +30,7 @@ from td2g.groups import (
     enumerate_n1,
     flip_element,
     gl_generators,
+    perm_v,
     random_word,
     rotation_n1,
     so_basis,
@@ -177,6 +178,76 @@ def reference_n1_exhaustive(_n, _trials, _seed) -> list[dict]:
                         failures.append(
                             {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
                         )
+    return failures
+
+
+def closure(gens) -> list[PseudoOrthogonal]:
+    """The finite group that `gens` generate, in breadth-first order.
+
+    elems[0] is the identity; then, for each element in turn and each
+    generator in the order given, the product element * generator is
+    appended when it is new.  The order is what names a record's indices.
+    """
+    elems = [PseudoOrthogonal.identity(gens[0].n)]
+    seen = set(elems)
+    for x in elems:  # grows while it is walked
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+def g18() -> list[PseudoOrthogonal]:
+    """The order-18 closure of embed_gl([[0,-1],[1,-1]]) (order 3) and perm_v(2, 1).
+
+    16 of its elements have a column with two nonzero entries, so m reads
+    H's off-diagonal entries here, as it cannot at n = 1.
+    """
+    return closure([embed_gl(IntMat([[0, -1], [1, -1]])), perm_v(2, 1)])
+
+
+def reference_table_failures(elems) -> list[dict]:
+    """`finite_group_failures` as tuple loops: each defect summed entry by entry.
+
+    It reads the same tables as the integer-coded scans (`_cayley_table`,
+    `_m_table`, `gamma` and the `_Actions` memo, each looked up at call
+    time), so a fault injected into any of them reaches both.
+    """
+    table = kinvariant._cayley_table(elems)
+    idx = range(len(elems))
+    zero = (0,) * (2 * elems[0].n)
+    acted = [kinvariant._Actions(a) for a in elems]
+    m = kinvariant._m_table(elems, table, acted)
+    failures = [
+        {"trial": 0, "check": "n1-vanishing", "triple": [ia, ib, ic]}
+        for ia in idx
+        for ib in idx
+        for ic in idx
+        if m[ia][ib][ic] != zero
+    ]
+    for ia in idx:
+        act_a, m_a, row_a = acted[ia], m[ia], table[ia]
+        for ib in idx:
+            m_a_b, m_b, m_ab = m_a[ib], m[ib], m[row_a[ib]]
+            for ic in idx:
+                along_d = zip(idx, m_b[ic], m_ab[ic], m_a[table[ib][ic]], table[ic])
+                for idd, m_b_c_d, m_ab_c_d, m_a_bc_d, icd in along_d:
+                    terms = zip(act_a[m_b_c_d], m_ab_c_d, m_a_bc_d, m_a_b[icd], m_a_b[ic])
+                    if any(t0 - t1 + t2 - t3 + t4 for t0, t1, t2, t3, t4 in terms):
+                        failures.append(
+                            {"trial": 0, "check": "cocycle-identity", "quadruple": [ia, ib, ic, idd]}
+                        )
+    g = [[kinvariant.gamma(a, b) for b in elems] for a in elems]
+    for ia in idx:
+        act_a, g_a, m_a, row_a = acted[ia], g[ia], m[ia], table[ia]
+        for ib in idx:
+            g_a_b, g_ab, m_a_b = g_a[ib], g[row_a[ib]], m_a[ib]
+            for ic, g_b_c, ibc in zip(idx, g[ib], table[ib]):
+                terms = zip(act_a[g_b_c], g_ab[ic], g_a[ibc], g_a_b, m_a_b[ic])
+                if any(t0 - t1 + t2 - t3 - 2 * t4 for t0, t1, t2, t3, t4 in terms):
+                    failures.append({"trial": 0, "check": "n1-two-torsion", "triple": [ia, ib, ic]})
     return failures
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from td2g import cli, crossedmod, intlinalg, jsonio, kinvariant, tdcorr
+from td2g import cli, crossedmod, intlinalg, jsonio, kinvariant, tdcocycle, tdcorr
 from td2g.cli import main
 from td2g.groups import (
     embed_so,
@@ -934,6 +935,51 @@ class TestActBounds:
         payload["cover"]["p2"] = list(range(jsonio.MAX_COVER + 1))
         code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
         assert code == 2 and err == f"error: cover size of 'p2' is {jsonio.MAX_COVER + 1}, over the bound {jsonio.MAX_COVER}\n"
+
+    @staticmethod
+    def _pairs_at_p1(payload):
+        """The [num, den] lists of a and ahat at point p1, for editing in place."""
+        return [
+            pair
+            for member in ("a", "ahat")
+            for key, v in payload[member].items()
+            if key.startswith("p1|")
+            for pair in v
+        ]
+
+    def test_common_denominator_bits(self, tmp_path, capsys, monkeypatch):
+        bound = tdcocycle.MAX_DENOMINATOR_BITS
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        # the same values written over 36 distinct 250-bit denominators load
+        # unchanged: their lcm as written is over the bound, the least one is not
+        wide = json.loads(json.dumps(payload))
+        for r, pair in enumerate(self._pairs_at_p1(wide), 2**240):
+            pair[0], pair[1] = pair[0] * r, pair[1] * r
+        assert math.lcm(*(y for _, y in self._pairs_at_p1(wide))).bit_length() > bound
+        assert jsonio.cocycle_from_json(wide) == jsonio.cocycle_from_json(payload)
+        # 1/d for 36 distinct 200-bit d: every entry is in bound, their lcm D_p is not
+        pairs = self._pairs_at_p1(payload)
+        for d, pair in enumerate(pairs, 2**200):
+            pair[0], pair[1] = 1, d
+        assert len(pairs) == 36 and math.lcm(*range(2**200, 2**200 + 36)).bit_length() > bound
+        for name in ("validate", "first_violation", "act"):
+            monkeypatch.setattr(tdcorr, name, lambda *args: pytest.fail("validated or acted on a refused input"))
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        assert code == 2
+        assert err == f"error: the common denominator of a and ahat at 'p1' has more than {bound} bits\n"
+
+    def test_common_phase_denominator_bits(self, tmp_path, capsys, monkeypatch):
+        # 1/d for 27 distinct 200-bit d as t at p1: B_p, a multiple of their lcm, is over the bound
+        payload = jsonio.cocycle_to_json(random_cocycle(SPLIT_NERVE, 2, 353))
+        keys = [k for k in payload["t"] if k.startswith("p1|")]
+        for d, key in enumerate(keys, 2**200):
+            payload["t"][key] = [1, d]
+        assert len(keys) == 27 and math.lcm(*range(2**200, 2**200 + 27)).bit_length() > tdcocycle.MAX_DENOMINATOR_BITS
+        for name in ("validate", "first_violation", "act"):
+            monkeypatch.setattr(tdcorr, name, lambda *args: pytest.fail("validated or acted on a refused input"))
+        code, err, _ = self._act(tmp_path, capsys, cocycle_payload=payload)
+        bound = tdcocycle.MAX_DENOMINATOR_BITS
+        assert code == 2 and err == f"error: the common denominator of t at 'p1' has more than {bound} bits\n"
 
     @pytest.mark.parametrize(
         "member, key, edit, what",

@@ -38,12 +38,14 @@ from td2g.rng import XorShift64Star
 from td2g.twogroup import b_matrix, b_split, beta_multiplicator, strict_lower_split
 from td2g.intlinalg import diag_vec
 from conftest import (
+    g18,
     rand_intvec,
     rand_ratvec,
     reference_gamma,
     reference_k_cocycle,
     reference_n1_exhaustive,
     reference_subgroup_vanishing,
+    reference_table_failures,
     words,
 )
 from td2g import jsonio, kinvariant
@@ -481,7 +483,9 @@ class TestFiniteGroupTables:
         assert finite_group_failures(enumerate_n1()) == []
         assert reference_n1_exhaustive(1, 0, 0) == []
 
-    @pytest.mark.parametrize("elems", [z_elements(2), v_elements(2)], ids=["Z2", "V2"])
+    @pytest.mark.parametrize(
+        "elems", [[PseudoOrthogonal.identity(2)], z_elements(2), v_elements(2)], ids=["E2", "Z2", "V2"]
+    )
     def test_other_finite_groups_pass(self, elems):
         assert finite_group_failures(elems) == []
 
@@ -622,6 +626,55 @@ class TestFiniteGroupTables:
     def test_no_elements_raises(self):
         with pytest.raises(ValueError, match="no elements"):
             finite_group_failures([])
+
+    def test_g18_where_m_reads_off_diagonal_h(self):
+        # m != 0 at 2 352 of the 5 832 triples, and the identities hold
+        records = finite_group_failures(g18())
+        assert len(records) == 2352 and {r["check"] for r in records} == {"n1-vanishing"}
+        assert records == reference_table_failures(g18())
+
+    def test_g18_off_diagonal_h_fault_gives_the_tuple_records(self, monkeypatch):
+        # the fault of test_off_diagonal_h_is_invisible_at_n1, which n1 cannot see
+        real = kinvariant._Chain.h
+
+        def h(chain, i, j, l):
+            rng, dim = TestOneFormM._arbitrary(chain, i, j, l)
+            up = [[rng.int_in(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            bump = [[(r != c) * up[min(r, c)][max(r, c)] for c in range(dim)] for r in range(dim)]
+            return real(chain, i, j, l) + IntMat(bump)
+
+        monkeypatch.setattr(kinvariant._Chain, "h", h)
+        got = finite_group_failures(g18())
+        checks = [r["check"] for r in got]
+        assert checks.count("cocycle-identity") == 92792 and checks.count("n1-two-torsion") == 5130
+        assert got == reference_table_failures(g18())
+
+    # One torsion defect at the edge of the coding bound, over the group
+    # {E, s} with s = embed_gl([[1, k], [0, -1]]), an involution whose
+    # twisted action is (x1, x2, y1, y2) -> (x1, k x1 - x2, y1 + k y2, -y2).
+    # m is 0 on GL elements and gamma is faked, with g_{E,E} = 0, so the
+    # defect at (s, s, s) is (S - 1) g_{s,s} - g_{E,s} + g_{s,E}:
+    # - k = 0 and M = 10**6: it is (0, 2M + 1, -1, 0), whose code is 0 in
+    #   the base 2M + 1, as if each defect entry had size at most M;
+    # - k = 24002, g_{s,s} = (0, 0, 0, L), L = 1000: it is (0, 0, kL, -2L),
+    #   whose code is 0 in the base 12 L + 1 = k/2 that the values give
+    #   without their twisted images (S g_{s,s} has the entry kL).
+    # Every entry is within 6 M, so the records must be the tuple ones.
+    @pytest.mark.parametrize(
+        "k, g_ss, g_es, g_se",
+        [
+            (0, (0, -10**6, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)),
+            (24002, (0, 0, 0, 1000), (0, 0, 0, 0), (0, 0, 0, 0)),
+        ],
+        ids=["base-2M+1", "base-without-images"],
+    )
+    def test_coding_bound_is_tight(self, monkeypatch, k, g_ss, g_es, g_se):
+        elems = [PseudoOrthogonal.identity(2), embed_gl(IntMat([[1, k], [0, -1]]))]
+        faked = {(0, 0): (0, 0, 0, 0), (0, 1): g_es, (1, 0): g_se, (1, 1): g_ss}
+        monkeypatch.setattr(kinvariant, "gamma", lambda a, b: faked[elems.index(a), elems.index(b)])
+        got = finite_group_failures(elems)
+        assert {"trial": 0, "check": "n1-two-torsion", "triple": [1, 1, 1]} in got
+        assert got == reference_table_failures(elems)
 
 
 class TestSubgroupVanishing:

@@ -21,7 +21,7 @@ from td2g.groups import PseudoOrthogonal, flip_element
 from td2g.intlinalg import IntMat, Phase, RatVec, Record
 from td2g.kinvariant import DoubleCoverElement
 from td2g.rng import XorShift64Star
-from td2g.tdcorr import NerveModel, TDCocycle, _Entries, default_nerve, random_cocycle
+from td2g.tdcocycle import NerveModel, TDCocycle, _Entries, default_nerve, random_cocycle
 from td2g.twogroup import Mor, Obj, mor_identity, obj_unit, section
 
 G = TDGroupElement(RatVec([1, Fraction(1, 2)]))

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from td2g import cli, jsonio, tdcorr
+from td2g import cli, jsonio, tdcocycle, tdcorr
 from td2g.groups import embed_so, flip_element, gl_generators, minus_identity, rotation_n1, so_basis
 from td2g.intlinalg import IntMat, Phase, RatVec
 from td2g.tdcorr import (
@@ -735,7 +735,7 @@ class TestExhaustiveChecks:
 
         c = random_cocycle(default_nerve(), 2, 577)
         c1 = random_cocycle(default_nerve(), 1, 577)
-        monkeypatch.setattr(tdcorr, "XorShift64Star", refuse)
+        monkeypatch.setattr(tdcocycle, "XorShift64Star", refuse)
         b = so_basis(2)[0]
         assert check_gerbe_cocycle(c) and check_corr_delta(c) and check_poincare(c)
         assert check_flip_identities(c) and check_gl_identities(c, gl_generators(2)[0])
