@@ -2,10 +2,19 @@
 verification suites, and cocycle transformation.
 
 Exit codes: 0 pass, 1 mathematical failure or counterexample, 2 input
-error, 3 internal assertion failure.  Randomized suites require an
-explicit --seed in [0, 2^64); reports embed the seed and list failures
-in trial order.  Trials run one after another on seeds pre-split from
-the master seed, so trial i depends only on the seed and i.
+error, 3 internal assertion failure.  `main` is the one place where
+errors become exit codes: a `jsonio.FormatError` (an unreadable file, a
+refused payload, a non-member element or object, a bad `verify` option,
+an unwritable `act -o`) exits 2 with an `error:` line, an
+ArithmeticError exits 3 with an `internal error:` line.  The commands
+return only their own outcomes: `check` reports a non-member matrix
+with exit 1, and `act` its input or result cocycle that fails
+validation with exit 2 or 3.  The parser is built once per process.
+
+Randomized suites require an explicit --seed in [0, 2^64); reports
+embed the seed and list failures in trial order.  Trials run one after
+another on seeds drawn lazily from the master seed's stream, so trial i
+depends only on the seed and i.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import io
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from . import crossedmod, jsonio, kinvariant, tdcorr
 from .groups import (
@@ -81,7 +90,7 @@ def _load_json(path: str) -> tuple[object, bytes]:
 
 
 def _run_trials(trials: int, seed: int, worker) -> list[dict]:
-    """Run `worker(index, trial_seed)` on the pre-split seeds; keep its failures in trial order."""
+    """Run `worker(index, trial_seed)` for each trial in order; keep its failures in trial order."""
     results = (worker(i, s) for i, s in enumerate(substream_seeds(seed, trials)))
     return [f for f in results if f]
 
@@ -198,11 +207,7 @@ SUITES = tuple(_SUITE_BODIES)
 
 
 def cmd_check(args) -> int:
-    try:
-        mat = jsonio.mat_from_json(_load_json(args.matrix)[0])
-    except jsonio.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    mat = jsonio.mat_from_json(_load_json(args.matrix)[0])
     try:
         elem = check_membership(mat)
     except MembershipError as exc:
@@ -213,57 +218,30 @@ def cmd_check(args) -> int:
 
 
 def cmd_kinv(args) -> int:
-    try:
-        a = jsonio.element_from_json(_load_json(args.a)[0])
-        b = jsonio.element_from_json(_load_json(args.b)[0])
-        c = jsonio.element_from_json(_load_json(args.c)[0])
-        if not (a.n == b.n == c.n):
-            raise jsonio.FormatError("rank mismatch between elements")
-    except (jsonio.FormatError, MembershipError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _print_json(list(kinvariant.k_cocycle(a, b, c)))
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    a, b, c = (jsonio.element_from_json(_load_json(path)[0]) for path in (args.a, args.b, args.c))
+    if not (a.n == b.n == c.n):
+        raise jsonio.FormatError("rank mismatch between elements")
+    _print_json(list(kinvariant.k_cocycle(a, b, c)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    n = args.n
-    trials = args.trials
-    seed = args.seed
-    if seed is not None and not 0 <= seed < SEED_LIMIT:
-        print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
-        return EXIT_INPUT
-    if suite == "n1-exhaustive":
-        n = 1
-        trials = 0
-        seed = 0 if seed is None else seed
-    else:
-        if n is None:
-            print("error: --n is required for this suite", file=sys.stderr)
-            return EXIT_INPUT
-        if seed is None:
-            print("error: --seed is required for randomized suites", file=sys.stderr)
-            return EXIT_INPUT
-        if trials is None:
-            print("error: --trials is required for this suite", file=sys.stderr)
-            return EXIT_INPUT
-        if not 1 <= n <= MAX_N:
-            print(f"error: --n must lie in [1, {MAX_N}]", file=sys.stderr)
-            return EXIT_INPUT
-        if trials < 0:
-            print("error: --trials must not be negative", file=sys.stderr)
-            return EXIT_INPUT
+    suite, n, trials, seed = args.suite, args.n, args.trials, args.seed
+    if suite == "n1-exhaustive":  # ignores --n and --trials; --seed defaults to 0
+        n, trials, seed = 1, 0, 0 if seed is None else seed
+    error = (
+        "--seed must lie in [0, 2^64)" if seed is not None and not 0 <= seed < SEED_LIMIT
+        else "--n is required for this suite" if n is None
+        else "--seed is required for randomized suites" if seed is None
+        else "--trials is required for this suite" if trials is None
+        else f"--n must lie in [1, {MAX_N}]" if not 1 <= n <= MAX_N
+        else "--trials must not be negative" if trials < 0
+        else None
+    )
+    if error:
+        raise jsonio.FormatError(error)
     start = time.monotonic()
-    try:
-        failures = _SUITE_BODIES[suite](n, trials, seed)
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    failures = _SUITE_BODIES[suite](n, trials, seed)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {
         "suite": suite,
@@ -286,16 +264,12 @@ def _report_violation(c, message: str) -> bool:
 
 
 def cmd_act(args) -> int:
-    try:
-        auto, auto_bytes = _load_json(args.auto)
-        obj = jsonio.obj_from_json(auto)
-        cocycle, cocycle_bytes = _load_json(args.cocycle)
-        coc = jsonio.cocycle_from_json(cocycle)
-        if obj.n != coc.n:
-            raise jsonio.FormatError("object and cocycle rank differ")
-    except ValueError as exc:  # FormatError and MembershipError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    auto, auto_bytes = _load_json(args.auto)
+    obj = jsonio.obj_from_json(auto)
+    cocycle, cocycle_bytes = _load_json(args.cocycle)
+    coc = jsonio.cocycle_from_json(cocycle)
+    if obj.n != coc.n:
+        raise jsonio.FormatError("object and cocycle rank differ")
     if _report_violation(coc, "error: cocycle fails validation"):
         return EXIT_INPUT
     result = tdcorr.act(obj, coc)
@@ -312,12 +286,13 @@ def cmd_act(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: {args.output}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise jsonio.FormatError(f"{args.output}: {exc}") from exc
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="td2g",
         description="Exact verification tool for the automorphism 2-group of T-duality.",
@@ -346,9 +321,25 @@ def main(argv: list[str] | None = None) -> int:
     p_act.add_argument("--cocycle", required=True, help="JSON cocycle file")
     p_act.add_argument("-o", "--output", required=True)
     p_act.set_defaults(func=cmd_act)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place where its errors become exit codes.
+
+    A FormatError (any refused input: file, payload or option) exits 2
+    with an `error:` line, an ArithmeticError exits 3 with an `internal
+    error:` line.  A command returns its other outcomes itself.
+    """
+    args = _parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except jsonio.FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

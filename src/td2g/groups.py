@@ -221,18 +221,18 @@ def rotation_n1() -> PseudoOrthogonal:
 
 
 def enumerate_n1() -> list[PseudoOrthogonal]:
-    """All eight elements of O+-(1,1,Z); the first four have iso = +1."""
-    tables = [
-        [[1, 0], [0, 1]],
-        [[-1, 0], [0, -1]],
-        [[0, 1], [1, 0]],
-        [[0, -1], [-1, 0]],
-        [[0, -1], [1, 0]],
-        [[0, 1], [-1, 0]],
-        [[1, 0], [0, -1]],
-        [[-1, 0], [0, 1]],
-    ]
-    return [check_membership(IntMat(t)) for t in tables]
+    """All eight elements of O+-(1,1,Z); the first four have iso = +1, the last four -1."""
+    tables = (
+        ((1, 0), (0, 1)),
+        ((-1, 0), (0, -1)),
+        ((0, 1), (1, 0)),
+        ((0, -1), (-1, 0)),
+        ((0, -1), (1, 0)),
+        ((0, 1), (-1, 0)),
+        ((1, 0), (0, -1)),
+        ((-1, 0), (0, 1)),
+    )
+    return [PseudoOrthogonal._new(IntMat._new(t), 1 if k < 4 else -1) for k, t in enumerate(tables)]
 
 
 def _columns(g: PseudoOrthogonal) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:

@@ -358,12 +358,6 @@ class RatVec:
             raise ValueError("dimension mismatch")
         return sum((x * _as_fraction(y) for x, y in zip(self.entries, entries)), Fraction(0))
 
-    def split(self, k: int) -> tuple["RatVec", "RatVec"]:
-        head, tail = self.entries[:k], self.entries[k:]
-        if not head or not tail:
-            raise ValueError("empty vector")
-        return RatVec._new(head), RatVec._new(tail)
-
     @classmethod
     def zero(cls, dim: int) -> "RatVec":
         return cls([Fraction(0)] * dim)

@@ -16,8 +16,10 @@ Formats:
             indices of the nerve, every index written as str() writes it
             ("01", " 1", "+1" and "1_0" name no index).
 
-All loads validate shape and integrality; `canonical_dumps` produces a
-byte-stable serialization (sorted keys, no whitespace).  The cocycle
+All loads validate shape and integrality, and each refusal, a matrix
+of an element or object that is not a member included, is a
+FormatError; `canonical_dumps` produces a byte-stable serialization
+(sorted keys, no whitespace).  The cocycle
 loader checks keys, the nerve and that each entry is an array of integers
 or of [num, den] integer pairs, in one walk per member;
 `tdcocycle.cocycle_numerators` checks the rest once and turns the pairs into
@@ -157,7 +159,7 @@ def element_from_json(obj) -> PseudoOrthogonal:
     mat = mat_from_json(obj["matrix"])
     if "n" in obj:
         _expect(_expect_int(obj["n"], "n") * 2 == mat.rows, "declared rank disagrees with matrix size")
-    return check_membership(mat)
+    return _build(check_membership, mat)
 
 
 def obj_to_json(o: Obj) -> dict:
@@ -170,7 +172,7 @@ def obj_from_json(obj) -> Obj:
         "object must carry matrix and eta",
     )
     mat, eta = mat_from_json(obj["matrix"]), mat_from_json(obj["eta"])
-    return _build(Obj, check_membership(mat), eta)
+    return _build(Obj, _build(check_membership, mat), eta)
 
 
 def mor_to_json(m: Mor) -> dict:

@@ -12,6 +12,7 @@ the same stream.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 _MASK = (1 << 64) - 1
 _SEED_GAMMA = 0x9E3779B97F4B9C15
@@ -63,11 +64,13 @@ class XorShift64Star:
         return Fraction(num, den)
 
 
-def substream_seeds(seed: int, count: int) -> list[int]:
+def substream_seeds(seed: int, count: int) -> Iterator[int]:
     """The first `count` outputs of the stream for `seed`, used as per-trial seeds.
 
-    Trials seeded this way may run in any order (or in parallel) and still
-    reproduce the sequential result.
+    They are drawn lazily, one per step, so a large `count` allocates
+    nothing up front.  Trials seeded this way may run in any order (or in
+    parallel) and still reproduce the sequential result.
     """
     rng = XorShift64Star(seed)
-    return [rng.next_u64() for _ in range(count)]
+    for _ in range(count):
+        yield rng.next_u64()

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,8 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from td2g import cli, crossedmod, intlinalg, jsonio, kinvariant, tdcocycle, tdcorr
 from td2g.cli import main
 from td2g.groups import (
+    MembershipError,
+    check_membership,
     embed_so,
     flip_element,
+    j_matrix,
     pairing_matrix,
     random_word,
     rotation_n1,
@@ -159,6 +165,10 @@ UNDECODABLE_MATRICES = {
 }
 # The same, plus a file that is not JSON and one that does not exist (None).
 UNDECODABLE_FILES = {**UNDECODABLE_MATRICES, "not-json": b"nope", "unreadable": None}
+
+
+# Rank-2 matrices that are not members: J, and a shear that does not preserve I.
+NON_MEMBERS = [j_matrix(2), IntMat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
 
 
 def assert_input_error(capsys, code, out=None):
@@ -649,7 +659,7 @@ class TestSuiteFailureRecords:
     @staticmethod
     def _trial_words(n, trials, seed, trial, count):
         gens = standard_generators(n)
-        rng = XorShift64Star(substream_seeds(seed, trials)[trial])
+        rng = XorShift64Star(list(substream_seeds(seed, trials))[trial])
         return [
             jsonio.mat_to_json(random_word(gens, 4 + rng.below(5), rng).mat)
             for _ in range(count)
@@ -817,6 +827,27 @@ class TestActCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+        assert not out.exists()
+
+    def test_arithmetic_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(1), random_cocycle(default_nerve(), 1, 463))
+
+        def act(obj, coc):
+            raise ArithmeticError("act divided by zero")
+
+        monkeypatch.setattr(tdcorr, "act", act)
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        assert (code, capsys.readouterr()) == (3, ("", "internal error: act divided by zero\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("matrix", NON_MEMBERS, ids=["J", "shear"])
+    def test_non_member_object_exits_2(self, tmp_path, capsys, matrix):
+        with pytest.raises(MembershipError) as excinfo:
+            check_membership(matrix)
+        auto, cfile, out = self._write_inputs(tmp_path, obj_unit(2), random_cocycle(default_nerve(), 2, 331))
+        write_json(auto, dict(jsonio.obj_to_json(obj_unit(2)), matrix=jsonio.mat_to_json(matrix)))
+        code = main(["act", "--auto", str(auto), "--cocycle", str(cfile), "-o", str(out)])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {excinfo.value}\n"))
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
@@ -1024,6 +1055,42 @@ def test_every_command_bounds_rank_and_entries(tmp_path, capsys, monkeypatch, co
         assert main(argv) == 2 and capsys.readouterr() == ("", f"error: {message}\n")
 
 
+class TestErrorBoundary:
+    """`main` alone turns errors into exit codes, with a parser built once."""
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        assert main(["verify", "--suite", "n1-exhaustive"]) == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        for _ in range(2):
+            assert main(["verify", "--suite", "n1-exhaustive"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    @pytest.mark.parametrize("matrix", NON_MEMBERS, ids=["J", "shear"])
+    def test_non_member_element_or_object_is_a_format_error(self, tmp_path, capsys, matrix):
+        with pytest.raises(MembershipError) as excinfo:
+            check_membership(matrix)
+        message = str(excinfo.value)
+        element = {"n": 2, "matrix": jsonio.mat_to_json(matrix)}
+        obj = dict(jsonio.obj_to_json(obj_unit(2)), matrix=jsonio.mat_to_json(matrix))
+        for load, payload in ((jsonio.element_from_json, element), (jsonio.obj_from_json, obj)):
+            with pytest.raises(jsonio.FormatError) as excinfo:
+                load(payload)
+            assert str(excinfo.value) == message
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        write_json(bad, element)
+        write_json(good, jsonio.element_to_json(flip_element(2)))
+        assert main(["kinv", "--a", str(good), "--b", str(bad), "--c", str(good)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # Files with two faults, and the one that `act` reports: the loader reads
 # every key and entry before the checks of `cocycle_numerators`, and those
 # run in a fixed order (lengths and denominators, key sets, sites, phases).
@@ -1080,12 +1147,25 @@ def test_act_io_outputs_are_pinned(tmp_path, capsys):
     assert back == files["cocycle"]
 
 
+# The package source, for subprocesses: pytest's `pythonpath` setting
+# reaches only its own interpreter.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """The environment with SRC first on PYTHONPATH and any value it had after it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "td2g.cli", "verify", "--suite", "n1-exhaustive"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["failures"] == []
@@ -1096,7 +1176,7 @@ class TestConsoleScript:
             "import json, sys; before = set(sys.modules); import td2g.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert {modname for _, modname, _ in TRACED} <= loaded
@@ -1111,6 +1191,7 @@ class TestConsoleScript:
             ],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"

@@ -144,6 +144,12 @@ class TestEnumerateN1:
             for b in elems:
                 assert (a * b).mat in mats
 
+    def test_trusted_elements_equal_checked_ones(self):
+        # built unchecked with their known signs; the checked constructor agrees
+        for e in enumerate_n1():
+            checked = check_membership(IntMat(e.mat.data))
+            assert e == checked and e.mat == checked.mat and e.iso == checked.iso
+
     def test_iso_formula(self):
         # iso = ad + bc for 2x2 members
         for e in enumerate_n1():
@@ -347,7 +353,17 @@ class TestRng:
         assert r.next_u64() != r.next_u64()
 
     def test_substream_seeds_are_prefix(self):
-        assert substream_seeds(7, 3) == substream_seeds(7, 5)[:3]
+        assert list(substream_seeds(7, 3)) == list(substream_seeds(7, 5))[:3]
+
+    def test_substream_seeds_are_drawn_lazily(self):
+        # an iterator, not a list, so that a large count allocates nothing up
+        # front; its values are the stream's, in the order the list held them
+        seeds = substream_seeds(7, 4)
+        assert iter(seeds) is seeds
+        first = list(seeds)
+        rng = XorShift64Star(7)
+        assert first == [rng.next_u64() for _ in range(4)]
+        assert first == [5039119598890177668, 14053761120871307622, 6921940630744558973, 14835604043982493462]
 
     def test_fraction_bounds(self):
         r = XorShift64Star(1)

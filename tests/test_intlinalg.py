@@ -410,7 +410,7 @@ class TestPhase:
         h = x + x.transpose()
         vectors = (
             u + v, u - v, -u, u.scale(Fraction(k, 7)), u.scale(k), RatVec(u.entries + v.entries),
-            *u.split(1), x.mul_ratvec(u),
+            x.mul_ratvec(u),
         )
         for w in vectors:
             checked = RatVec(w.entries)
@@ -424,13 +424,6 @@ class TestPhase:
             checked = Phase(ph.frac)
             assert ph == checked and hash(ph) == hash(checked) and repr(ph) == repr(checked)
             assert type(ph.frac) is Fraction and 0 <= ph.frac < 1
-
-    def test_split_keeps_both_parts_non_empty(self):
-        v = RatVec([1, 2, 3])
-        assert v.split(2) == v.split(-1) == (RatVec([1, 2]), RatVec([3]))
-        for k in (0, 3, 5, -3):
-            with pytest.raises(ValueError):
-                v.split(k)
 
     def test_scale(self):
         assert Phase(Fraction(1, 3)).scale(2) == Phase(Fraction(2, 3))

@@ -570,11 +570,12 @@ class TestFiniteGroupTables:
         # Work, not time.  Group products: the suite multiplies each pair of
         # the 8 elements once for the Cayley table (64) and nowhere else:
         # m reads H_{A,B}, C and the Cayley product ABC, and gamma applies
-        # (AB)^{-T} letter by letter.  Matrix products: 2 per element for
-        # its iso in enumerate_n1 (16), one per Cayley product (64), one per
-        # element for its B_A (8), two per ordered pair for its H_{A,B} (S
-        # from (B_A)_low B and B^T; 2 * 64), one bracket H C per distinct
-        # H value and C (3 * 8 = 24) and one per gamma (its form; 64): 304.
+        # (AB)^{-T} letter by letter.  Matrix products: none in enumerate_n1,
+        # which builds its elements with their known signs, one per Cayley
+        # product (64), one per element for its B_A (8), two per ordered
+        # pair for its H_{A,B} (S from (B_A)_low B and B^T; 2 * 64), one
+        # bracket H C per distinct H value and C (3 * 8 = 24) and one per
+        # gamma (its form; 64): 288.
         # No m goes through _Chain.k or k_cocycle: each is the twisted
         # action of ABC on a signed half-bracket.
         calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "_Chain.k": 0, "mul": 0, "matmul": 0}
@@ -598,7 +599,7 @@ class TestFiniteGroupTables:
             "check_cocycle_identity": 0,
             "_Chain.k": 0,
             "mul": 64,
-            "matmul": 16 + 64 + 8 + 2 * 64 + 24 + 64,
+            "matmul": 64 + 8 + 2 * 64 + 24 + 64,
         }
 
     def test_each_h_and_action_is_computed_once(self, monkeypatch):
