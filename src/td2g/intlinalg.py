@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -36,6 +36,24 @@ __all__ = [
     "common_denominator",
     "phase_bilinear",
 ]
+
+
+def _gather(ix: Sequence):
+    """s -> (s[ix[0]], s[ix[1]], ...) as one C call: a tuple for any length of `ix`, () for none.
+
+    `itemgetter` alone returns a bare item for one index and raises for none.
+    """
+    if len(ix) > 1:
+        return itemgetter(*ix)
+    if ix:
+        i = ix[0]
+        return lambda s: (s[i],)
+    return lambda s: ()
+
+
+def _row_nonzeros(m: "IntMat") -> list[list[tuple[int, int]]]:
+    """The (column, entry) pairs of the nonzero entries of each row of `m`."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
 
 
 def _as_int(x) -> int:
@@ -237,7 +255,7 @@ class IntMat:
             )
         # Gustavson's row kernel: only products of two nonzero entries are formed.
         ncols = other.cols
-        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        nonzeros = _row_nonzeros(other)
         out = []
         for row in self.data:
             acc = [0] * ncols

@@ -85,7 +85,7 @@ their generators, Z and V by reduction to the 8 triples at n=1.
 from __future__ import annotations
 
 from itertools import chain, product
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .groups import (
@@ -99,7 +99,15 @@ from .groups import (
 )
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import IntMat, Phase, RatVec, Record, _as_int, strict_lower_split  # noqa: F401
+from .intlinalg import (  # noqa: F401
+    IntMat,
+    Phase,
+    RatVec,
+    Record,
+    _as_int,
+    _gather,
+    strict_lower_split,
+)
 from .twogroup import b_split, beta_multiplicator, correction_bracket, eval_mor
 
 __all__ = [
@@ -366,14 +374,6 @@ def _m_table(
             )
         m.append(m_a)
     return m
-
-
-def _gather(ix: Sequence[int]):
-    """s -> (s[ix[0]], s[ix[1]], ...) as one C call; `itemgetter` returns a bare item for one index."""
-    if len(ix) == 1:
-        i = ix[0]
-        return lambda s: (s[i],)
-    return itemgetter(*ix)
 
 
 def _codes(vecs: list[IntVec], images: list[list[IntVec]]) -> tuple[list[int], list[list[int]]]:

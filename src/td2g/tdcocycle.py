@@ -11,6 +11,13 @@ and B_p may have at most `MAX_DENOMINATOR_BITS` bits each.  The identities
 from the correspondence picture that this data satisfies are checked in
 `tdcorr`.
 
+`act` and `validate` work on coordinate columns: each point's vectors
+are read once and transposed (`zip(*...)`), so that a matrix row or a
+cocycle condition is a few C-level `map`s over whole columns, not a loop
+over entries.  They read every table by key, never by position, because
+its stored order follows its source: the order of a JSON file, or of the
+code that built it.
+
 Random valid cocycles are built generatively: free rational lifts per
 (point, chart) plus antisymmetric integer offsets produce a and ahat and
 determine m, mhat; t is a coboundary of an antisymmetric rational
@@ -26,12 +33,13 @@ ordered index tuples, which `validate` checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import compress, count, product, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mod, mul, ne, sub
 from typing import Mapping, Sequence
 
-from .intlinalg import Phase, RatVec, Record
+from .intlinalg import Phase, RatVec, Record, _gather, _row_nonzeros
 from .rng import XorShift64Star
 from .twogroup import Obj
 
@@ -257,12 +265,55 @@ class TDCocycle(Record):
     __hash__ = None
 
 
+@cache
+def _cover_gathers(idx: tuple[int, ...]) -> tuple:
+    """(triples, pairs, at): the index triples of a cover in product order, and the
+    gathers of a table's entries at its pair and triple keys in product order."""
+    triples = list(product(idx, repeat=3))
+    return triples, _gather(list(product(idx, repeat=2))), _gather(triples)
+
+
+@cache
+def _site_gathers(w: int) -> tuple:
+    """(xz, yz, xy): each s -> (s[u w + v] for (x, y, z) in product(range(w), repeat=3)),
+    with (u, v) the pair the name gives; one entry per cover width."""
+    r = range(w)
+    return (
+        _gather([x * w + z for x in r for _ in r for z in r]),
+        _gather([y * w + z for _ in r for y in r for z in r]),
+        _gather([x * w + y for x in r for y in r for _ in r]),
+    )
+
+
+def _failing_triples(d: int, cols: list, mcols: list, w: int) -> list[int]:
+    """The product-order positions of the triples (i, j, k) of a width-w cover where
+    x_ik != d m_ijk + x_jk + x_ij, from the columns of x over its pairs and of m over its
+    triples, both in product order: condition 1 for (a, m), 2 for (ahat, mhat)."""
+    xz, yz, xy = _site_gathers(w)
+    bad: set[int] = set()
+    for x, mx in zip(cols, mcols):
+        lhs, rhs = xz(x), tuple(map(add, map(mul, mx, repeat(d)), map(add, yz(x), xy(x))))
+        if lhs != rhs:
+            bad.update(compress(count(), map(ne, lhs, rhs)))
+    return sorted(bad)
+
+
 def first_violation(c: TDCocycle) -> dict | None:
     """The first failing cocycle condition with its location, or None.
 
     Per point in nerve order: conditions 1 and 2 at every index triple,
     then 5 at the quadruples (i0, j, k, l) with i0 = cover[p][0], on the
-    numerators of `c.nums`: 1 and 2 over D_p, and 5 modulo B_p.
+    numerators of `c.nums`: 1 and 2 over D_p, and 5 modulo B_p.  The
+    first failure is the one a loop over the sites in that order finds:
+    the first failing triple, and 1 before 2 at the same triple.
+
+    Each table of p is read once, by key, in product order over p's cover
+    (pairs, then triples), as coordinate columns.  With w the cover width,
+    the triple (x, y, z) then sits at x w^2 + y w + z and the pair (x, z)
+    at x w + z, so the gathers `_site_gathers(w)` pick each triple's
+    (i, k), (j, k) and (i, j) pairs.  On the tables, the same gathers pick
+    for the i0-quadruple (i0, x, y, z) its phases at (i0, y, z),
+    (i0, x, y) and (i0, x, z), its m at (i0, x, y) and its ahat at (y, z).
 
     Conditions 3 and 4 are implied and not checked.  Where 1 and 2 hold
     at p, m_ijk = a_ik - a_jk - a_ij, so m_ikl + m_ijk and m_ijl + m_jkl
@@ -282,25 +333,26 @@ def first_violation(c: TDCocycle) -> dict | None:
     i0-quadruples come first in `product` order, so the first failing
     quadruple of all is the first failing i0-quadruple.
     """
-    m, mhat, view = c.m, c.mhat, c.nums
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
-        d, big, wd, _, an, hn, tn = view[p]
-        for i, j in product(idx, repeat=2):
-            a_ij, h_ij = an[(i, j)], hn[(i, j)]
-            for k in idx:
-                ijk = (i, j, k)
-                if an[(i, k)] != tuple([d * x + y + z for x, y, z in zip(m[ijk], an[(j, k)], a_ij)]):
-                    return {"condition": 1, "point": p, "indices": ijk}
-                if hn[(i, k)] != tuple([d * x + y + z for x, y, z in zip(mhat[ijk], hn[(j, k)], h_ij)]):
-                    return {"condition": 2, "point": p, "indices": ijk}
-        i = idx[0]
-        for j, k in product(idx, repeat=2):
-            m_ijk, t_ijk = m[(i, j, k)], tn[(i, j, k)]
-            for l in idx:
-                twist = wd * sum(map(mul, m_ijk, hn[(k, l)]))
-                if (tn[(i, k, l)] + t_ijk - twist - tn[(i, j, l)] - tn[(j, k, l)]) % big:
-                    return {"condition": 5, "point": p, "indices": (i, j, k, l)}
+        w, (triples, pairs, at) = len(idx), _cover_gathers(idx)
+        d, big, wd, _, an, hn, tn = c.nums[p]
+        m, h = list(zip(*at(c.m))), list(zip(*pairs(hn)))
+        bad_a = _failing_triples(d, list(zip(*pairs(an))), m, w)
+        bad_h = _failing_triples(d, h, list(zip(*at(c.mhat))), w)
+        first = [(bad[0], cond) for cond, bad in ((1, bad_a), (2, bad_h)) if bad]
+        if first:
+            q, cond = min(first)
+            return {"condition": cond, "point": p, "indices": triples[q]}
+        xz, yz, xy = _site_gathers(w)
+        t, twist = at(tn), repeat(0)
+        for mx, hx in zip(m, h):
+            twist = map(add, twist, map(mul, xy(mx), yz(hx)))
+        lhs = map(sub, map(add, yz(t), xy(t)), map(mul, twist, repeat(wd)))
+        s = map(mod, map(sub, lhs, map(add, xz(t), t)), repeat(big))
+        q = next(compress(count(), s), None)
+        if q is not None:
+            return {"condition": 5, "point": p, "indices": (idx[0], *triples[q])}
     return None
 
 
@@ -393,6 +445,15 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
 # -- the action of automorphism objects --------------------------------
 
 
+def _combine(terms: list, cols: list) -> tuple[int, ...]:
+    """The column sum of x cols[k] over the (k, x) of `terms`, the nonzero entries of one row."""
+    (k, x), *rest = terms
+    acc = cols[k] if x == 1 else map(mul, cols[k], repeat(x))
+    for k, x in rest:
+        acc = map(add, acc, cols[k] if x == 1 else map(mul, cols[k], repeat(x)))
+    return tuple(acc)
+
+
 def act(o: Obj, c: TDCocycle) -> TDCocycle:
     """Transform a cocycle by an automorphism object (A, X).
 
@@ -405,35 +466,44 @@ def act(o: Obj, c: TDCocycle) -> TDCocycle:
     concatenated transition vectors.  Acting by the unit object is the
     identity, and act(o1 * o2, c) == act(o1, act(o2, c)) exactly.
 
-    The v_pq and t at p are numerators over D_p and B_p (`c.nums`).  A v_pq
-    and X v_pq are computed once per pair at each point, and m + mhat once
-    per triple, for every point and for the new m and mhat.  The correction
-    times D_p^2 is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  The
-    result is stored over the same D_p and B_p.
+    The v_pq and t at p are numerators over D_p and B_p (`c.nums`).  The
+    2n columns of v over p's pair keys, and of m + mhat over the triple
+    keys, are taken once; a row of A v or X v sums the columns that the
+    row's nonzero entries pick, as A and X are sparse.  The correction
+    times D_p^2 is D_p (m + mhat) . (X v_jk + X v_ij) + v_jk . X v_ij.  A
+    zero row of X adds nothing to it, so only the nonzero rows of X are
+    gathered along the t keys, at their (j, k) and (i, j) pairs and
+    their m entry.  hn, mhat and these gathers go by key, so no table
+    needs the stored order of another; each output table keeps its
+    input's order.  The result is stored over the same D_p and B_p.
     """
     if o.n != c.n:
         raise ValueError("rank mismatch")
-    amat, x, iso, n = o.g.mat, o.x, o.g.iso, c.n
-    mm = {ijk: u + c.mhat[ijk] for ijk, u in c.m.items()}
+    n, iso, rows = c.n, o.g.iso, _row_nonzeros(o.g.mat)
+    x_rows = [(r, terms) for r, terms in enumerate(_row_nonzeros(o.x)) if terms]
+    m_keys = list(c.m)
+    m_at = {ijk: q for q, ijk in enumerate(m_keys)}
+    mm = list(zip(*map(add, c.m.values(), _gather(m_keys)(c.mhat))))
     nums = {}
     for p, (d, big, wd, w, an, hn, tn) in c.nums.items():
-        v = {ij: an[ij] + hn[ij] for ij in an}
-        xv = {ij: x.mul_vec(u) for ij, u in v.items()}
-        an2, hn2, tn2 = {}, {}, {}
-        for ij, u in v.items():
-            both = amat.mul_vec(u)
-            an2[ij], hn2[ij] = both[:n], both[n:]
-        for ijk, tv in tn.items():
-            i, j, k = ijk
-            xv_ij = xv[(i, j)]
-            corr = d * sum(map(mul, mm[ijk], map(add, xv[(j, k)], xv_ij)))
-            corr += sum(map(mul, v[(j, k)], xv_ij))
-            tn2[ijk] = (iso * tv - w * corr) % big
-        nums[p] = (d, big, wd, w, an2, hn2, tn2)
-    new_m, new_mhat = {}, {}
-    for ijk, u in mm.items():
-        both = amat.mul_vec(u)
-        new_m[ijk], new_mhat[ijk] = both[:n], both[n:]
+        keys = list(an)
+        v = list(zip(*map(add, an.values(), _gather(keys)(hn))))
+        av = [_combine(terms, v) for terms in rows]
+        at = {ij: q for q, ij in enumerate(keys)}
+        jk, ij = _gather([at[k[1:]] for k in tn]), _gather([at[k[:2]] for k in tn])
+        mt = _gather([m_at[k] for k in tn])
+        # lin = (m + mhat) . (X v_jk + X v_ij) and bil = v_jk . X v_ij, over B/D_p and B/D_p^2
+        lin = bil = repeat(0)
+        for r, terms in x_rows:
+            xv = _combine(terms, v)
+            xv_ij = ij(xv)
+            lin = map(add, lin, map(mul, mt(mm[r]), map(add, jk(xv), xv_ij)))
+            bil = map(add, bil, map(mul, jk(v[r]), xv_ij))
+        t = map(sub, map(mul, tn.values(), repeat(iso)), map(mul, lin, repeat(wd)))
+        tn2 = dict(zip(tn, map(mod, map(sub, t, map(mul, bil, repeat(w))), repeat(big))))
+        nums[p] = (d, big, wd, w, dict(zip(keys, zip(*av[:n]))), dict(zip(keys, zip(*av[n:]))), tn2)
+    am = [_combine(terms, mm) for terms in rows]
+    new_m, new_mhat = dict(zip(m_keys, zip(*am[:n]))), dict(zip(m_keys, zip(*am[n:])))
     return TDCocycle._new(c.nerve, n, new_m, new_mhat, nums)
 
 

@@ -23,7 +23,9 @@ from .intlinalg import IntMat, strict_lower_split, unimodular_inverse
 from .tdcocycle import (  # noqa: F401  (the model's names, re-exported)
     NerveModel,
     TDCocycle,
+    _cover_gathers,
     _dot,
+    _failing_triples,
     _require_cover,
     act,
     cocycle_numerators,
@@ -125,13 +127,12 @@ def check_gerbe_cocycle(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
 
 
 def _corr_delta_failures(c: TDCocycle) -> Iterator[tuple]:
-    mhat, view = c.mhat, c.nums
+    # condition 2 at every triple, as `first_violation` checks it
     for p in c.nerve.points:
-        d, _, _, _, _, hn, _ = view[p]
-        for i, j, k in product(c.nerve.cover[p], repeat=3):
-            rhs = zip(mhat[(i, j, k)], hn[(j, k)], hn[(i, j)])
-            if hn[(i, k)] != tuple([d * x + y + z for x, y, z in rhs]):
-                yield p, (i, j, k), "a"
+        idx, (d, _, _, _, _, hn, _) = c.nerve.cover[p], c.nums[p]
+        triples, pairs, at = _cover_gathers(idx)
+        for q in _failing_triples(d, list(zip(*pairs(hn))), list(zip(*at(c.mhat))), len(idx)):
+            yield p, triples[q], "a"
 
 
 def check_corr_delta(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:

@@ -12,6 +12,7 @@ from td2g.intlinalg import (
     diag_vec,
     phase_bilinear,
     strict_lower_split,
+    _gather,
     unimodular_inverse,
 )
 from td2g.groups import embed_gl, gl_generators, j_matrix, pairing_matrix, perm_v, standard_generators
@@ -428,6 +429,24 @@ class TestPhase:
     def test_scale(self):
         assert Phase(Fraction(1, 3)).scale(2) == Phase(Fraction(2, 3))
         assert Phase(Fraction(1, 3)).scale(3).is_zero()
+
+
+class TestGather:
+    def test_any_length_gives_a_tuple(self):
+        s = "abcdef"
+        assert _gather([])(s) == ()
+        assert _gather([4])(s) == ("e",)
+        assert _gather([5, 0, 5])(s) == ("f", "a", "f")
+        table = {(1, 2): 7, (3, 4): 8}
+        assert _gather([(1, 2)])(table) == (7,)
+        assert _gather([(3, 4), (1, 2)])(table) == (8, 7)
+        with pytest.raises(KeyError):
+            _gather([(9, 9)])(table)
+
+    def test_one_helper(self):
+        from td2g import kinvariant, tdcocycle
+
+        assert kinvariant._gather is _gather and tdcocycle._gather is _gather
 
 
 class TestIntMat:

@@ -303,10 +303,15 @@ class TestIntegerKernels:
         c = random_cocycle(NERVES[nerve], n, 401 + n)
         w1, w2 = words(n, 2, 409 + n)
         shift = IntMat.basis(2 * n, 1, 1).scale(3)
+        dense = Obj(w2, section(w2).x + IntMat.identity(2 * n).scale(3))
+        # every row of X nonzero, and entries beyond +-1
+        assert all(map(any, dense.x.data)) and max(abs(x) for r in dense.x.data for x in r) > 1
         objects = (
             section(w1),
             obj_product(section(w1), section(w2)),
             Obj(w2, section(w2).x + shift),
+            obj_unit(n),  # X = 0: no row of X adds a correction
+            dense,
         )
         for o in objects:
             got = act(o, c)
@@ -330,6 +335,69 @@ class TestIntegerKernels:
         ahat[("p2", 9, 9)] = RatVec([Fraction(1, 17), 0])
         with pytest.raises(ValueError, match="same keys"):
             TDCocycle(c.nerve, 2, a, ahat, c.m, c.mhat, t)
+
+    @pytest.mark.parametrize("tables", ["all", "a-and-m"])
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_stored_order_does_not_matter(self, nerve, tables):
+        # the kernels gather by key: reversing the stored order of every
+        # table, or of a and m alone so that a and ahat (m and mhat) differ
+        # in order, changes no result
+        def reordered(c: TDCocycle) -> TDCocycle:
+            rev = lambda table: dict(reversed(table.items()))  # noqa: E731
+            keep = rev if tables == "all" else dict
+            nums = {
+                p: (*row[:4], rev(row[4]), keep(row[5]), keep(row[6]))
+                for p, row in reversed(c.nums.items())
+            }
+            return TDCocycle._new(c.nerve, c.n, rev(c.m), keep(c.mhat), nums)
+
+        rng = XorShift64Star(503)
+        for n in (1, 2):
+            c = random_cocycle(NERVES[nerve], n, 509 + n)
+            flipped = reordered(c)
+            assert list(flipped.m) == list(c.m)[::-1] and flipped == c
+            for o in (section(w) for w in words(n, 2, 521 + n)):
+                assert act(o, flipped) == act(o, c)
+            assert first_violation(flipped) is None
+            for member in MEMBERS:
+                for _ in range(2):
+                    bad = mutated(c, member, rng)
+                    got = first_violation(reordered(bad))
+                    assert got == first_violation(bad) == reference_first_violation(bad)
+                    assert list(tdcorr._corr_delta_failures(reordered(bad))) == list(
+                        tdcorr._corr_delta_failures(bad)
+                    )
+
+    def test_act_makes_no_matrix_vector_product(self, monkeypatch):
+        # A and X act on whole coordinate columns through their nonzero entries
+        calls = []
+        mul_vec = IntMat.mul_vec
+        monkeypatch.setattr(IntMat, "mul_vec", lambda m, v: calls.append(v) or mul_vec(m, v))
+        c = random_cocycle(default_nerve(), 2, 523)
+        o = section(words(2, 1, 527)[0])
+        got = act(o, c)
+        assert calls == []
+        assert got == reference_act(o, c)
+
+    @pytest.mark.parametrize("nerve", sorted(NERVES))
+    def test_corr_delta_records_are_condition_2_failures(self, nerve):
+        # every failing triple of ahat_ik = mhat_ijk + ahat_jk + ahat_ij, per
+        # point in nerve order and triple in product order
+        rng = XorShift64Star(541)
+        seen = 0
+        for n in (1, 2):
+            c = random_cocycle(NERVES[nerve], n, 547 + n)
+            for member in ("ahat", "mhat", "a"):
+                bad = mutated(c, member, rng)
+                expected = []
+                for p in bad.nerve.points:
+                    for i, j, k in product(bad.nerve.cover[p], repeat=3):
+                        rhs = bad.ahat[(p, j, k)] + bad.ahat[(p, i, j)]
+                        if bad.ahat[(p, i, k)] != RatVec.from_ints(bad.mhat[(i, j, k)]) + rhs:
+                            expected.append((p, (i, j, k), "a"))
+                assert list(tdcorr._corr_delta_failures(bad)) == expected
+                seen += len(expected)
+        assert seen
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("nerve", sorted(NERVES))
