@@ -51,7 +51,7 @@ def _gather(ix: Sequence):
     return lambda s: ()
 
 
-def _row_nonzeros(m: "IntMat") -> list[list[tuple[int, int]]]:
+def _row_nonzeros(m: IntMat) -> list[list[tuple[int, int]]]:
     """The (column, entry) pairs of the nonzero entries of each row of `m`."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
 

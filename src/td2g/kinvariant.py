@@ -99,15 +99,7 @@ from .groups import (
 )
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
-from .intlinalg import (  # noqa: F401
-    IntMat,
-    Phase,
-    RatVec,
-    Record,
-    _as_int,
-    _gather,
-    strict_lower_split,
-)
+from .intlinalg import IntMat, Phase, RatVec, Record, _as_int, _gather, strict_lower_split  # noqa: F401
 from .twogroup import b_split, beta_multiplicator, correction_bracket, eval_mor
 
 __all__ = [
