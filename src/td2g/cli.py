@@ -139,19 +139,22 @@ def _suite_ci_axioms(n, trials, seed) -> list[dict]:
     def worker(i, s):
         rng = XorShift64Star(s)
         w = _word(gens, rng)
-        obj = section(w)
-        if not crossedmod.check_ci_axioms(obj):
+        failures = crossedmod.ci_axiom_failures(section(w))
+        if failures:
             return {
                 "trial": i,
                 "check": "ci-axioms",
                 "element": jsonio.mat_to_json(w.mat),
+                "failures": failures,
             }
         w2 = _word(gens, rng)
-        if not crossedmod.check_ct_axioms(beta_multiplicator(w, w2)):
+        failures = crossedmod.ct_axiom_failures(beta_multiplicator(w, w2))
+        if failures:
             return {
                 "trial": i,
                 "check": "ct-axioms",
                 "elements": [jsonio.mat_to_json(w.mat), jsonio.mat_to_json(w2.mat)],
+                "failures": failures,
             }
         return None
 

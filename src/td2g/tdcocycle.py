@@ -37,7 +37,7 @@ from functools import cache
 from itertools import compress, count, product, repeat
 from math import gcd, lcm
 from operator import add, mod, mul, ne, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .intlinalg import Phase, RatVec, Record, _gather, _row_nonzeros
 from .rng import XorShift64Star
@@ -285,17 +285,25 @@ def _site_gathers(w: int) -> tuple:
     )
 
 
+def _unequal_at(cols: Iterable, cols2: Iterable) -> list[int]:
+    """The sorted positions where some tuple of `cols` differs from its partner in `cols2`."""
+    bad: set[int] = set()
+    for x, y in zip(cols, cols2):
+        if x != y:
+            bad.update(compress(count(), map(ne, x, y)))
+    return sorted(bad)
+
+
 def _failing_triples(d: int, cols: list, mcols: list, w: int) -> list[int]:
     """The product-order positions of the triples (i, j, k) of a width-w cover where
     x_ik != d m_ijk + x_jk + x_ij, from the columns of x over its pairs and of m over its
     triples, both in product order: condition 1 for (a, m), 2 for (ahat, mhat)."""
     xz, yz, xy = _site_gathers(w)
-    bad: set[int] = set()
-    for x, mx in zip(cols, mcols):
-        lhs, rhs = xz(x), tuple(map(add, map(mul, mx, repeat(d)), map(add, yz(x), xy(x))))
-        if lhs != rhs:
-            bad.update(compress(count(), map(ne, lhs, rhs)))
-    return sorted(bad)
+    rhs = (
+        tuple(map(add, map(mul, mx, repeat(d)), map(add, yz(x), xy(x))))
+        for x, mx in zip(cols, mcols)
+    )
+    return _unequal_at(map(xz, cols), rhs)
 
 
 def first_violation(c: TDCocycle) -> dict | None:
@@ -436,7 +444,7 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
             hn[(i, j)] = pair(lift_hat, off_hat, p, i, j)
         for i, j, k in product(idx, repeat=3):
             coboundary = s[(p, j, k)] - s[(p, i, k)] + s[(p, i, j)]
-            twist = _dot(m[(i, j, k)], lift_hat[(p, k)])
+            twist = sum(map(mul, m[(i, j, k)], lift_hat[(p, k)]))
             tn[(i, j, k)] = d * (coboundary - twist) % (d * d)
         nums[p] = (d, d * d, d, 1, an, hn, tn)
     return TDCocycle._new(nerve, n, m, mhat, nums)
@@ -445,13 +453,18 @@ def random_cocycle(nerve: NerveModel, n: int, seed: int) -> TDCocycle:
 # -- the action of automorphism objects --------------------------------
 
 
+def _weighted(terms: Iterable) -> Iterator[int]:
+    """The entrywise sum of x seq over the (seq, x) of `terms`, as a lazy C-level `map` chain."""
+    (seq, x), *rest = terms
+    acc = seq if x == 1 else map(mul, seq, repeat(x))
+    for seq, x in rest:
+        acc = map(add, acc, seq if x == 1 else map(mul, seq, repeat(x)))
+    return acc
+
+
 def _combine(terms: list, cols: list) -> tuple[int, ...]:
     """The column sum of x cols[k] over the (k, x) of `terms`, the nonzero entries of one row."""
-    (k, x), *rest = terms
-    acc = cols[k] if x == 1 else map(mul, cols[k], repeat(x))
-    for k, x in rest:
-        acc = map(add, acc, cols[k] if x == 1 else map(mul, cols[k], repeat(x)))
-    return tuple(acc)
+    return tuple(_weighted([(cols[k], x) for k, x in terms]))
 
 
 def act(o: Obj, c: TDCocycle) -> TDCocycle:
@@ -513,7 +526,3 @@ def _require_cover(c: TDCocycle, point: str, indices: Sequence[int]) -> None:
         raise ValueError(f"unknown point {point!r}")
     if any(i not in cov for i in indices):
         raise ValueError(f"indices {tuple(indices)} do not cover point {point!r}")
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))

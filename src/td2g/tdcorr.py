@@ -12,21 +12,24 @@ of the nerve, on the numerators of `TDCocycle.nums`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
-from itertools import product
+from functools import cache
+from itertools import compress, count, product, repeat
 from math import lcm
-from operator import add
-from typing import Iterator
+from operator import add, mod, mul, ne, sub
+from typing import Iterable, Iterator
 
 from .groups import embed_gl, embed_so, flip_element, rotation_n1
-from .intlinalg import IntMat, strict_lower_split, unimodular_inverse
+from .intlinalg import IntMat, _gather, _row_nonzeros, strict_lower_split, unimodular_inverse
 from .tdcocycle import (  # noqa: F401  (the model's names, re-exported)
     NerveModel,
     TDCocycle,
+    _combine,
     _cover_gathers,
-    _dot,
     _failing_triples,
     _require_cover,
+    _site_gathers,
+    _unequal_at,
+    _weighted,
     act,
     cocycle_numerators,
     default_nerve,
@@ -67,13 +70,27 @@ IntVec = tuple[int, ...]
 # variable (a, ahat, v) and every lattice shift (m2, mhat2, m3, mhat3), so
 # it holds for all real fibers and integer shifts exactly when every
 # coefficient of a real variable is 0 and the rest is integral.  A kernel
-# checks this at every site (points in nerve order, index tuples in
-# product order) on the numerators of `TDCocycle.nums`, and yields each
-# failing (point, indices, term); `_first` makes the first a record.  The
-# data checks of the actions cover every key (global m, mhat with point
-# None).  The seven public checks that a frozen acceptance test calls
-# with `samples` and `seed` keep both and ignore them; the others take
-# neither.
+# checks this at every site on the numerators of `TDCocycle.nums`, and
+# yields each failing (point, indices, term); `_first` makes the first a
+# record.  The data checks of the actions cover every key (global m, mhat
+# with point None).  The seven public checks that a frozen acceptance test
+# calls with `samples` and `seed` keep both and ignore them; the others
+# take neither.
+#
+# The kernels work on coordinate columns, as `first_violation` does.  Each
+# point's pair and triple tables are read once, by key, in product order
+# over its cover (`_cover_gathers`).  `_site_gathers` then lines up each
+# triple's (i, k), (j, k) and (i, j) pairs, and `_quad_gathers` each
+# quadruple's faces, so that a per-site dot product such as
+# a_ij . ahat_jk is one `map` chain over whole columns (`_dots`), formed
+# once per point.  The global m and mhat are transformed once per call,
+# through the nonzero entries of the action's matrix.  Records come in the
+# order of a loop over the sites: global lattice keys in m's stored order;
+# then per point in nerve order, its pair keys in the stored order of a,
+# then its triples or quadruples in product order, with the terms at one
+# site in the order each kernel names.  The one record outside that order
+# is so-shift-gerbes' `decomposition`, decided once per b (see
+# `_so_gerbe_failures`).
 
 
 def _first(check: str, failures: Iterator[tuple]) -> dict | None:
@@ -97,22 +114,99 @@ def _joint_view(c: TDCocycle, c2: TDCocycle, p: str) -> tuple:
     return tuple(out)
 
 
+@cache
+def _quad_gathers(w: int) -> tuple:
+    """(jkl, ikl, ijl, ijk, ij): for the quadruples (i, j, k, l) of a width-w cover in product
+    order, the gathers of a triple sequence (product order) at each face, and of a pair
+    sequence at (i, j); one entry per cover width."""
+    quads = list(product(range(w), repeat=4))
+    return (
+        _gather([(j * w + k) * w + l for i, j, k, l in quads]),
+        _gather([(i * w + k) * w + l for i, j, k, l in quads]),
+        _gather([(i * w + j) * w + l for i, j, k, l in quads]),
+        _gather([(i * w + j) * w + k for i, j, k, l in quads]),
+        _gather([i * w + j for i, j, k, l in quads]),
+    )
+
+
+def _coboundary(x: tuple, w: int) -> Iterator[int]:
+    """delta x_ijkl = x_jkl - x_ikl + x_ijl - x_ijk at each quadruple, from x at the triples."""
+    jkl, ikl, ijl, ijk, _ = _quad_gathers(w)
+    return map(add, map(sub, jkl(x), ikl(x)), map(sub, ijl(x), ijk(x)))
+
+
+def _dots(us: Iterable, vs: Iterable, empty: Iterable = ()) -> Iterable[int]:
+    """The sitewise dot products sum_r u_r v_r of two lists of coordinate columns, as a lazy
+    `map` chain; `empty` if the lists are."""
+    pairs = zip(us, vs)
+    acc = next(pairs, None)
+    if acc is None:
+        return empty
+    acc = map(mul, *acc)
+    for u, v in pairs:
+        acc = map(add, acc, map(mul, u, v))
+    return acc
+
+
+def _off_at(seq: Iterable[int], big: int) -> list[int]:
+    """The positions where `seq` is not 0 modulo `big`."""
+    return list(compress(count(), map(mod, seq, repeat(big))))
+
+
+def _in_site_order(p: str, sites: list, terms: tuple, fails: list) -> Iterator[tuple]:
+    """(p, sites[q], terms[r]) for each position q in fails[r]; by site, then by term."""
+    for q, r in sorted((q, r) for r, qs in enumerate(fails) for q in qs):
+        yield p, sites[q], terms[r]
+
+
+def _transformed(rows: list, x: dict, xhat: dict) -> dict:
+    """Each key of x, in its stored order, to L (x, xhat) there, with L the integer matrix whose
+    rows have the nonzero (column, entry) pairs `rows`; computed on columns, once."""
+    keys = list(x)
+    cols = list(zip(*map(add, x.values(), _gather(keys)(xhat))))
+    out = [_combine(t, cols) for t in rows]
+    return dict(zip(keys, zip(*out))) if out else dict.fromkeys(keys, ())
+
+
+def _transform_failures(rows: list, x: dict, xhat: dict, x2: dict, xhat2: dict) -> list:
+    """The keys of x, in its stored order, where (x2, xhat2) != L (x, xhat), with L the
+    integer matrix whose rows have the nonzero (column, entry) pairs `rows`; as columns."""
+    keys = list(x)
+    at = _gather(keys)
+    cols = list(zip(*map(add, x.values(), at(xhat))))
+    got = zip(*map(add, at(x2), at(xhat2)))
+    return [keys[q] for q in _unequal_at([_combine(t, cols) for t in rows], got)]
+
+
+def _columns(at, *tables) -> list:
+    """The coordinate columns of each table, read at the keys of the gather `at`."""
+    return [list(zip(*at(table))) for table in tables]
+
+
+_GERBE_TERMS = ("delta-mhat", "left", "delta-m", "right")
+
+
 def _gerbe_cocycle_failures(c: TDCocycle) -> Iterator[tuple]:
-    m, mhat, view = c.m, c.mhat, c.nums
     for p in c.nerve.points:
-        idx, (_, big, wd, w, an, hn, tn) = c.nerve.cover[p], view[p]
-        triples = list(product(idx, repeat=3))
-        u = {s: tn[s] - w * _dot(an[s[:2]], hn[s[1:]]) for s in triples}
-        r = {s: tn[s] + wd * _dot(m[s], hn[s[::2]]) for s in triples}
-        legs = (("delta-mhat", "left", mhat, an, u), ("delta-m", "right", m, hn, r))
-        for i, j, k, l in product(idx, repeat=4):
-            jkl, ikl, ijl, ijk = (j, k, l), (i, k, l), (i, j, l), (i, j, k)
-            for coeff, term, mm, nums, cochain in legs:
-                if tuple(map(add, mm[jkl], mm[ijl])) != tuple(map(add, mm[ikl], mm[ijk])):
-                    yield p, (i, j, k, l), coeff
-                delta = cochain[jkl] - cochain[ikl] + cochain[ijl] - cochain[ijk]
-                if (delta + wd * _dot(nums[(i, j)], mm[jkl])) % big:
-                    yield p, (i, j, k, l), term
+        idx, (_, big, wd, w, an, hn, tn) = c.nerve.cover[p], c.nums[p]
+        width, (_, pairs, at) = len(idx), _cover_gathers(idx)
+        xz, yz, xy = _site_gathers(width)
+        jkl, *_, ij = _quad_gathers(width)
+        a, h = _columns(pairs, an, hn)
+        m, mhat = _columns(at, c.m, c.mhat)
+        t = at(tn)
+        # u_ijk = t_ijk - a_ij . ahat_jk and r_ijk = t_ijk + m_ijk . ahat_ik, over B_p
+        u = tuple(_weighted([(t, 1), (_dots(map(xy, a), map(yz, h)), -w)]))
+        r = tuple(_weighted([(t, 1), (_dots(m, map(xz, h)), wd)]))
+        # per leg: the fiber coefficient delta mhat (delta m), then the constant
+        # delta u + a_ij . mhat_jkl (delta r + ahat_ij . m_jkl), over B_p
+        fails, zero = [], (0,) * width**4
+        for lattice, vec, cochain in ((mhat, a, u), (m, h, r)):
+            fails.append(_unequal_at((tuple(_coboundary(x, width)) for x in lattice), repeat(zero)))
+            pairing = _dots(map(ij, vec), map(jkl, lattice))
+            fails.append(_off_at(_weighted([(_coboundary(cochain, width), 1), (pairing, wd)]), big))
+        if any(fails):
+            yield from _in_site_order(p, list(product(idx, repeat=4)), _GERBE_TERMS, fails)
 
 
 def check_gerbe_cocycle(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
@@ -173,26 +267,45 @@ def check_poincare(c: TDCocycle, samples: int = 20, seed: int = 0) -> bool:
 # -- transformation identities ------------------------------------------
 
 
-def _swap_failures(c: TDCocycle, c2: TDCocycle, s: int) -> Iterator[tuple]:
-    m, mhat = c.m, c.mhat
-    for ijk, mv in m.items():
-        if c2.m[ijk] != tuple([s * x for x in mhat[ijk]]) or c2.mhat[ijk] != mv:
-            yield None, ijk, "lattice"
+def _action_failures(c: TDCocycle, c2: TDCocycle, rows: list, at_triples) -> Iterator[tuple]:
+    """The records of a linear action's identities: (None, key, "lattice") at each m key and
+    (p, key, "pair") at each of p's pair keys where c2's data is not L c's, with L given by
+    `rows` (`_transform_failures`); after p's pair records, those of
+    `at_triples(p, view, cover gathers, site gathers)`, with view p's `_joint_view`."""
+    for ijk in _transform_failures(rows, c.m, c.mhat, c2.m, c2.mhat):
+        yield None, ijk, "lattice"
     for p in c.nerve.points:
-        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
-        for ij, u in an.items():
-            if an2[ij] != tuple([s * x for x in hn[ij]]) or hn2[ij] != u:
-                yield p, ij, "pair"
-        for ijk in product(c.nerve.cover[p], repeat=3):
-            ij, jk, ik, t, t2 = ijk[:2], ijk[1:], ijk[::2], tn[ijk], tn2[ijk]
-            if (t2 - s * (t - wd * _dot(mhat[ijk], an[ik]) - w * _dot(hn[jk], an[ij]))) % big:
-                yield p, ijk, "t"
-            cross = _dot(an[ij], hn[ij]) + _dot(an[jk], hn[jk]) - _dot(an[ik], hn[ik])
-            left = w * _dot(an2[ij], hn2[jk]) + s * (t + wd * _dot(m[ijk], hn[ik]) + w * cross)
-            if (left - t2) % big:
-                yield p, ijk, "left"
-            if (s * (t - w * _dot(an[ij], hn[jk])) - t2 - wd * _dot(c2.m[ijk], hn2[ik])) % big:
-                yield p, ijk, "right"
+        view = _joint_view(c, c2, p)
+        for ij in _transform_failures(rows, *view[4:6], *view[7:9]):
+            yield p, ij, "pair"
+        idx = c.nerve.cover[p]
+        yield from at_triples(p, view, _cover_gathers(idx), _site_gathers(len(idx)))
+
+
+def _swap_failures(c: TDCocycle, c2: TDCocycle, s: int) -> Iterator[tuple]:
+    n = c.n
+    rows = [[(n + r, s)] for r in range(n)] + [[(r, 1)] for r in range(n)]
+
+    def at_triples(p: str, view: tuple, gathers: tuple, sites: tuple) -> Iterator[tuple]:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = view
+        (triples, pairs, at), (xz, yz, xy) = gathers, sites
+        a, h, a2, h2 = _columns(pairs, an, hn, an2, hn2)
+        m, mhat, m2 = _columns(at, c.m, c.mhat, c2.m)
+        t, t2 = at(tn), at(tn2)
+        ah = tuple(_dots(map(xy, a), map(yz, h)))  # a_ij . ahat_jk
+        ph = tuple(_dots(a, h))  # a_ij . ahat_ij at the pairs
+        cross = _weighted([(xy(ph), 1), (yz(ph), 1), (xz(ph), -1)])
+        # t: t2 - s (t - mhat_ijk . a_ik - ahat_jk . a_ij)
+        # left: a2_ij . ahat2_jk + s (t + m_ijk . ahat_ik + cross) - t2
+        # right: s (t - a_ij . ahat_jk) - t2 - m2_ijk . ahat2_ik
+        t_term = [(t2, 1), (t, -s), (_dots(mhat, map(xz, a)), s * wd), (ah, s * w)]
+        left = [(_dots(map(xy, a2), map(yz, h2)), w), (t, s), (_dots(m, map(xz, h)), s * wd)]
+        left += [(cross, s * w), (t2, -1)]
+        right = [(t, s), (ah, -s * w), (t2, -1), (_dots(m2, map(xz, h2)), -wd)]
+        fails = [_off_at(_weighted(terms), big) for terms in (t_term, left, right)]
+        return _in_site_order(p, triples, ("t", "left", "right"), fails)
+
+    return _action_failures(c, c2, rows, at_triples)
 
 
 def check_flip_identities(
@@ -210,23 +323,23 @@ def check_flip_identities(
 
 
 def _gl_failures(c: TDCocycle, c2: TDCocycle, g: IntMat, gi_t: IntMat) -> Iterator[tuple]:
-    m, mhat = c.m, c.mhat
-    for ijk, mv in m.items():
-        if c2.m[ijk] != g.mul_vec(mv) or c2.mhat[ijk] != gi_t.mul_vec(mhat[ijk]):
-            yield None, ijk, "lattice"
-    for p in c.nerve.points:
-        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
-        for ij, u in an.items():
-            if an2[ij] != g.mul_vec(u) or hn2[ij] != gi_t.mul_vec(hn[ij]):
-                yield p, ij, "pair"
-        for ijk in product(c.nerve.cover[p], repeat=3):
-            ij, jk, ik, dt = ijk[:2], ijk[1:], ijk[::2], tn[ijk] - tn2[ijk]
-            if dt % big:
-                yield p, ijk, "t"
-            if (dt + w * (_dot(an2[ij], hn2[jk]) - _dot(an[ij], hn[jk]))) % big:
-                yield p, ijk, "left"
-            if (dt + wd * (_dot(m[ijk], hn[ik]) - _dot(c2.m[ijk], hn2[ik]))) % big:
-                yield p, ijk, "right"
+    n = c.n
+    rows = _row_nonzeros(g) + [[(n + k, x) for k, x in t] for t in _row_nonzeros(gi_t)]
+
+    def at_triples(p: str, view: tuple, gathers: tuple, sites: tuple) -> Iterator[tuple]:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = view
+        (triples, pairs, at), (xz, yz, xy) = gathers, sites
+        a, h, a2, h2 = _columns(pairs, an, hn, an2, hn2)
+        m, m2 = _columns(at, c.m, c2.m)
+        dt = tuple(map(sub, at(tn), at(tn2)))
+        # t: dt; left: dt + a2_ij . ahat2_jk - a_ij . ahat_jk;
+        # right: dt + m_ijk . ahat_ik - m2_ijk . ahat2_ik
+        left = [(dt, 1), (_dots(map(xy, a2), map(yz, h2)), w), (_dots(map(xy, a), map(yz, h)), -w)]
+        right = [(dt, 1), (_dots(m, map(xz, h)), wd), (_dots(m2, map(xz, h2)), -wd)]
+        fails = [_off_at(dt, big)] + [_off_at(_weighted(terms), big) for terms in (left, right)]
+        return _in_site_order(p, triples, ("t", "left", "right"), fails)
+
+    return _action_failures(c, c2, rows, at_triples)
 
 
 def check_gl_identities(c: TDCocycle, g: IntMat, samples: int = 50, seed: int = 0) -> bool:
@@ -258,17 +371,24 @@ def check_rotation_identities(c: TDCocycle, samples: int = 50, seed: int = 0) ->
     return _first("rotation", _swap_failures(c, c2, -1)) is None
 
 
-def _so_eps(c: TDCocycle, b_low: IntMat, p: str, i: int, j: int, k: int) -> int:
-    """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk> in lower-split brackets, times D_p^2."""
-    d, _, _, _, an, _, _ = c.nums[p]
-    return d * _dot(an[(i, k)], b_low.mul_vec(c.m[(i, j, k)])) + _dot(
-        an[(i, j)], b_low.mul_vec(an[(j, k)])
-    )
+def _low_terms(c: TDCocycle, b_low: IntMat) -> tuple[list, dict]:
+    """(low, blm): the nonzero rows (r, entries) of b_low, and b_low m at each m key over them."""
+    low = [(r, t) for r, t in enumerate(_row_nonzeros(b_low)) if t]
+    return low, _transformed([t for _, t in low], c.m, c.mhat)
 
 
-def _delta_eps(eps, i: int, j: int, k: int, l: int) -> int:
-    """delta eps_ijkl times D_p^2; `eps` is the caller's per-point memo of `_so_eps`."""
-    return eps(j, k, l) - eps(i, k, l) + eps(i, j, l) - eps(i, j, k)
+def _point_eps(c: TDCocycle, p: str, low: list, blm: dict) -> tuple[int, ...]:
+    """eps_ijk = <a_ik|B|m_ijk> + <a_ij|B|a_jk> in lower-split brackets, times D_p^2, at p's
+    triples in product order; `low` and `blm` are `_low_terms`."""
+    idx, (d, _, _, _, an, _, _) = c.nerve.cover[p], c.nums[p]
+    triples, pairs, at = _cover_gathers(idx)
+    xz, yz, xy = _site_gathers(len(idx))
+    (a,) = _columns(pairs, an)
+    (bm,) = _columns(at, blm)
+    zero = (0,) * len(triples)
+    am = _dots([xz(a[r]) for r, _ in low], bm, zero)
+    aa = _dots([xy(a[r]) for r, _ in low], [yz(_combine(t, a)) for _, t in low], zero)
+    return tuple(_weighted([(am, d), (aa, 1)]))
 
 
 def _check_so_skew(c: TDCocycle, b: IntMat) -> IntMat:
@@ -283,41 +403,69 @@ def _so_shifted(c: TDCocycle, b: IntMat, transformed: TDCocycle | None) -> tuple
     return b_low, act(section(embed_so(b)), c) if transformed is None else transformed
 
 
+def _so_rows(b: IntMat) -> list:
+    """The nonzero (column, entry) pairs of the rows of [[E, 0], [b, E]], e^b's matrix."""
+    n = b.rows
+    return [[(r, 1)] for r in range(n)] + [t + [(n + r, 1)] for r, t in enumerate(_row_nonzeros(b))]
+
+
 def _so_data_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> Iterator[tuple]:
-    m, mhat = c.m, c.mhat
-    for ijk, mv in m.items():
-        if c2.m[ijk] != mv or c2.mhat[ijk] != tuple(map(add, b.mul_vec(mv), mhat[ijk])):
-            yield None, ijk, "lattice"
-    for p in c.nerve.points:
-        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
-        bl = {ij: b_low.mul_vec(u) for ij, u in an.items()}
-        for ij, u in an.items():
-            if an2[ij] != u or hn2[ij] != tuple(map(add, b.mul_vec(u), hn[ij])):
-                yield p, ij, "pair"
-        for ijk in product(c.nerve.cover[p], repeat=3):
-            low = wd * _dot(m[ijk], bl[ijk[::2]]) + w * _dot(an[ijk[1:]], bl[ijk[:2]])
-            if (tn2[ijk] - tn[ijk] + low) % big:
-                yield p, ijk, "t"
+    low = _low_terms(c, b_low)[0]
+
+    def at_triples(p: str, view: tuple, gathers: tuple, sites: tuple) -> Iterator[tuple]:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = view
+        (triples, pairs, at), (xz, yz, xy) = gathers, sites
+        (a,), (m,) = _columns(pairs, an), _columns(at, c.m)
+        bl = [_combine(terms, a) for _, terms in low]  # b_low a at the pairs
+        zero = (0,) * len(triples)
+        # t: t2 - t + <m_ijk|B|a_ik> + <a_jk|B|a_ij>
+        m_bl = _dots([m[r] for r, _ in low], map(xz, bl), zero)
+        a_bl = _dots([yz(a[r]) for r, _ in low], map(xy, bl), zero)
+        fails = [_off_at(_weighted([(at(tn2), 1), (at(tn), -1), (m_bl, wd), (a_bl, w)]), big)]
+        return _in_site_order(p, triples, ("t",), fails)
+
+    return _action_failures(c, c2, _so_rows(b), at_triples)
+
+
+_SO_GERBE_TERMS = ("lattice", "left", "right", "v")
 
 
 def _so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> Iterator[tuple]:
+    """The so-shift gerbe records: at each triple, in this order, the lattice data, the left
+    and right legs, and the v-coefficient of the decomposition.
+
+    The decomposition's constant is decided once per b, before any site.  At a site it
+    compares <a_jk|B|a_ij> - <a_ij|B|a_jk> with a_jk . B a_ij, in lower-split brackets
+    <x|B|y> = x . L y with L = b_low.  As a_ij . L a_jk = a_jk . L^T a_ij, the difference
+    is a_jk^T (L - L^T - b) a_ij.  That is 0 for all a_ij and a_jk exactly when
+    b == L - L^T (take basis vectors), so the term holds at every site of every cocycle
+    exactly when that matrix equality does.  If it fails, the record
+    (None, (), "decomposition") names no site, and comes first.
+    """
+    if b != b_low - b_low.transpose():
+        yield None, (), "decomposition"
+    rows, (low, blm) = _so_rows(b), _low_terms(c, b_low)
+    want = _transformed(rows, c.m, c.mhat)
     for p in c.nerve.points:
+        idx = c.nerve.cover[p]
         d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
-        bl = {ij: b_low.mul_vec(u) for ij, u in an.items()}
-        for ijk in product(c.nerve.cover[p], repeat=3):
-            ij, jk, ik, mv, t, t2 = ijk[:2], ijk[1:], ijk[::2], c.m[ijk], tn[ijk], tn2[ijk]
-            if c2.m[ijk] != mv or c2.mhat[ijk] != tuple(map(add, b.mul_vec(mv), c.mhat[ijk])):
-                yield p, ijk, "lattice"
-            left = w * (_dot(an2[ij], hn2[jk]) - _dot(an[ij], hn[jk]) - _dot(an[ij], bl[jk]))
-            if (left + t - t2 - wd * _dot(mv, bl[ik])) % big:
-                yield p, ijk, "left"
-            right = _dot(mv, hn[ik]) - _dot(c2.m[ijk], hn2[ik]) - _dot(an[ik], b_low.mul_vec(mv))
-            if (wd * right + t - t2 - w * _dot(an[jk], bl[ij])) % big:
-                yield p, ijk, "right"
-            if an[ik] != tuple([d * x + y + z for x, y, z in zip(mv, an[jk], an[ij])]):
-                yield p, ijk, "v"
-            if _dot(an[jk], bl[ij]) - _dot(an[ij], bl[jk]) != _dot(an[jk], b.mul_vec(an[ij])):
-                yield p, ijk, "decomposition"
+        (triples, pairs, at), (xz, yz, xy) = _cover_gathers(idx), _site_gathers(len(idx))
+        a, h, a2, h2 = _columns(pairs, an, hn, an2, hn2)
+        (m, m2, bm), t, t2 = _columns(at, c.m, c2.m, blm), at(tn), at(tn2)
+        lattice = list(compress(count(), map(ne, at(want), map(add, at(c2.m), at(c2.mhat)))))
+        bl = [_combine(terms, a) for _, terms in low]  # b_low a at the pairs
+        zero = (0,) * len(triples)
+        # left: a2_ij . ahat2_jk - a_ij . ahat_jk - <a_ij|B|a_jk> + t - t2 - <m_ijk|B|a_ik>
+        # right: m_ijk . ahat_ik - m2_ijk . ahat2_ik - <a_ik|B|m_ijk> + t - t2 - <a_jk|B|a_ij>
+        left = [(_dots(map(xy, a2), map(yz, h2)), w), (_dots(map(xy, a), map(yz, h)), -w)]
+        left += [(_dots([xy(a[r]) for r, _ in low], map(yz, bl), zero), -w)]
+        left += [(t, 1), (t2, -1), (_dots([m[r] for r, _ in low], map(xz, bl), zero), -wd)]
+        right = [(_dots(m, map(xz, h)), wd), (_dots(m2, map(xz, h2)), -wd)]
+        right += [(_dots([xz(a[r]) for r, _ in low], bm, zero), -wd)]
+        right += [(t, 1), (t2, -1), (_dots([yz(a[r]) for r, _ in low], map(xy, bl), zero), -w)]
+        fails = [lattice, *(_off_at(_weighted(terms), big) for terms in (left, right))]
+        fails.append(_failing_triples(d, a, m, len(idx)))
+        yield from _in_site_order(p, triples, _SO_GERBE_TERMS, fails)
 
 
 def check_so_shift_data(c: TDCocycle, b: IntMat, transformed: TDCocycle | None = None) -> bool:
@@ -358,9 +506,9 @@ def check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
     on the numerators of `c.nums`, times D_p^2.
     """
     b_low = _check_so_skew(c, b)
+    low = _low_terms(c, b_low)
     for p in c.nerve.points:
-        eps = cache(partial(_so_eps, c, b_low, p))
-        if any(_delta_eps(eps, *ijkl) for ijkl in product(c.nerve.cover[p], repeat=4)):
+        if any(_coboundary(_point_eps(c, p, *low), len(c.nerve.cover[p]))):
             return False
     return True
 
@@ -384,11 +532,13 @@ def eps_cech_defect(
     i, j, k, l = ijkl
     _require_cover(c, point, ijkl)
     d, _, _, _, an, _, _ = c.nums[point]
-    delta = _delta_eps(cache(partial(_so_eps, c, b_low, point)), i, j, k, l)
+    triples = _cover_gathers(c.nerve.cover[point])[0]
+    eps = dict(zip(triples, _point_eps(c, point, *_low_terms(c, b_low))))
+    delta = eps[(j, k, l)] - eps[(i, k, l)] + eps[(i, j, l)] - eps[(i, j, k)]
     p_, q_, r_ = c.m[(i, j, k)], c.m[(i, k, l)], c.m[(i, j, l)]
 
     def brak(u: IntVec, mat: IntMat, v: IntVec) -> int:
-        return _dot(u, mat.mul_vec(v))
+        return sum(map(mul, u, mat.mul_vec(v)))
 
     integral = (
         brak(q_, b, p_)
@@ -397,7 +547,7 @@ def eps_cech_defect(
         - brak(r_, b_low, p_)
         + brak(p_, b_low, q_)
     )
-    closed = Fraction(_dot(an[(k, l)], b.mul_vec(p_)), d) + integral
+    closed = Fraction(brak(an[(k, l)], b, p_), d) + integral
     return Fraction(delta, d * d), closed
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -37,7 +37,7 @@ from td2g.groups import (
     standard_generators,
 )
 from td2g.rng import XorShift64Star
-from td2g.tdcorr import NerveModel, TDCocycle, _check_so_skew, _require_cover, act
+from td2g.tdcorr import NerveModel, TDCocycle, _check_so_skew, _joint_view, _require_cover, act
 from td2g.twogroup import Mor, Obj, b_split, eval_mor, section
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
@@ -830,6 +830,112 @@ def reference_check_eps_cech(c: TDCocycle, b: IntMat) -> bool:
             if d != 0:
                 return False
     return True
+
+
+# -- per-site references for the column-form tdcorr kernels ------------------
+# The earlier bodies of tdcorr's identity kernels: one loop per site with
+# per-entry dot products, yielding (point, indices, term) in site order.
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def reference_gerbe_cocycle_failures(c: TDCocycle):
+    m, mhat, view = c.m, c.mhat, c.nums
+    for p in c.nerve.points:
+        idx, (_, big, wd, w, an, hn, tn) = c.nerve.cover[p], view[p]
+        triples = list(product(idx, repeat=3))
+        u = {s: tn[s] - w * _dot(an[s[:2]], hn[s[1:]]) for s in triples}
+        r = {s: tn[s] + wd * _dot(m[s], hn[s[::2]]) for s in triples}
+        legs = (("delta-mhat", "left", mhat, an, u), ("delta-m", "right", m, hn, r))
+        for i, j, k, l in product(idx, repeat=4):
+            jkl, ikl, ijl, ijk = (j, k, l), (i, k, l), (i, j, l), (i, j, k)
+            for coeff, term, mm, nums, cochain in legs:
+                if tuple(map(add, mm[jkl], mm[ijl])) != tuple(map(add, mm[ikl], mm[ijk])):
+                    yield p, (i, j, k, l), coeff
+                delta = cochain[jkl] - cochain[ikl] + cochain[ijl] - cochain[ijk]
+                if (delta + wd * _dot(nums[(i, j)], mm[jkl])) % big:
+                    yield p, (i, j, k, l), term
+
+
+def reference_swap_failures(c: TDCocycle, c2: TDCocycle, s: int):
+    m, mhat = c.m, c.mhat
+    for ijk, mv in m.items():
+        if c2.m[ijk] != tuple([s * x for x in mhat[ijk]]) or c2.mhat[ijk] != mv:
+            yield None, ijk, "lattice"
+    for p in c.nerve.points:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
+        for ij, u in an.items():
+            if an2[ij] != tuple([s * x for x in hn[ij]]) or hn2[ij] != u:
+                yield p, ij, "pair"
+        for ijk in product(c.nerve.cover[p], repeat=3):
+            ij, jk, ik, t, t2 = ijk[:2], ijk[1:], ijk[::2], tn[ijk], tn2[ijk]
+            if (t2 - s * (t - wd * _dot(mhat[ijk], an[ik]) - w * _dot(hn[jk], an[ij]))) % big:
+                yield p, ijk, "t"
+            cross = _dot(an[ij], hn[ij]) + _dot(an[jk], hn[jk]) - _dot(an[ik], hn[ik])
+            left = w * _dot(an2[ij], hn2[jk]) + s * (t + wd * _dot(m[ijk], hn[ik]) + w * cross)
+            if (left - t2) % big:
+                yield p, ijk, "left"
+            if (s * (t - w * _dot(an[ij], hn[jk])) - t2 - wd * _dot(c2.m[ijk], hn2[ik])) % big:
+                yield p, ijk, "right"
+
+
+def reference_gl_failures(c: TDCocycle, c2: TDCocycle, g: IntMat, gi_t: IntMat):
+    m, mhat = c.m, c.mhat
+    for ijk, mv in m.items():
+        if c2.m[ijk] != g.mul_vec(mv) or c2.mhat[ijk] != gi_t.mul_vec(mhat[ijk]):
+            yield None, ijk, "lattice"
+    for p in c.nerve.points:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
+        for ij, u in an.items():
+            if an2[ij] != g.mul_vec(u) or hn2[ij] != gi_t.mul_vec(hn[ij]):
+                yield p, ij, "pair"
+        for ijk in product(c.nerve.cover[p], repeat=3):
+            ij, jk, ik, dt = ijk[:2], ijk[1:], ijk[::2], tn[ijk] - tn2[ijk]
+            if dt % big:
+                yield p, ijk, "t"
+            if (dt + w * (_dot(an2[ij], hn2[jk]) - _dot(an[ij], hn[jk]))) % big:
+                yield p, ijk, "left"
+            if (dt + wd * (_dot(m[ijk], hn[ik]) - _dot(c2.m[ijk], hn2[ik]))) % big:
+                yield p, ijk, "right"
+
+
+def reference_so_data_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat):
+    m, mhat = c.m, c.mhat
+    for ijk, mv in m.items():
+        if c2.m[ijk] != mv or c2.mhat[ijk] != tuple(map(add, b.mul_vec(mv), mhat[ijk])):
+            yield None, ijk, "lattice"
+    for p in c.nerve.points:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
+        bl = {ij: b_low.mul_vec(u) for ij, u in an.items()}
+        for ij, u in an.items():
+            if an2[ij] != u or hn2[ij] != tuple(map(add, b.mul_vec(u), hn[ij])):
+                yield p, ij, "pair"
+        for ijk in product(c.nerve.cover[p], repeat=3):
+            low = wd * _dot(m[ijk], bl[ijk[::2]]) + w * _dot(an[ijk[1:]], bl[ijk[:2]])
+            if (tn2[ijk] - tn[ijk] + low) % big:
+                yield p, ijk, "t"
+
+
+def reference_so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat):
+    for p in c.nerve.points:
+        d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
+        bl = {ij: b_low.mul_vec(u) for ij, u in an.items()}
+        for ijk in product(c.nerve.cover[p], repeat=3):
+            ij, jk, ik, mv, t, t2 = ijk[:2], ijk[1:], ijk[::2], c.m[ijk], tn[ijk], tn2[ijk]
+            if c2.m[ijk] != mv or c2.mhat[ijk] != tuple(map(add, b.mul_vec(mv), c.mhat[ijk])):
+                yield p, ijk, "lattice"
+            left = w * (_dot(an2[ij], hn2[jk]) - _dot(an[ij], hn[jk]) - _dot(an[ij], bl[jk]))
+            if (left + t - t2 - wd * _dot(mv, bl[ik])) % big:
+                yield p, ijk, "left"
+            right = _dot(mv, hn[ik]) - _dot(c2.m[ijk], hn2[ik]) - _dot(an[ik], b_low.mul_vec(mv))
+            if (wd * right + t - t2 - w * _dot(an[jk], bl[ij])) % big:
+                yield p, ijk, "right"
+            if an[ik] != tuple([d * x + y + z for x, y, z in zip(mv, an[jk], an[ij])]):
+                yield p, ijk, "v"
+            if _dot(an[jk], bl[ij]) - _dot(an[ij], bl[jk]) != _dot(an[jk], b.mul_vec(an[ij])):
+                yield p, ijk, "decomposition"
 
 
 def reference_ci_axiom_failures(ci, samples: int = 20, seed: int = 0) -> list[str]:

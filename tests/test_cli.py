@@ -693,13 +693,13 @@ class TestSuiteFailureRecords:
 
         def ci(obj):
             current.append(next(trials))
-            return current[-1] not in ci_failing
+            return [f"CI3 at (0, {current[-1]})"] if current[-1] in ci_failing else []
 
         def ct(mor):
-            return current[-1] not in ct_failing
+            return [f"CT2 at ({current[-1]}, 1)"] if current[-1] in ct_failing else []
 
-        monkeypatch.setattr(crossedmod, "check_ci_axioms", ci)
-        monkeypatch.setattr(crossedmod, "check_ct_axioms", ct)
+        monkeypatch.setattr(crossedmod, "ci_axiom_failures", ci)
+        monkeypatch.setattr(crossedmod, "ct_axiom_failures", ct)
         code, report = run_main(
             capsys, ["verify", "--suite", "ci-axioms", "--n", "2", "--trials", "6", "--seed", "31"]
         )
@@ -713,11 +713,13 @@ class TestSuiteFailureRecords:
         for f in report["failures"]:
             words2 = self._trial_words(2, 6, 31, f["trial"], 2)
             if f["check"] == "ci-axioms":
-                assert set(f) == {"trial", "check", "element"}
+                assert set(f) == {"trial", "check", "element", "failures"}
                 assert f["element"] == words2[0]
+                assert f["failures"] == [f"CI3 at (0, {f['trial']})"]
             else:
-                assert set(f) == {"trial", "check", "elements"}
+                assert set(f) == {"trial", "check", "elements", "failures"}
                 assert f["elements"] == words2
+                assert f["failures"] == [f"CT2 at ({f['trial']}, 1)"]
 
 
 class TestActCommand:

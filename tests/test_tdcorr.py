@@ -5,8 +5,16 @@ from itertools import product
 import pytest
 
 from td2g import cli, jsonio, tdcocycle, tdcorr
-from td2g.groups import embed_so, flip_element, gl_generators, minus_identity, rotation_n1, so_basis
-from td2g.intlinalg import IntMat, Phase, RatVec
+from td2g.groups import (
+    embed_gl,
+    embed_so,
+    flip_element,
+    gl_generators,
+    minus_identity,
+    rotation_n1,
+    so_basis,
+)
+from td2g.intlinalg import IntMat, Phase, RatVec, unimodular_inverse
 from td2g.tdcorr import (
     NerveModel,
     TDCocycle,
@@ -48,8 +56,13 @@ from conftest import (
     reference_check_so_shift_data,
     reference_check_so_shift_gerbes,
     reference_first_violation,
+    reference_gerbe_cocycle_failures,
+    reference_gl_failures,
     reference_random_cocycle,
+    reference_so_data_failures,
     reference_so_eps,
+    reference_so_gerbe_failures,
+    reference_swap_failures,
     words,
 )
 
@@ -623,22 +636,44 @@ class TestSoShift:
         assert results == [reference_check_eps_cech(c, b) for c, b in cases]
         assert True in results and False in results
 
-    def test_eps_computed_once_per_triple(self, monkeypatch):
+    def test_eps_computed_once_per_point(self, monkeypatch):
         nerve = default_nerve()
         c, b = flat_cocycle(nerve, 127), IntMat([[0, 1], [-1, 0]])
         calls = []
-        so_eps = tdcorr._so_eps
+        point_eps = tdcorr._point_eps
         monkeypatch.setattr(
-            tdcorr, "_so_eps", lambda *args: calls.append(args[2:]) or so_eps(*args)
+            tdcorr, "_point_eps", lambda *args: calls.append(args[1]) or point_eps(*args)
         )
         assert check_eps_cech(c, b)
-        # every triple of every point, once: not once per face of each quadruple
-        assert len(calls) == len(set(calls)) == sum(len(nerve.cover[p]) ** 3 for p in nerve.points)
-        i, j = nerve.cover[nerve.points[0]][:2]
-        for ijkl, distinct in (((i, i, i, i), 1), ((i, i, j, j), 2), ((i, j, i, j), 4)):
-            calls.clear()
-            eps_cech_defect(c, b, nerve.points[0], ijkl)
-            assert len(calls) == distinct
+        # one column of eps per point, over all of its triples: not one eps per face
+        assert calls == list(nerve.points)
+        calls.clear()
+        eps_cech_defect(c, b, nerve.points[0], (0, 1, 0, 1))
+        assert calls == [nerve.points[0]]
+
+    def test_wrong_split_fails_the_decomposition_first(self, monkeypatch):
+        # decided once per b, as b == L - L^T, before any site
+        c, b = random_cocycle(default_nerve(), 2, 617), so_basis(2)[0]
+        shifted = act(section(embed_so(b)), c)
+        assert check_so_shift_gerbes(c, b, transformed=shifted)
+        split = tdcorr.strict_lower_split
+        monkeypatch.setattr(tdcorr, "strict_lower_split", lambda m: split(m).scale(2))
+        failures = tdcorr._so_gerbe_failures(c, shifted, b, tdcorr._check_so_skew(c, b))
+        assert tdcorr._first("so-shift-gerbes", failures) == {
+            "check": "so-shift-gerbes", "point": None, "indices": (), "term": "decomposition"
+        }
+        assert not check_so_shift_gerbes(c, b, transformed=shifted)
+
+    def test_global_lattice_data_is_transformed_once(self, monkeypatch):
+        # m and mhat are transformed by b and b_low once per call, not at every (point, triple)
+        c, b = random_cocycle(WIDE_NERVE, 2, 11), so_basis(2)[0]
+        shifted = act(section(embed_so(b)), c)
+        calls = []
+        mul_vec = IntMat.mul_vec
+        monkeypatch.setattr(IntMat, "mul_vec", lambda m, v: calls.append(v) or mul_vec(m, v))
+        assert check_so_shift_data(c, b, transformed=shifted)
+        assert check_so_shift_gerbes(c, b, transformed=shifted)
+        assert len(calls) <= 2 * len(c.m)
 
     def test_eps_defect_matches_per_face_sum(self):
         # the faces are summed over Fractions, independently of the numerator kernel
@@ -665,6 +700,32 @@ def with_entry(c: TDCocycle, member: str, key, value) -> TDCocycle:
     data = {name: dict(getattr(c, name)) for name in MEMBERS}
     data[member][key] = value
     return TDCocycle(c.nerve, c.n, **data)
+
+
+def kernel_cases(c: TDCocycle, rng: XorShift64Star, member: str) -> list:
+    """(name, column kernel, per-site reference, args) for every identity kernel, on c and on
+    c with `member` mutated, and on c with each action's image of it, as is and mutated."""
+    n = c.n
+    bad = mutated(c, member, rng)
+    gerbe = (tdcorr._gerbe_cocycle_failures, reference_gerbe_cocycle_failures)
+    cases = [("gerbe-cocycle", *gerbe, (x,)) for x in (c, bad)]
+    swaps = [("flip", flip_element(n), 1)] + ([("rotation", rotation_n1(), -1)] if n == 1 else [])
+    for name, elem, s in swaps:
+        image = act(section(elem), c)
+        for x in (image, mutated(image, member, rng)):
+            cases.append((name, tdcorr._swap_failures, reference_swap_failures, (c, x, s)))
+    for g in gl_generators(n):
+        image, gi_t = act(section(embed_gl(g)), c), unimodular_inverse(g).transpose()
+        for x in (image, mutated(image, member, rng)):
+            cases.append(("gl", tdcorr._gl_failures, reference_gl_failures, (c, x, g, gi_t)))
+    for b in so_basis(n):
+        image, b_low = act(section(embed_so(b)), c), tdcorr._check_so_skew(c, b)
+        data = (tdcorr._so_data_failures, reference_so_data_failures)
+        gerbes = (tdcorr._so_gerbe_failures, reference_so_gerbe_failures)
+        for x in (image, mutated(image, member, rng)):
+            args = (c, x, b, b_low)
+            cases += [("so-shift-data", *data, args), ("so-shift-gerbes", *gerbes, args)]
+    return cases
 
 
 def exhaustive_and_sampled(n: int, samples: int):
@@ -786,6 +847,32 @@ class TestExhaustiveChecks:
         assert tdcorr._first("flip", tdcorr._swap_failures(c, bad, 1)) == {
             "check": "flip", "point": "p1", "indices": (0, 2, 1), "term": "t"
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_first_records_match_the_per_site_references(self, member, n):
+        # the column kernels against the per-site loops they replaced, on valid
+        # cocycles, mutated cocycles and mutated images under every action
+        rng = XorShift64Star(601 + n)
+        failing = 0
+        for nerve in sorted(NERVES):
+            c = random_cocycle(NERVES[nerve], n, 607 + n)
+            cases = kernel_cases(c, rng, member)
+            for name, kernel, reference, args in cases:
+                got = tdcorr._first(name, kernel(*args))
+                assert got == tdcorr._first(name, reference(*args)), (name, nerve)
+                failing += got is not None
+        assert failing
+        # a transformed cocycle rebuilt over other denominators, then mutated
+        c = random_cocycle(default_nerve(), n, 613)
+        good = act(section(flip_element(n)), c)
+        fresh = TDCocycle(good.nerve, n, good.a, good.ahat, good.m, good.mhat, good.t)
+        key = ("p1", 0, 2, 1)
+        bad = with_entry(fresh, "t", key, fresh.t[key] + Phase(Fraction(1, 11)))
+        for image in (fresh, bad):
+            got = tdcorr._first("flip", tdcorr._swap_failures(c, image, 1))
+            assert got == tdcorr._first("flip", reference_swap_failures(c, image, 1))
+        assert got == {"check": "flip", "point": "p1", "indices": (0, 2, 1), "term": "t"}
 
     def test_so_shift_checks_share_the_transformed_cocycle(self):
         c = random_cocycle(default_nerve(), 2, 571)
