@@ -161,7 +161,7 @@ def _in_site_order(p: str, sites: list, terms: tuple, fails: list) -> Iterator[t
 
 def _transformed(rows: list, x: dict, xhat: dict) -> dict:
     """Each key of x, in its stored order, to L (x, xhat) there, with L the integer matrix whose
-    rows have the nonzero (column, entry) pairs `rows`; computed on columns, once."""
+    rows have the nonzero (column, entry) pairs `rows`; computed on x's columns, once."""
     keys = list(x)
     cols = list(zip(*map(add, x.values(), _gather(keys)(xhat))))
     out = [_combine(t, cols) for t in rows]
@@ -169,21 +169,16 @@ def _transformed(rows: list, x: dict, xhat: dict) -> dict:
 
 
 def _transform_failures(rows: list, x: dict, xhat: dict, x2: dict, xhat2: dict) -> list:
-    """The keys of x, in its stored order, where (x2, xhat2) != L (x, xhat), with L the
-    integer matrix whose rows have the nonzero (column, entry) pairs `rows`; as columns."""
-    keys = list(x)
-    at = _gather(keys)
-    cols = list(zip(*map(add, x.values(), at(xhat))))
-    got = zip(*map(add, at(x2), at(xhat2)))
-    return [keys[q] for q in _unequal_at([_combine(t, cols) for t in rows], got)]
+    """The keys of x, in its stored order, where (x2, xhat2) != L (x, xhat) (`_transformed`)."""
+    want = _transformed(rows, x, xhat)
+    at = _gather(list(want))
+    return list(compress(want, map(ne, want.values(), map(add, at(x2), at(xhat2)))))
 
 
 def _columns(at, *tables) -> list:
     """The coordinate columns of each table, read at the keys of the gather `at`."""
     return [list(zip(*at(table))) for table in tables]
 
-
-_GERBE_TERMS = ("delta-mhat", "left", "delta-m", "right")
 
 
 def _gerbe_cocycle_failures(c: TDCocycle) -> Iterator[tuple]:
@@ -206,7 +201,8 @@ def _gerbe_cocycle_failures(c: TDCocycle) -> Iterator[tuple]:
             pairing = _dots(map(ij, vec), map(jkl, lattice))
             fails.append(_off_at(_weighted([(_coboundary(cochain, width), 1), (pairing, wd)]), big))
         if any(fails):
-            yield from _in_site_order(p, list(product(idx, repeat=4)), _GERBE_TERMS, fails)
+            quads = list(product(idx, repeat=4))
+            yield from _in_site_order(p, quads, ("delta-mhat", "left", "delta-m", "right"), fails)
 
 
 def check_gerbe_cocycle(c: TDCocycle, samples: int = 50, seed: int = 0) -> bool:
@@ -427,8 +423,6 @@ def _so_data_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> 
     return _action_failures(c, c2, _so_rows(b), at_triples)
 
 
-_SO_GERBE_TERMS = ("lattice", "left", "right", "v")
-
 
 def _so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> Iterator[tuple]:
     """The so-shift gerbe records: at each triple, in this order, the lattice data, the left
@@ -444,15 +438,14 @@ def _so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) ->
     """
     if b != b_low - b_low.transpose():
         yield None, (), "decomposition"
-    rows, (low, blm) = _so_rows(b), _low_terms(c, b_low)
-    want = _transformed(rows, c.m, c.mhat)
+    low, blm = _low_terms(c, b_low)
+    bad = set(_transform_failures(_so_rows(b), c.m, c.mhat, c2.m, c2.mhat)).__contains__
     for p in c.nerve.points:
         idx = c.nerve.cover[p]
         d, big, wd, w, an, hn, tn, an2, hn2, tn2 = _joint_view(c, c2, p)
         (triples, pairs, at), (xz, yz, xy) = _cover_gathers(idx), _site_gathers(len(idx))
         a, h, a2, h2 = _columns(pairs, an, hn, an2, hn2)
         (m, m2, bm), t, t2 = _columns(at, c.m, c2.m, blm), at(tn), at(tn2)
-        lattice = list(compress(count(), map(ne, at(want), map(add, at(c2.m), at(c2.mhat)))))
         bl = [_combine(terms, a) for _, terms in low]  # b_low a at the pairs
         zero = (0,) * len(triples)
         # left: a2_ij . ahat2_jk - a_ij . ahat_jk - <a_ij|B|a_jk> + t - t2 - <m_ijk|B|a_ik>
@@ -463,9 +456,10 @@ def _so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) ->
         right = [(_dots(m, map(xz, h)), wd), (_dots(m2, map(xz, h2)), -wd)]
         right += [(_dots([xz(a[r]) for r, _ in low], bm, zero), -wd)]
         right += [(t, 1), (t2, -1), (_dots([yz(a[r]) for r, _ in low], map(xy, bl), zero), -w)]
-        fails = [lattice, *(_off_at(_weighted(terms), big) for terms in (left, right))]
+        fails = [list(compress(count(), map(bad, triples)))]
+        fails += [_off_at(_weighted(terms), big) for terms in (left, right)]
         fails.append(_failing_triples(d, a, m, len(idx)))
-        yield from _in_site_order(p, triples, _SO_GERBE_TERMS, fails)
+        yield from _in_site_order(p, triples, ("lattice", "left", "right", "v"), fails)
 
 
 def check_so_shift_data(c: TDCocycle, b: IntMat, transformed: TDCocycle | None = None) -> bool:
