@@ -180,7 +180,6 @@ def _columns(at, *tables) -> list:
     return [list(zip(*at(table))) for table in tables]
 
 
-
 def _gerbe_cocycle_failures(c: TDCocycle) -> Iterator[tuple]:
     for p in c.nerve.points:
         idx, (_, big, wd, w, an, hn, tn) = c.nerve.cover[p], c.nums[p]
