@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Sequence
 
-from .intlinalg import IntMat, unimodular_inverse
+from .intlinalg import IntMat, _row_nonzeros, unimodular_inverse
 from .rng import XorShift64Star
 
 __all__ = [
@@ -85,14 +85,16 @@ class PseudoOrthogonal:
     element of closed form (E, I, -E, V_i, the rotation, and the GL and so
     embeddings of their checked inputs), whose sign is known.
 
-    `_b_split` holds (B_A, (B_A)_low) once `twogroup.b_split` has computed
-    them for this element, `_inverse` the inverse once `inverse` has, and
-    `_columns` the nonzero entries of each column other than e_j once
-    `random_word` has read them; all three are None before and take no part in equality,
-    hashing or repr.
+    `_b_split` holds B_A, (B_A)_low and the nonzero entries of (B_A)_low
+    once `twogroup.b_split` has computed them for this element, `_inverse`
+    the inverse once `inverse` has, `_columns` the nonzero entries of each
+    column other than e_j once `random_word` has read them, and `_rows`
+    the nonzero entries of each row once `_rows` has read them (for
+    `twogroup.b_matrix` and the congruences P^T L P of `kinvariant`); all
+    four are None before and take no part in equality, hashing or repr.
     """
 
-    __slots__ = ("n", "mat", "iso", "_b_split", "_inverse", "_columns")
+    __slots__ = ("n", "mat", "iso", "_b_split", "_inverse", "_columns", "_rows")
 
     def __init__(self, mat: IntMat):
         if not mat.is_square or mat.rows % 2 != 0:
@@ -147,6 +149,7 @@ def _fill(g: PseudoOrthogonal, mat: IntMat, iso: int) -> PseudoOrthogonal:
     object.__setattr__(g, "_b_split", None)
     object.__setattr__(g, "_inverse", None)
     object.__setattr__(g, "_columns", None)
+    object.__setattr__(g, "_rows", None)
     return g
 
 
@@ -251,6 +254,15 @@ def _columns(g: PseudoOrthogonal) -> tuple[tuple[int, int, int, tuple[tuple[int,
         changes = tuple(changes)
         object.__setattr__(g, "_columns", changes)
     return changes
+
+
+def _rows(g: PseudoOrthogonal) -> list[list[tuple[int, int]]]:
+    """The (column, entry) pairs of the nonzero entries of each row of g; kept on g."""
+    rows = g._rows
+    if rows is None:
+        rows = _row_nonzeros(g.mat)
+        object.__setattr__(g, "_rows", rows)
+    return rows
 
 
 def random_word(

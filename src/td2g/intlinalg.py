@@ -7,8 +7,11 @@ additively.  Floats are deliberately unsupported.
 
 `IntMat.__mul__` is a sparse row kernel (Gustavson's method): it lists
 the nonzero entries of each row of the right factor once per product and
-forms only the products of two nonzero entries, since group words,
-generators and lower splits are mostly zeros.
+forms only the products of two nonzero entries, since group words and
+generators are mostly zeros.  Its callers are group products and the
+2-group's object products; B_A, the congruences P^T L P of the
+k-invariant and the composition bracket sum over nonzero entries
+directly (`twogroup`, `kinvariant`), with no product.
 
 Rational hot paths put their inputs over one common denominator
 (`common_denominator`), accumulate integers and build one Fraction per

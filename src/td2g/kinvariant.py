@@ -39,8 +39,13 @@ Every H and F above pairs two consecutive pieces of one word: Q and P
 are products a_i...a_{j-1} and a_j...a_{l-1}.  A private product chain
 over the word builds each such product on first use, left to right, so
 the lower split cached on a product serves every term that uses it, and
-memoises each H that an m term reads by its (i, j, l).  An H costs two matrix
-products, each m term one more (H C, for the bracket), and an F one.
+memoises each H that an m term reads by its (i, j, l).  No H, F or
+bracket forms a matrix product.  Both H and F are read from
+S = P^T L_Q P, which `_congruence` sums as v outer(P_r, P_c) over the
+nonzero entries (r, c, v) of L_Q (kept on Q by `twogroup.b_split`), with
+P_r the nonzero entries of row r of P (kept on P): a lower split of a
+word has a few nonzeros, so an S costs a few dozen integer products.
+The bracket sums over the nonzero entries of H and of C's rows.
 (ABC)^{-T} is applied to a vector piece by piece, as
 iso(ABC) I A (B (C (I v))), so it builds no product.  `k_cocycle`
 builds no group product at all;
@@ -55,8 +60,8 @@ elements, builds their Cayley table once, computes H_{A,B} once per
 ordered pair (N^2) and fills one m table and one gamma table (N^2
 `gamma` calls).  The m table calls no `_Chain.k`: as X^{-T} = iso(X) I X I,
 m_{A,B,C} is the twisted action of the Cayley product X = ABC on
--iso(X) 1/2 bracket(H_{A,B}, C), and the bracket, one matrix product,
-is computed once per distinct H value and C (3 H values at n=1).
+-iso(X) 1/2 bracket(H_{A,B}, C), and the bracket is computed once per
+distinct H value and C (3 H values at n=1).
 delta m = 0 at every quadruple and delta gamma = 2m at every triple are
 then table reads, with the twisted action computed once per element and
 distinct vector.  The tables live for one call.
@@ -85,11 +90,12 @@ their generators, Z and V by reduction to the 8 triples at n=1.
 from __future__ import annotations
 
 from itertools import chain, product
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Sequence
 
 from .groups import (
     PseudoOrthogonal,
+    _rows,
     embed_gl,
     embed_so,
     flip_element,
@@ -100,7 +106,7 @@ from .groups import (
 # Unused here since the chain reads the per-element cache; the binding
 # stays because bench/tests/test_bench.py checks that the tracer rebinds it.
 from .intlinalg import IntMat, Phase, RatVec, Record, _as_int, _gather, strict_lower_split  # noqa: F401
-from .twogroup import b_split, beta_multiplicator, correction_bracket, eval_mor
+from .twogroup import _lower_terms, b_split, beta_multiplicator, correction_bracket, eval_mor
 
 __all__ = [
     "k_cocycle",
@@ -137,15 +143,37 @@ class _Products(dict):
         return p
 
 
+def _congruence(
+    terms: Sequence[tuple[int, int, int]], rows: Sequence[Sequence[tuple[int, int]]], dim: int
+) -> tuple[IntVec, ...]:
+    """The rows of S = P^T L P, from the nonzero entries (r, c, v) of L and those of each row of P.
+
+    S_st = sum over (r, c, v) of v P_rs P_ct, so S is the sum of
+    v outer(P_r, P_c), P_r row r of P: one term per nonzero of L, and one
+    product per pair of nonzeros of P_r and P_c.  No matrix product is
+    formed; a strictly lower L of a word has a few nonzeros.
+    """
+    s = [[0] * dim for _ in range(dim)]
+    for r, c, v in terms:
+        p_c = rows[c]
+        for i, x in rows[r]:
+            acc = s[i]
+            w = v * x
+            for j, y in p_c:
+                acc[j] += w * y
+    return tuple(map(tuple, s))
+
+
 class _Chain:
     """The products a_i...a_{j-1} of one word, and the matrices H and diagonals F over them.
 
     `prod[i, j]` is a_i...a_{j-1} for 0 <= i < j <= len(word), built on
     first lookup; a one-letter product is the letter itself, so caches on
     the word's elements are shared with every other caller.  `h` and
-    `form` compute H and F for Q = prod[i, j] and P = prod[j, l].  `k`
-    memoises each H it reads by (i, j, l), so the five m terms of a
-    4-chain compute 4 H.
+    `form` read H and F from S = P^T (B_Q)_low P for Q = prod[i, j] and
+    P = prod[j, l], summed from the nonzero entries of (B_Q)_low and of
+    P's rows (`_congruence`).  `k` memoises each H it reads by (i, j, l),
+    through `self.h`, so the five m terms of a 4-chain compute 4 H.
     """
 
     __slots__ = ("prod", "_h")
@@ -162,15 +190,17 @@ class _Chain:
 
         Row r of H is column r of S up to the diagonal, then row r of S.
         """
-        p = self.prod[j, l].mat
-        s = (p.transpose() * (b_split(self.prod[i, j])[1] * p)).data
+        s = self._s(i, j, l)
         return IntMat._new(tuple([col[:r] + row[r:] for r, (row, col) in enumerate(zip(s, zip(*s)))]))
 
     def form(self, i: int, j: int, l: int) -> IntVec:
         """F(Q, P) = (P^T (B_Q)_low P)^diag for Q = prod[i, j] and P = prod[j, l]."""
-        p = self.prod[j, l].mat
-        lp = b_split(self.prod[i, j])[1] * p
-        return tuple([sum(map(mul, u, v)) for u, v in zip(zip(*p.data), zip(*lp.data))])
+        return tuple([row[r] for r, row in enumerate(self._s(i, j, l))])
+
+    def _s(self, i: int, j: int, l: int) -> tuple[IntVec, ...]:
+        """S = P^T (B_Q)_low P for Q = prod[i, j] and P = prod[j, l], from the nonzeros of both."""
+        p = self.prod[j, l]
+        return _congruence(_lower_terms(self.prod[i, j]), _rows(p), 2 * p.n)
 
     def inv_transpose(self, cuts: Sequence[int], v: Sequence[int]) -> IntVec:
         """(prod[cuts[0], cuts[-1]])^{-T} v, one piece prod[p, q] between consecutive cuts at a time.
@@ -535,7 +565,9 @@ def subgroup_vanishing_failure(tag: str, n: int) -> dict | None:
     - each form F(Q, P) = (P^T L_Q P)^diag of `k_cocycle` is then the
       diagonal of the strictly lower L_Q, which is 0; so is m.
 
-    A generator with L_g = 0 needs no product: every GL one, as B_{D_g} = 0.
+    h^T L_g h is `_congruence` over the nonzero entries of L_g and h's
+    rows, the S of `_Chain`; a generator with L_g = 0 needs none: every GL
+    one, as B_{D_g} = 0.
 
     Z and V: every V element is block-diagonal over the coordinate pairs
     (i, i+n), each block E or the n=1 flip, with iso = 1.  J, I, B_A, its
@@ -549,10 +581,11 @@ def subgroup_vanishing_failure(tag: str, n: int) -> dict | None:
         raise ValueError("rank must be at least 1")
     if tag in _GENERATORS:
         gens = _GENERATORS[tag](n)
+        dim = 2 * n
         for ig, g in enumerate(gens):
-            low = b_split(g)[1]
+            low, terms = b_split(g)[1].data, _lower_terms(g)
             for ih, h in enumerate(gens):
-                if h.iso != 1 or (any(map(any, low.data)) and h.mat.transpose() * low * h.mat != low):
+                if h.iso != 1 or (terms and _congruence(terms, _rows(h), dim) != low):
                     return {"subgroup": tag, "generators": [ig, ih]}
         return None
     if tag not in ("Z", "V"):

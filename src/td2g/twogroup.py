@@ -22,6 +22,7 @@ vanishes on the lattice, i.e. an integer vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -33,9 +34,11 @@ from .intlinalg import (
     common_denominator,
     diag_vec,
     phase_bilinear,
-    strict_lower_split,
+    # Unused here since b_split cuts B_A itself; the binding stays because
+    # bench/tests/test_bench.py checks that the tracer rebinds it.
+    strict_lower_split,  # noqa: F401
 )
-from .groups import PseudoOrthogonal
+from .groups import PseudoOrthogonal, _rows
 
 __all__ = [
     "b_matrix",
@@ -63,27 +66,55 @@ def b_matrix(a: PseudoOrthogonal) -> IntMat:
     """B_A = iso(A) J - A^T J A; skew-symmetric for every group element.
 
     J A is n zero rows over the upper half of A's rows, so
-    A^T J A = (lower half)^T (upper half): one product of half the depth,
-    taken with the left factor negated.  J's n entries, (n + i, i), then
-    get iso(A) added in place.
+    A^T J A = (lower half)^T (upper half), a product of half the depth:
+    entry (s, t) sums A_{n+i,s} A_{i,t} over i.  It is formed sparsely,
+    from the nonzero entries of each pair of rows (i, n + i) kept on the
+    element (`groups._rows`), as one outer product per pair, negated.
+    J's n entries, (n + i, i), then get iso(A) added.
     """
     n = a.n
-    rows = a.mat.data
-    neg_low_t = IntMat._new(tuple([tuple([-x for x in col]) for col in zip(*rows[n:])]))
-    b = list((neg_low_t * IntMat._new(rows[:n])).data)
+    rows = _rows(a)
+    b = [[0] * (2 * n) for _ in range(2 * n)]
+    for upper, lower in zip(rows[:n], rows[n:]):
+        for s, x in lower:
+            acc = b[s]
+            for t, y in upper:
+                acc[t] -= x * y
     iso = a.iso
     for i in range(n):
-        r = b[n + i]
-        b[n + i] = r[:i] + (r[i] + iso,) + r[i + 1 :]
-    return IntMat._new(tuple(b))
+        b[n + i][i] += iso
+    return IntMat._new(tuple(map(tuple, b)))
 
 
 def b_split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat]:
-    """(B_A, (B_A)_low), computed on first use and kept on the element."""
+    """(B_A, (B_A)_low), computed on first use and kept on the element.
+
+    B_A is skew for every member, so (B_A)_low is cut from B_A's rows at
+    the diagonal, without `strict_lower_split`'s skew test.  The nonzero
+    entries of (B_A)_low are kept with them (`_lower_terms`).  B_A comes
+    from the module's `b_matrix`, looked up at call time.
+    """
+    return _split(a)[:2]
+
+
+def _lower_terms(a: PseudoOrthogonal) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero entries (r, c, v), c < r, of (B_A)_low in row order; kept with `b_split`."""
+    return _split(a)[2]
+
+
+def _split(a: PseudoOrthogonal) -> tuple[IntMat, IntMat, tuple[tuple[int, int, int], ...]]:
+    """(B_A, (B_A)_low, its nonzero entries), as kept on the element."""
     split = a._b_split
     if split is None:
         b = b_matrix(a)
-        split = (b, strict_lower_split(b))
+        zeros = (0,) * b.cols
+        low, terms = [], []
+        for r, row in enumerate(b.data):
+            head = row[:r]
+            low.append(head + zeros[r:])
+            if any(head):
+                terms += [(r, c, v) for c, v in enumerate(head) if v]
+        split = (b, IntMat._new(tuple(low)), tuple(terms))
         object.__setattr__(a, "_b_split", split)
     return split
 
@@ -231,16 +262,28 @@ def mor_hcompose(m1: Mor, m2: Mor) -> Mor:
 def correction_bracket(h: IntMat, a: IntMat) -> list[int]:
     """(A^T H A)^diag - A^T H^diag: twice `mor_hcompose`'s correction; even for symmetric H.
 
-    Entry k is c^T H c - sum_i H_ii c_i over column c of A, and
+    Entry t is c^T H c - sum_i H_ii c_i over column c of A, and
     c^T H c = sum_i H_ii c_i^2 + 2 sum_{i<j} H_ij c_i c_j for symmetric
-    H, so the entry is even, as c_i^2 - c_i is.  One product: entry k is
-    the dot of c with column k of H A, minus its dot with H^diag.
+    H, so the entry is even, as c_i^2 - c_i is.  It is summed sparsely:
+    H_ij A_it A_jt over the nonzero entries H_ij of H, both triangles, and
+    the nonzero entries A_it of row i of A, then H_ii A_it subtracted.
+    No matrix product is formed.
     """
-    hd = diag_vec(h)
-    return [
-        sum(map(mul, c, hc)) - sum(map(mul, c, hd))
-        for c, hc in zip(zip(*a.data), zip(*(h * a).data))
-    ]
+    rows = a.data
+    out = [0] * a.cols
+    for i, h_row in enumerate(h.data):
+        if not any(h_row):
+            continue
+        a_nz = list(compress(enumerate(rows[i]), rows[i]))
+        for j, v in compress(enumerate(h_row), h_row):
+            a_j = rows[j]
+            for t, x in a_nz:
+                out[t] += v * x * a_j[t]
+        d = h_row[i]
+        if d:
+            for t, x in a_nz:
+                out[t] -= d * x
+    return out
 
 
 def quadratic_phase(h: IntMat, lin: Sequence[int | Fraction], x: RatVec) -> Phase:

@@ -20,6 +20,7 @@ from td2g.intlinalg import (
     common_denominator,
     diag_vec,
     phase_bilinear,
+    strict_lower_split,
     unimodular_inverse,
 )
 from td2g import kinvariant
@@ -38,7 +39,7 @@ from td2g.groups import (
 )
 from td2g.rng import XorShift64Star
 from td2g.tdcorr import NerveModel, TDCocycle, _check_so_skew, _joint_view, _require_cover, act
-from td2g.twogroup import Mor, Obj, b_split, eval_mor, section
+from td2g.twogroup import Mor, Obj, eval_mor, section
 
 # No point covers both 0 and 3, so the triple 0|1|3 needs no m or mhat
 # entry, though random_cocycle writes one to each.
@@ -64,6 +65,13 @@ def words(n: int, count: int, seed: int, length: int = 6):
     gens = standard_generators(n)
     rng = XorShift64Star(seed)
     return [random_word(gens, length, rng) for _ in range(count)]
+
+
+def sample_elements(n: int, seed: int) -> list[PseudoOrthogonal]:
+    """Every standard generator and its inverse, then 8 seeded words and the products of consecutive ones."""
+    ws = words(n, 8, seed, length=7)
+    gens = standard_generators(n)
+    return [x for g in gens for x in (g, g.inverse())] + ws + [a * b for a, b in zip(ws, ws[1:])]
 
 
 def reference_random_word(generators, length: int, seed) -> PseudoOrthogonal:
@@ -132,6 +140,40 @@ def reference_matmul(a: IntMat, b: IntMat) -> IntMat:
     return IntMat(tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a.data))
 
 
+def reference_b_split(a) -> tuple[IntMat, IntMat]:
+    """The earlier b_split: B_A = iso(A) J - A^T J A as one product of half the depth, then a checked split."""
+    n = a.n
+    rows = a.mat.data
+    neg_low_t = IntMat(tuple(tuple(-x for x in col) for col in zip(*rows[n:])))
+    b = [list(r) for r in (neg_low_t * IntMat(rows[:n])).data]
+    for i in range(n):
+        b[n + i][i] += a.iso
+    b = IntMat(b)
+    return b, strict_lower_split(b)
+
+
+def reference_h(q, p) -> IntMat:
+    """The earlier _Chain.h: S = P^T (B_Q)_low P by two dense products, H = S^diag + S_up + S_up^T."""
+    pm = p.mat
+    s = reference_matmul(pm.transpose(), reference_matmul(reference_b_split(q)[1], pm)).data
+    return IntMat([[s[min(r, c)][max(r, c)] for c in range(len(s))] for r in range(len(s))])
+
+
+def reference_form(q, p) -> tuple[int, ...]:
+    """The earlier _Chain.form: the diagonal of the full P^T (B_Q)_low P."""
+    pm = p.mat
+    return diag_vec(reference_matmul(pm.transpose(), reference_matmul(reference_b_split(q)[1], pm)))
+
+
+def reference_correction_bracket(h: IntMat, a: IntMat) -> list[int]:
+    """The earlier correction_bracket: (A^T H A)^diag - A^T H^diag from the dense product H A."""
+    hd = diag_vec(h)
+    return [
+        sum(map(mul, c, hc)) - sum(map(mul, c, hd))
+        for c, hc in zip(zip(*a.data), zip(*reference_matmul(h, a).data))
+    ]
+
+
 def reference_k_cocycle(a, b, c) -> tuple[int, ...]:
     """The earlier k_cocycle: its own products and four diagonals of full quadratic forms."""
     if not (a.n == b.n == c.n):
@@ -139,10 +181,10 @@ def reference_k_cocycle(a, b, c) -> tuple[int, ...]:
     bm, cm = b.mat, c.mat
     ct = cm.transpose()
     ab = a * b
-    p = bm.transpose() * b_split(a)[1] * bm
+    p = bm.transpose() * reference_b_split(a)[1] * bm
     w1 = ct.mul_vec(diag_vec(p))
-    w2 = diag_vec(ct * b_split(ab)[1] * cm)
-    w3 = diag_vec(ct * b_split(b)[1] * cm)
+    w2 = diag_vec(ct * reference_b_split(ab)[1] * cm)
+    w3 = diag_vec(ct * reference_b_split(b)[1] * cm)
     w4 = diag_vec(ct * p * cm)
     w = [x1 + x2 - a.iso * x3 - x4 for x1, x2, x3, x4 in zip(w1, w2, w3, w4)]
     m2 = (ab * c).inverse().mat.transpose().mul_vec(w)
@@ -156,7 +198,7 @@ def reference_gamma(a, b) -> tuple[int, ...]:
     if a.n != b.n:
         raise ValueError("rank mismatch")
     bm = b.mat
-    w = diag_vec(bm.transpose() * b_split(a)[1] * bm)
+    w = diag_vec(bm.transpose() * reference_b_split(a)[1] * bm)
     return tuple(-v for v in (a * b).inverse().mat.transpose().mul_vec(w))
 
 

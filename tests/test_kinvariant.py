@@ -41,11 +41,14 @@ from conftest import (
     g18,
     rand_intvec,
     rand_ratvec,
+    reference_form,
     reference_gamma,
+    reference_h,
     reference_k_cocycle,
     reference_n1_exhaustive,
     reference_subgroup_vanishing,
     reference_table_failures,
+    sample_elements,
     words,
 )
 from td2g import jsonio, kinvariant
@@ -175,6 +178,39 @@ class TestAgainstReference:
                 lhs = tuple(x + sign * y for x, y in zip(lhs, t))
             assert lhs == tuple(2 * v for v in reference_k_cocycle(a, b, c))
             assert check_two_torsion(a, b, c)
+
+
+class TestSparseChain:
+    """H and F summed from the nonzeros of each lower split, against the earlier dense products."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_h_and_form_match_the_reference(self, n):
+        # every standard generator and its inverse, seeded words and products of words
+        elems = sample_elements(n, 241 + n)
+        for q, p in list(zip(elems, elems[1:])) + list(zip(elems[::-1], elems[::3])):
+            ch = kinvariant._Chain((q, p))
+            assert ch.h(0, 1, 2) == reference_h(q, p)
+            assert ch.form(0, 1, 2) == reference_form(q, p)
+
+    def test_checks_at_n6_multiply_only_their_group_products(self, monkeypatch):
+        # Work, not time: check_cocycle_identity builds ab, bc and cd, and
+        # check_two_torsion ab and bc; B_A, every H and F and every bracket
+        # are summed from nonzero entries, with no matrix product.
+        count = [0]
+        real = IntMat.__mul__
+
+        def counted(x, y):
+            count[0] += 1
+            return real(x, y)
+
+        ws = words(6, 14, 263, length=8)
+        monkeypatch.setattr(IntMat, "__mul__", counted)
+        for a, b, c, d in zip(*[iter(ws[:8])] * 4):
+            count[0] = 0
+            assert check_cocycle_identity(a, b, c, d) and count[0] == 3
+        for a, b, c in zip(*[iter(ws[8:])] * 3):
+            count[0] = 0
+            assert check_two_torsion(a, b, c) and count[0] == 2
 
 
 class TestOneFormM:
@@ -571,11 +607,10 @@ class TestFiniteGroupTables:
         # the 8 elements once for the Cayley table (64) and nowhere else:
         # m reads H_{A,B}, C and the Cayley product ABC, and gamma applies
         # (AB)^{-T} letter by letter.  Matrix products: none in enumerate_n1,
-        # which builds its elements with their known signs, one per Cayley
-        # product (64), one per element for its B_A (8), two per ordered
-        # pair for its H_{A,B} (S from (B_A)_low B and B^T; 2 * 64), one
-        # bracket H C per distinct H value and C (3 * 8 = 24) and one per
-        # gamma (its form; 64): 288.
+        # which builds its elements with their known signs, and one per
+        # Cayley product (64), the table only: B_A, S = B^T (B_A)_low B
+        # for each H_{A,B} and form, and the bracket of H and C are all
+        # summed from nonzero entries, with no product.
         # No m goes through _Chain.k or k_cocycle: each is the twisted
         # action of ABC on a signed half-bracket.
         calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "_Chain.k": 0, "mul": 0, "matmul": 0}
@@ -599,7 +634,7 @@ class TestFiniteGroupTables:
             "check_cocycle_identity": 0,
             "_Chain.k": 0,
             "mul": 64,
-            "matmul": 64 + 8 + 2 * 64 + 24 + 64,
+            "matmul": 64,
         }
 
     def test_each_h_and_action_is_computed_once(self, monkeypatch):

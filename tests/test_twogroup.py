@@ -11,9 +11,11 @@ from td2g.groups import (
     j_matrix,
     pairing_matrix,
     perm_v,
+    standard_generators,
 )
 from td2g.intlinalg import IntMat, Phase, RatVec, strict_lower_split
 from td2g.twogroup import (
+    _lower_terms,
     quadratic_phase,
     Mor,
     Obj,
@@ -35,7 +37,15 @@ from td2g.twogroup import (
 )
 from td2g.intlinalg import diag_vec
 from td2g.rng import XorShift64Star
-from conftest import rand_intvec, rand_ratvec, reference_matmul, words
+from conftest import (
+    rand_intvec,
+    rand_ratvec,
+    reference_b_split,
+    reference_correction_bracket,
+    reference_matmul,
+    sample_elements,
+    words,
+)
 
 
 class TestSection:
@@ -94,6 +104,27 @@ class TestSection:
             assert b_matrix(w) == j.scale(w.iso) - aja
 
 
+class TestSparseSplit:
+    """b_split from the sparse half-depth kernel against the earlier product and checked split."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_the_reference(self, n):
+        elems = sample_elements(n, 170 + n) + (enumerate_n1() if n == 1 else [])
+        for g in elems:
+            fresh = PseudoOrthogonal._new(g.mat, g.iso)
+            b_a, b_low = b_split(fresh)
+            assert (b_a, b_low) == reference_b_split(g)
+            entries = [(r, c, v) for r, row in enumerate(b_low.data) for c, v in enumerate(row) if v]
+            assert list(_lower_terms(fresh)) == entries
+
+    def test_row_cache_is_invisible(self):
+        for g in words(2, 3, 181) + list(standard_generators(2)):
+            before = (hash(g), repr(g))
+            b_matrix(g)
+            assert g._rows == [[(j, x) for j, x in enumerate(row) if x] for row in g.mat.data]
+            assert (hash(g), repr(g)) == before and g == PseudoOrthogonal(g.mat)
+
+
 class TestCorrectionBracket:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_the_full_conjugate_and_is_even(self, n):
@@ -107,6 +138,30 @@ class TestCorrectionBracket:
             expected = [d - t for d, t in zip(diag_vec(conj), a.transpose().mul_vec(diag_vec(h)))]
             twice = correction_bracket(h, a)
             assert twice == expected and all(v % 2 == 0 for v in twice)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_the_reference_on_group_elements(self, n):
+        # H_{A,B} of consecutive elements, bracketed with every element
+        elems = sample_elements(n, 190 + n)
+        hs = {beta_multiplicator(a, b).h for a, b in zip(elems, elems[1:])}
+        for h in hs:
+            for g in elems:
+                assert correction_bracket(h, g.mat) == reference_correction_bracket(h, g.mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_reads_both_triangles_of_any_h(self, n):
+        # non-symmetric H, H with zero rows, A with entries beyond +-1: the
+        # bracket is (A^T H A)^diag - A^T H^diag for any square H and A
+        rng = XorShift64Star(200 + n)
+        dim = 2 * n
+        for trial in range(12):
+            h = [[rng.int_in(-4, 4) for _ in range(dim)] for _ in range(dim)]
+            for r in range(0, dim, 2 + trial % 3):
+                h[r] = [0] * dim
+            a = [[rng.int_in(-5, 5) * rng.below(2) for _ in range(dim)] for _ in range(dim)]
+            a[trial % dim][0] = 2 + rng.below(4)
+            h, a = IntMat(h), IntMat(a)
+            assert correction_bracket(h, a) == reference_correction_bracket(h, a)
 
 
 class TestObj:
