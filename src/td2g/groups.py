@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add, neg, sub
 from typing import Sequence
 
-from .intlinalg import IntMat, _row_nonzeros, unimodular_inverse
+from .intlinalg import IntMat, _gustavson, _row_nonzeros, unimodular_inverse
 from .rng import XorShift64Star
 
 __all__ = [
@@ -89,9 +89,12 @@ class PseudoOrthogonal:
     once `twogroup.b_split` has computed them for this element, `_inverse`
     the inverse once `inverse` has, `_columns` the nonzero entries of each
     column other than e_j once `random_word` has read them, and `_rows`
-    the nonzero entries of each row once `_rows` has read them (for
-    `twogroup.b_matrix` and the congruences P^T L P of `kinvariant`); all
-    four are None before and take no part in equality, hashing or repr.
+    the nonzero entries of each row (`intlinalg._row_nonzeros`) once
+    `_rows` has read them, or from birth for a group product, which
+    multiplies its factors' rows and lists its own (for further products,
+    `twogroup.b_matrix`, and the congruences P^T L P and matrix-vector
+    products of `kinvariant`); all four are None before and take no part
+    in equality, hashing or repr.
     """
 
     __slots__ = ("n", "mat", "iso", "_b_split", "_inverse", "_columns", "_rows")
@@ -121,7 +124,8 @@ class PseudoOrthogonal:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return PseudoOrthogonal._new(self.mat * other.mat, self.iso * other.iso)
+        mat = IntMat._new(_gustavson(_rows(self), _rows(other), 2 * self.n))
+        return _fill(object.__new__(PseudoOrthogonal), mat, self.iso * other.iso, _row_nonzeros(mat))
 
     def inverse(self) -> "PseudoOrthogonal":
         if self._inverse is None:
@@ -142,14 +146,14 @@ class PseudoOrthogonal:
         return f"PseudoOrthogonal(n={self.n}, iso={self.iso}, {self.mat!r})"
 
 
-def _fill(g: PseudoOrthogonal, mat: IntMat, iso: int) -> PseudoOrthogonal:
+def _fill(g: PseudoOrthogonal, mat: IntMat, iso: int, rows: list | None = None) -> PseudoOrthogonal:
     object.__setattr__(g, "n", mat.rows // 2)
     object.__setattr__(g, "mat", mat)
     object.__setattr__(g, "iso", iso)
     object.__setattr__(g, "_b_split", None)
     object.__setattr__(g, "_inverse", None)
     object.__setattr__(g, "_columns", None)
-    object.__setattr__(g, "_rows", None)
+    object.__setattr__(g, "_rows", rows)
     return g
 
 

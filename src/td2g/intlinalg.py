@@ -5,13 +5,16 @@ ints, vector entries are fractions.Fraction, and a phase is a reduced
 rational in [0,1) representing an element of U(1) = R/Z written
 additively.  Floats are deliberately unsupported.
 
-`IntMat.__mul__` is a sparse row kernel (Gustavson's method): it lists
-the nonzero entries of each row of the right factor once per product and
-forms only the products of two nonzero entries, since group words and
-generators are mostly zeros.  Its callers are group products and the
-2-group's object products; B_A, the congruences P^T L P of the
-k-invariant and the composition bracket sum over nonzero entries
-directly (`twogroup`, `kinvariant`), with no product.
+Matrix products use one sparse row kernel (Gustavson's method,
+`_gustavson`): it reads the nonzero entries of each row of both factors
+and forms only the products of two nonzero entries, since group words
+and generators are mostly zeros.  `IntMat.__mul__` lists both factors'
+row nonzeros for each product; a group product
+(`groups.PseudoOrthogonal.__mul__`) reads them from the row cache of
+each element and leaves the product's row nonzeros on the product, so a
+word chain lists each element's rows once.  B_A, the congruences
+P^T L P of the k-invariant and the composition bracket sum over nonzero
+entries directly (`twogroup`, `kinvariant`), with no product.
 
 Rational hot paths put their inputs over one common denominator
 (`common_denominator`), accumulate integers and build one Fraction per
@@ -56,7 +59,34 @@ def _gather(ix: Sequence):
 
 def _row_nonzeros(m: IntMat) -> list[list[tuple[int, int]]]:
     """The (column, entry) pairs of the nonzero entries of each row of `m`."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
+    # Plain loops: a nested comprehension costs a function call per row.
+    out = []
+    for row in m.data:
+        nz = []
+        for j, x in enumerate(row):
+            if x:
+                nz.append((j, x))
+        out.append(nz)
+    return out
+
+
+def _gustavson(
+    a_rows: Sequence[Sequence[tuple[int, int]]], b_rows: Sequence[Sequence[tuple[int, int]]], ncols: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of A B, from the row nonzeros of A and of B (as `_row_nonzeros` lists them).
+
+    Gustavson's row kernel: row i of A B is the sum of a B_k over the
+    nonzero entries a = A_ik, so only products of two nonzero entries
+    are formed.  B has `ncols` columns.
+    """
+    out = []
+    for a_i in a_rows:
+        acc = [0] * ncols
+        for k, a in a_i:
+            for j, b in b_rows[k]:
+                acc[j] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _as_int(x) -> int:
@@ -256,18 +286,7 @@ class IntMat:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
             )
-        # Gustavson's row kernel: only products of two nonzero entries are formed.
-        ncols = other.cols
-        nonzeros = _row_nonzeros(other)
-        out = []
-        for row in self.data:
-            acc = [0] * ncols
-            for a, bk in zip(row, nonzeros):
-                if a:
-                    for j, b in bk:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMat._new(tuple(out))
+        return IntMat._new(_gustavson(_row_nonzeros(self), _row_nonzeros(other), other.cols))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:

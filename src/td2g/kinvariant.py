@@ -47,8 +47,12 @@ P_r the nonzero entries of row r of P (kept on P): a lower split of a
 word has a few nonzeros, so an S costs a few dozen integer products.
 The bracket sums over the nonzero entries of H and of C's rows.
 (ABC)^{-T} is applied to a vector piece by piece, as
-iso(ABC) I A (B (C (I v))), so it builds no product.  `k_cocycle`
-builds no group product at all;
+iso(ABC) I A (B (C (I v))), each piece through its row nonzeros, so it
+builds no product.  The chain's group products are row-sparse too: a
+product is formed from its factors' row nonzeros and keeps its own
+(`groups.PseudoOrthogonal.__mul__`), so no element's rows are listed
+twice and no dense matrix product or matrix-vector product runs.
+`k_cocycle` builds no group product at all;
 `check_cocycle_identity` reads its five m terms (4 distinct H) from one
 4-chain and builds ab, bc and cd; `check_two_torsion` reads its four
 gamma terms (4 distinct F) from one 3-chain, building ab and bc, while
@@ -164,6 +168,17 @@ def _congruence(
     return tuple(map(tuple, s))
 
 
+def _apply(g: PseudoOrthogonal, v: Sequence[int]) -> IntVec:
+    """g v, from the nonzero entries of each row of g (kept on g)."""
+    out = []
+    for row in _rows(g):
+        t = 0
+        for j, x in row:
+            t += x * v[j]
+        out.append(t)
+    return tuple(out)
+
+
 class _Chain:
     """The products a_i...a_{j-1} of one word, and the matrices H and diagonals F over them.
 
@@ -207,15 +222,16 @@ class _Chain:
 
         X^{-T} = iso(X) I X I, and I I = E, so for X = X_1...X_r this is
         iso(X) I X_1 (... (X_r (I v))): the product X itself is never built,
-        and the halves are swapped twice in all, not twice per piece as
-        `twisted_action` per piece would.
+        each X_k is applied from its row nonzeros (`_apply`), and the halves
+        are swapped twice in all, not twice per piece as `twisted_action`
+        per piece would.
         """
         n = len(v) // 2
         v = tuple(v[n:]) + tuple(v[:n])
         iso = 1
         for p, q in reversed(list(zip(cuts, cuts[1:]))):
             x = self.prod[p, q]
-            v = x.mat.mul_vec(v)
+            v = _apply(x, v)
             iso *= x.iso
         v = v[n:] + v[:n]
         return v if iso == 1 else tuple([-t for t in v])
@@ -277,11 +293,14 @@ def k_eval(
 def twisted_action(a: PseudoOrthogonal, v: Sequence[int]) -> IntVec:
     """The action of A on the character lattice: v |-> I A I v.
 
-    I swaps the two halves of a vector, so this is swap(A swap(v)).
+    I swaps the two halves of a vector, so this is swap(A swap(v)), with
+    A applied from its row nonzeros (`_apply`).
     """
     n = a.n
     v = tuple(v)
-    w = a.mat.mul_vec(v[n:] + v[:n])
+    if len(v) != 2 * n:
+        raise ValueError("dimension mismatch in matrix-vector product")
+    w = _apply(a, v[n:] + v[:n])
     return w[n:] + w[:n]
 
 

@@ -422,7 +422,6 @@ def _so_data_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> 
     return _action_failures(c, c2, _so_rows(b), at_triples)
 
 
-
 def _so_gerbe_failures(c: TDCocycle, c2: TDCocycle, b: IntMat, b_low: IntMat) -> Iterator[tuple]:
     """The so-shift gerbe records: at each triple, in this order, the lattice data, the left
     and right legs, and the v-coefficient of the decomposition.

@@ -74,6 +74,15 @@ def sample_elements(n: int, seed: int) -> list[PseudoOrthogonal]:
     return [x for g in gens for x in (g, g.inverse())] + ws + [a * b for a, b in zip(ws, ws[1:])]
 
 
+def rotation(n: int) -> PseudoOrthogonal:
+    """rotation_n1 on each pair of slots (i, n + i): e_i -> e_{n+i} -> -e_i; iso = -1, by the checked constructor."""
+    m = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        m[n + i][i] = 1
+        m[i][n + i] = -1
+    return PseudoOrthogonal(IntMat(m))
+
+
 def reference_random_word(generators, length: int, seed) -> PseudoOrthogonal:
     """The earlier random_word: inverts on every pick and starts from the identity."""
     if not generators:

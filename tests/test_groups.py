@@ -19,9 +19,9 @@ from td2g.groups import (
     so_basis,
     standard_generators,
 )
-from td2g.intlinalg import IntMat, unimodular_inverse
+from td2g.intlinalg import IntMat, _row_nonzeros, unimodular_inverse
 from td2g.rng import XorShift64Star, substream_seeds
-from conftest import reference_random_word, words
+from conftest import reference_matmul, reference_random_word, rotation, words
 
 
 class TestMembership:
@@ -312,6 +312,52 @@ class TestGroupLaws:
         assert {x.iso for x in built} == {1, -1}
         for x in built:
             assert PseudoOrthogonal(x.mat).iso == x.iso
+
+
+class TestProductRows:
+    """A group product is formed from its factors' row nonzeros and keeps its own, invisibly."""
+
+    @staticmethod
+    def _letters(n):
+        rot = rotation(n)
+        assert rot.iso == -1 and (n > 1 or rot == rotation_n1())
+        return [rot, rot.inverse(), *standard_generators(n)[:4], *words(n, 6, 310 + n, length=8)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_cached_rows_are_the_products_row_nonzeros(self, n):
+        letters = self._letters(n)
+        for a in letters:
+            for b in letters:
+                ab = a * b
+                assert ab.mat == reference_matmul(a.mat, b.mat)
+                assert ab.iso == a.iso * b.iso
+                assert ab._rows == _row_nonzeros(ab.mat)
+                # the factors' rows were read from, or filled into, their caches
+                assert a._rows == _row_nonzeros(a.mat) and b._rows == _row_nonzeros(b.mat)
+                # a product with cached rows as either factor of a further product
+                for x, y in ((ab, a), (b, ab)):
+                    xy = x * y
+                    assert xy.mat == reference_matmul(x.mat, y.mat)
+                    assert xy._rows == _row_nonzeros(xy.mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_cache_is_invisible(self, n):
+        letters = self._letters(n)
+        for a, b in zip(letters, letters[1:] + letters[:1]):
+            ab = a * b
+            fresh = PseudoOrthogonal(IntMat([list(r) for r in ab.mat.data]))
+            assert ab._rows is not None and fresh._rows is None
+            assert ab == fresh and fresh == ab
+            assert hash(ab) == hash(fresh)
+            assert repr(ab) == repr(fresh)
+            assert fresh.iso == ab.iso
+
+    def test_checks_stay(self):
+        a = rotation(2)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            a * rotation(3)
+        with pytest.raises(TypeError):
+            a * a.mat
 
 
 class TestSubgroupStructure:

@@ -45,9 +45,11 @@ from conftest import (
     reference_gamma,
     reference_h,
     reference_k_cocycle,
+    reference_matmul,
     reference_n1_exhaustive,
     reference_subgroup_vanishing,
     reference_table_failures,
+    rotation,
     sample_elements,
     words,
 )
@@ -192,25 +194,56 @@ class TestSparseChain:
             assert ch.h(0, 1, 2) == reference_h(q, p)
             assert ch.form(0, 1, 2) == reference_form(q, p)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_inv_transpose_matches_the_dense_inverse(self, n):
+        # pieces of 2 to 4 cuts over 4-letter words that mix seeded words
+        # with the iso -1 rotation and its inverse; vectors up to +-9
+        rot = rotation(n)
+        letters = [rot, rot.inverse(), *words(n, 6, 283 + n, length=6)]
+        rng = XorShift64Star(293 + n)
+        cuts_list = ((0, 1, 2), (0, 2, 4), (1, 3, 4), (0, 1, 3, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4))
+        isos, big = set(), 0
+        for _ in range(12):
+            word = [letters[rng.below(len(letters))] for _ in range(4)]
+            ch = kinvariant._Chain(word)
+            for cuts in cuts_list:
+                x = word[cuts[0]].mat
+                for g in word[cuts[0] + 1 : cuts[-1]]:
+                    x = reference_matmul(x, g.mat)
+                prod = PseudoOrthogonal(x)
+                v = rand_intvec(rng, 2 * n, bound=9)
+                assert ch.inv_transpose(cuts, v) == prod.inverse().mat.transpose().mul_vec(v)
+                isos |= {ch.prod[p, q].iso for p, q in zip(cuts, cuts[1:])} | {prod.iso}
+                big = max(big, *map(abs, v))
+        assert isos == {1, -1} and big > 1
+
     def test_checks_at_n6_multiply_only_their_group_products(self, monkeypatch):
         # Work, not time: check_cocycle_identity builds ab, bc and cd, and
-        # check_two_torsion ab and bc; B_A, every H and F and every bracket
-        # are summed from nonzero entries, with no matrix product.
-        count = [0]
-        real = IntMat.__mul__
+        # check_two_torsion ab and bc, each from cached row nonzeros; B_A,
+        # every H and F and every bracket are summed from nonzero entries,
+        # and (ABC)^{-T} and the twisted action apply each piece from its
+        # rows, so no dense matrix or matrix-vector product runs.
+        calls = {"mul": 0, "matmul": 0, "mul_vec": 0}
 
-        def counted(x, y):
-            count[0] += 1
-            return real(x, y)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
 
         ws = words(6, 14, 263, length=8)
-        monkeypatch.setattr(IntMat, "__mul__", counted)
+        monkeypatch.setattr(PseudoOrthogonal, "__mul__", counted("mul", PseudoOrthogonal.__mul__))
+        monkeypatch.setattr(IntMat, "__mul__", counted("matmul", IntMat.__mul__))
+        monkeypatch.setattr(IntMat, "mul_vec", counted("mul_vec", IntMat.mul_vec))
         for a, b, c, d in zip(*[iter(ws[:8])] * 4):
-            count[0] = 0
-            assert check_cocycle_identity(a, b, c, d) and count[0] == 3
+            calls.update(mul=0)
+            assert check_cocycle_identity(a, b, c, d)
+            assert calls == {"mul": 3, "matmul": 0, "mul_vec": 0}
         for a, b, c in zip(*[iter(ws[8:])] * 3):
-            count[0] = 0
-            assert check_two_torsion(a, b, c) and count[0] == 2
+            calls.update(mul=0)
+            assert check_two_torsion(a, b, c)
+            assert calls == {"mul": 2, "matmul": 0, "mul_vec": 0}
 
 
 class TestOneFormM:
@@ -382,6 +415,12 @@ class TestTwistedAction:
         for w in words(n, 6, 600 + n, length=8):
             v = rand_intvec(rng, 2 * n)
             assert twisted_action(w, v) == (i * w.mat * i).mul_vec(v)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            twisted_action(PseudoOrthogonal.identity(2), (1, 2, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            twisted_action(PseudoOrthogonal.identity(2), (1, 2, 3, 4, 5))
 
     def test_multiplicative(self, rng):
         ws = words(2, 8, 109)
@@ -606,14 +645,22 @@ class TestFiniteGroupTables:
         # Work, not time.  Group products: the suite multiplies each pair of
         # the 8 elements once for the Cayley table (64) and nowhere else:
         # m reads H_{A,B}, C and the Cayley product ABC, and gamma applies
-        # (AB)^{-T} letter by letter.  Matrix products: none in enumerate_n1,
-        # which builds its elements with their known signs, and one per
-        # Cayley product (64), the table only: B_A, S = B^T (B_A)_low B
-        # for each H_{A,B} and form, and the bracket of H and C are all
-        # summed from nonzero entries, with no product.
+        # (AB)^{-T} letter by letter.  Dense matrix and matrix-vector
+        # products: none.  enumerate_n1 builds its elements with their known
+        # signs, a Cayley product is formed from the factors' cached row
+        # nonzeros, B_A, S = B^T (B_A)_low B for each H_{A,B} and form, and
+        # the bracket of H and C are summed from nonzero entries, and the
+        # twisted action and (AB)^{-T} apply each element from its rows.
         # No m goes through _Chain.k or k_cocycle: each is the twisted
         # action of ABC on a signed half-bracket.
-        calls = {"k_cocycle": 0, "check_cocycle_identity": 0, "_Chain.k": 0, "mul": 0, "matmul": 0}
+        calls = {
+            "k_cocycle": 0,
+            "check_cocycle_identity": 0,
+            "_Chain.k": 0,
+            "mul": 0,
+            "matmul": 0,
+            "mul_vec": 0,
+        }
 
         def counted(name, fn):
             def wrapper(*args):
@@ -627,6 +674,7 @@ class TestFiniteGroupTables:
         monkeypatch.setattr(kinvariant._Chain, "k", counted("_Chain.k", kinvariant._Chain.k))
         monkeypatch.setattr(PseudoOrthogonal, "__mul__", counted("mul", PseudoOrthogonal.__mul__))
         monkeypatch.setattr(IntMat, "__mul__", counted("matmul", IntMat.__mul__))
+        monkeypatch.setattr(IntMat, "mul_vec", counted("mul_vec", IntMat.mul_vec))
         assert main(["verify", "--suite", "n1-exhaustive"]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
         assert calls == {
@@ -634,7 +682,8 @@ class TestFiniteGroupTables:
             "check_cocycle_identity": 0,
             "_Chain.k": 0,
             "mul": 64,
-            "matmul": 64,
+            "matmul": 0,
+            "mul_vec": 0,
         }
 
     def test_each_h_and_action_is_computed_once(self, monkeypatch):
